@@ -9,11 +9,7 @@ type edge = {
   exact : bool;
 }
 
-let kind_name = function
-  | Analyzer.Flow -> "flow"
-  | Analyzer.Anti -> "anti"
-  | Analyzer.Output -> "output"
-  | Analyzer.Input -> "input"
+let kind_name = Analyzer.dep_kind_name
 
 (* A conservative verdict has no instance ordering; classify by
    textual order, as {!Analyzer.vector_kind} does for an ambiguous
@@ -48,17 +44,17 @@ let vector_edge (r : Analyzer.pair_report) ~exact v =
   { pair = r; kind = Analyzer.vector_kind r v; vector = Some v;
     carried_lids; loop_independent; exact }
 
+let pair_edges (r : Analyzer.pair_report) =
+  match r.outcome with
+  | Analyzer.Constant false | Analyzer.Gcd_independent -> []
+  | Analyzer.Constant true | Analyzer.Assumed_dependent ->
+    [ conservative_edge r ]
+  | Analyzer.Tested t when not t.dependent -> []
+  | Analyzer.Tested t ->
+    if t.directions = [] then [ conservative_edge r ]
+    else
+      let exact = Option.is_none t.degraded in
+      List.map (vector_edge r ~exact) t.directions
+
 let edges (report : Analyzer.report) =
-  List.concat_map
-    (fun (r : Analyzer.pair_report) ->
-       match r.outcome with
-       | Analyzer.Constant false | Analyzer.Gcd_independent -> []
-       | Analyzer.Constant true | Analyzer.Assumed_dependent ->
-         [ conservative_edge r ]
-       | Analyzer.Tested t when not t.dependent -> []
-       | Analyzer.Tested t ->
-         if t.directions = [] then [ conservative_edge r ]
-         else
-           let exact = Option.is_none t.degraded in
-           List.map (vector_edge r ~exact) t.directions)
-    report.pair_reports
+  List.concat_map pair_edges report.pair_reports

@@ -27,12 +27,15 @@ type edge = {
           proven. *)
 }
 
+val pair_edges : Analyzer.pair_report -> edge list
+(** The edges of one pair: one per direction vector of a dependent
+    pair, in vector order (one conservative edge for a dependent pair
+    without vectors); none for an independent pair. *)
+
 val edges : Analyzer.report -> edge list
-(** One edge per direction vector of every dependent pair (one
-    conservative edge for dependent pairs without vectors), in pair
-    order. Independent pairs produce nothing. Read-read pairs are
-    never enumerated by the analyzer, so [Input] edges do not occur in
-    practice; the classification is total anyway. *)
+(** {!pair_edges} of every pair, concatenated in pair order. Read-read
+    pairs are never enumerated by the analyzer, so [Input] edges do not
+    occur in practice; the classification is total anyway. *)
 
 val kind_name : Analyzer.dep_kind -> string
 (** ["flow" | "anti" | "output" | "input"]. *)

@@ -54,8 +54,6 @@ let record_metrics summary ~errors ~warnings =
 (* Annotation checking                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let vector_string v = Format.asprintf "%a" Direction.pp_vector v
-
 let iter_string iters =
   Printf.sprintf "(%s)"
     (String.concat ","
@@ -65,7 +63,7 @@ let edge_evidence (b : Summary.blocking) =
   let e = b.edge in
   let vec =
     match e.vector with
-    | Some v -> Printf.sprintf " %s" (vector_string v)
+    | Some v -> Printf.sprintf " %s" (Direction.vector_to_string v)
     | None -> " (conservative)"
   in
   let wit =
@@ -246,7 +244,7 @@ let blocking_json (b : Summary.blocking) =
        ("exact", Json_out.Bool e.exact);
      ]
      @ (match e.vector with
-        | Some v -> [ ("vector", Json_out.Str (vector_string v)) ]
+        | Some v -> [ ("vector", Json_out.Str (Direction.vector_to_string v)) ]
         | None -> [])
      @ loc_fields "" e.pair.loc1
      @ loc_fields "2" e.pair.loc2

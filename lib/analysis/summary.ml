@@ -199,106 +199,118 @@ let reductions_of body =
 (* Witness replay                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Re-derive a concrete iteration pair realizing the edge at carrier
-   level [k]: rebuild the pair's problem, reduce with the extended gcd
-   test, constrain levels before [k] equal and level [k] strict (in
-   the direction(s) the edge's vector admits), and ask the cascade for
-   a witness. Budget exhaustion or an unknown just loses the witness. *)
-let witness_for ~(config : Analyzer.config) ~cancel
-    ((s1 : Affine.site), (s2 : Affine.site)) (edge : Classify.edge) k =
-  match Build_problem.build s1 s2 with
-  | None -> None
-  | Some p -> (
-      match Gcd_test.run p with
-      | Gcd_test.Independent _ -> None
-      | Gcd_test.Reduced red ->
-        let base = red.Gcd_test.system in
-        let eqs_upto =
-          List.concat
-            (List.init k (fun j -> Direction.dir_rows p j Direction.Deq))
-        in
-        let attempt sign =
-          let extra = eqs_upto @ Direction.dir_rows p k sign in
-          let extra_t = List.map (Gcd_test.transform_row red) extra in
-          let sys =
-            Consys.make ~nvars:base.Consys.nvars (base.Consys.rows @ extra_t)
-          in
-          let budget = Budget.create ?cancel config.Analyzer.limits in
-          let cas =
-            Cascade.run ~budget ~fm_tighten:config.Analyzer.fm_tighten sys
-          in
-          match cas.Cascade.verdict with
-          | Cascade.Dependent w ->
-            let x = Gcd_test.x_of_t red w in
-            Some
-              {
-                iter1 =
-                  Array.init p.Problem.ncommon (fun j ->
-                      x.(Problem.var1 p j));
-                iter2 =
-                  Array.init p.Problem.ncommon (fun j ->
-                      x.(Problem.var2 p j));
-              }
-          | Cascade.Independent _ | Cascade.Unknown | Cascade.Exhausted _ ->
-            None
-        in
-        let signs =
-          match edge.Classify.vector with
-          | Some v when k < Array.length v -> (
-              match v.(k) with
-              | Direction.Dlt -> [ Direction.Dlt ]
-              | Direction.Dgt -> [ Direction.Dgt ]
-              | Direction.Dany | Direction.Deq ->
-                [ Direction.Dlt; Direction.Dgt ])
-          | _ -> [ Direction.Dlt; Direction.Dgt ]
-        in
-        List.find_map attempt signs)
+(* The witness replayer of one pair: [replay edge k] re-derives a
+   concrete iteration pair realizing [edge] at carrier level [k] — the
+   pair's problem reduced with the extended gcd test, levels before [k]
+   constrained equal and level [k] strict in the direction(s) the
+   edge's vector admits, and the cascade asked for a witness. The
+   problem is built and reduced once, on first demand, and each
+   (level, direction) query runs the cascade at most once: the edges
+   of a pair share their answers. Budget exhaustion or an unknown just
+   loses the witness. *)
+let pair_replayer ~(config : Analyzer.config) ~cancel
+    ((s1 : Affine.site), (s2 : Affine.site)) =
+  let reduced =
+    lazy
+      (match Build_problem.build s1 s2 with
+       | None -> None
+       | Some p -> (
+           match Gcd_test.run p with
+           | Gcd_test.Independent _ -> None
+           | Gcd_test.Reduced red -> Some (p, red)))
+  in
+  let attempt (p, red) k sign =
+    let base = red.Gcd_test.system in
+    let extra =
+      List.concat
+        (List.init k (fun j -> Direction.dir_rows p j Direction.Deq))
+      @ Direction.dir_rows p k sign
+    in
+    let extra_t = List.map (Gcd_test.transform_row red) extra in
+    let sys =
+      Consys.make ~nvars:base.Consys.nvars (base.Consys.rows @ extra_t)
+    in
+    let budget = Budget.create ?cancel config.Analyzer.limits in
+    let cas = Cascade.run ~budget ~fm_tighten:config.Analyzer.fm_tighten sys in
+    match cas.Cascade.verdict with
+    | Cascade.Dependent w ->
+      let x = Gcd_test.x_of_t red w in
+      Some
+        {
+          iter1 = Array.init p.Problem.ncommon (fun j -> x.(Problem.var1 p j));
+          iter2 = Array.init p.Problem.ncommon (fun j -> x.(Problem.var2 p j));
+        }
+    | Cascade.Independent _ | Cascade.Unknown | Cascade.Exhausted _ -> None
+  in
+  let memo = ref [] in
+  let query pr k sign =
+    match List.assoc_opt (k, sign) !memo with
+    | Some w -> w
+    | None ->
+      let w = attempt pr k sign in
+      memo := ((k, sign), w) :: !memo;
+      w
+  in
+  fun (edge : Classify.edge) k ->
+    match Lazy.force reduced with
+    | None -> None
+    | Some pr ->
+      let signs =
+        match edge.Classify.vector with
+        | Some v when k < Array.length v -> (
+            match v.(k) with
+            | Direction.Dlt -> [ Direction.Dlt ]
+            | Direction.Dgt -> [ Direction.Dgt ]
+            | Direction.Dany | Direction.Deq ->
+              [ Direction.Dlt; Direction.Dgt ])
+        | _ -> [ Direction.Dlt; Direction.Dgt ]
+      in
+      List.find_map (query pr k) signs
 
 (* ------------------------------------------------------------------ *)
 (* Assembly                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let index_of lid ids =
-  let rec go k = function
-    | [] -> None
-    | id :: _ when id = lid -> Some k
-    | _ :: rest -> go (k + 1) rest
-  in
-  go 0 ids
-
+(* One pair-major pass: each pair's edges are classified, and each edge
+   is pushed (with its witness) onto the bucket of every loop it may
+   carry — at the level that loop holds in the pair's common nest.
+   Walking pairs in order, and edges in order within a pair, leaves
+   every bucket in edge order once reversed. A pair's replayer (and
+   with it the pair's problem) is dropped before the next pair. *)
 let compute ?(config = Analyzer.default_config) ?cancel ~prepared ~pairs
     (report : Analyzer.report) =
-  let edges = Classify.edges report in
-  let pair_sites =
-    (* In pair order, like the verifier; a length mismatch (caller
-       broke the contract) just loses witnesses. *)
-    try List.combine report.pair_reports pairs
-    with Invalid_argument _ -> []
+  let metas = loop_metas prepared in
+  let nloops = List.length metas in
+  let buckets = Array.make nloops [] in
+  let edges_rev = ref [] in
+  let add_pair (r : Analyzer.pair_report) sites =
+    let replay =
+      match sites with
+      | Some ss -> pair_replayer ~config ~cancel ss
+      | None -> fun _ _ -> None
+    in
+    List.iter
+      (fun (e : Classify.edge) ->
+         edges_rev := e :: !edges_rev;
+         List.iteri
+           (fun k lid ->
+              if lid >= 0 && lid < nloops && List.mem lid e.carried_lids then
+                buckets.(lid) <-
+                  { edge = e; witness = replay e k } :: buckets.(lid))
+           r.common_ids)
+      (Classify.pair_edges r)
   in
-  let sites_of r =
-    List.find_map (fun (r', s) -> if r' == r then Some s else None) pair_sites
-  in
+  (match List.combine report.pair_reports pairs with
+   | combined -> List.iter (fun (r, ss) -> add_pair r (Some ss)) combined
+   | exception Invalid_argument _ ->
+     (* The caller broke the pair-order contract: lose the witnesses,
+        keep the verdicts. *)
+     List.iter (fun r -> add_pair r None) report.pair_reports);
   let loops =
     List.map
       (fun m ->
-         let blockers =
-           List.filter
-             (fun (e : Classify.edge) -> List.mem m.m_lid e.carried_lids)
-             edges
-         in
-         let blocking =
-           List.map
-             (fun (e : Classify.edge) ->
-                let witness =
-                  match
-                    (sites_of e.pair, index_of m.m_lid e.pair.common_ids)
-                  with
-                  | Some ss, Some k -> witness_for ~config ~cancel ss e k
-                  | _ -> None
-                in
-                { edge = e; witness })
-             blockers
-         in
+         let blocking = List.rev buckets.(m.m_lid) in
+         let blockers = List.map (fun b -> b.edge) blocking in
          let scalar_blockers = scalar_blockers_of ~loop_var:m.m_var m.m_body in
          let red_slocs, scalar_red_ok = reductions_of m.m_body in
          let reduction_ok =
@@ -328,6 +340,6 @@ let compute ?(config = Analyzer.default_config) ?cancel ~prepared ~pairs
          { lid = m.m_lid; var = m.m_var; loc = m.m_loc; depth = m.m_depth;
            parallel_annot = m.m_parallel; verdict; blocking; scalar_blockers;
            degraded })
-      (loop_metas prepared)
+      metas
   in
-  { loops; edges }
+  { loops; edges = List.rev !edges_rev }

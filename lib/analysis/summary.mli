@@ -80,7 +80,13 @@ val compute :
 (** [prepared] must be the program the sites were extracted from
     (pipeline already run); [pairs] must be the
     {!Analyzer.site_pairs} enumeration the report was computed from,
-    in order — the same contract as {!Dda_check.Verify.verify_report}.
-    Witness replay runs one cascade query per blocking edge under
+    in order — the same contract as {!Dda_check.Verify.verify_report};
+    a length mismatch loses every witness, never a verdict.
+
+    One pair-major pass, linear in pairs + edges + loops: each pair's
+    edges are pushed onto the buckets of the loops they may carry, in
+    edge order. Witness replay builds and gcd-reduces a pair's problem
+    at most once and runs one cascade query per distinct (level,
+    direction) the pair's edges ask for, shared by those edges, under
     [config]'s budget; exhaustion leaves the witness [None], never
     changes a verdict. *)

@@ -270,7 +270,29 @@ let emit ?(parallel = []) prog =
         out ";\n";
         (match List.assoc_opt lid parallel with
          | Some true ->
-           out "%s  #pragma omp parallel for lastprivate(v_%s)\n" pad f.var
+           (* Every scalar the body writes (inner loop variables,
+              temporaries) is a global too: shared, the threads would
+              overwrite each other's values mid-iteration. Each thread
+              gets its own copy, starting from the pre-loop value, and
+              the last iteration's copy is copied out. *)
+           let written = ref [] in
+           let note v =
+             if v <> f.var && not (List.mem v !written) then
+               written := v :: !written
+           in
+           Ast.iter_stmts
+             (fun s ->
+                match s.Ast.sdesc with
+                | Ast.For g -> note g.var
+                | Ast.Assign (Ast.Lvar v, _) -> note v
+                | _ -> ())
+             f.body;
+           let vars vs = String.concat ", " (List.map (fun v -> "v_" ^ v) vs) in
+           let written = List.rev !written in
+           out "%s  #pragma omp parallel for lastprivate(%s)%s\n" pad
+             (vars (f.var :: written))
+             (if written = [] then ""
+              else Printf.sprintf " firstprivate(%s)" (vars written))
          | Some false | None -> ());
         out "%s  for (ll %s = %s; %s %s %s; %s += %d) {\n" pad c lo c
           (if stepc > 0 then "<=" else ">=")

@@ -68,9 +68,13 @@ type dep_kind =
   | Output
   | Input
 
-let pp_dep_kind fmt k =
-  Format.pp_print_string fmt
-    (match k with Flow -> "flow" | Anti -> "anti" | Output -> "output" | Input -> "input")
+let dep_kind_name = function
+  | Flow -> "flow"
+  | Anti -> "anti"
+  | Output -> "output"
+  | Input -> "input"
+
+let pp_dep_kind fmt k = Format.pp_print_string fmt (dep_kind_name k)
 
 let vector_kind report v =
   (* The leading non-"=" direction says which reference's instance runs
@@ -584,23 +588,50 @@ let fresh_state ?(cancel = fun () -> false) ?cache cfg =
     cancel;
   }
 
+(* The sites of one array not yet enumerated as a pair's first member,
+   in textual order: all of them, and the writes alone. *)
+type site_group = {
+  mutable later : Affine.site list;
+  mutable later_writes : Affine.site list;
+}
+
+(* Sites are grouped by array once; each site then meets only the later
+   sites of its own array — all of them for a write (itself first, as
+   a self pair), only the writes for a read, since a read-read pair
+   never qualifies. The output keeps the textual (first, second) order
+   of an all-pairs scan. *)
 let site_pairs cfg sites =
-  let arr = Array.of_list sites in
+  let groups = Hashtbl.create 16 in
+  List.iter
+    (fun (s : Affine.site) ->
+       let g =
+         match Hashtbl.find_opt groups s.array with
+         | Some g -> g
+         | None ->
+           let g = { later = []; later_writes = [] } in
+           Hashtbl.add groups s.array g;
+           g
+       in
+       g.later <- s :: g.later;
+       if s.role = `Write then g.later_writes <- s :: g.later_writes)
+    (List.rev sites);
   let out = ref [] in
-  for i = 0 to Array.length arr - 1 do
-    for j = i to Array.length arr - 1 do
-      let s1 = arr.(i) and s2 = arr.(j) in
-      let self = i = j in
-      if
-        String.equal s1.Affine.array s2.Affine.array
-        && (s1.role = `Write || s2.role = `Write)
-        && ((not self) || s1.role = `Write)
-        && ((not self) || cfg.directions)
-        (* self pairs need direction machinery; skip in plain mode *)
-        && ((not cfg.within_nest_only) || self || Affine.common_loops s1 s2 >= 1)
-      then out := (s1, s2) :: !out
-    done
-  done;
+  let pair_with s1 s2 =
+    if (not cfg.within_nest_only) || Affine.common_loops s1 s2 >= 1 then
+      out := (s1, s2) :: !out
+  in
+  List.iter
+    (fun (s1 : Affine.site) ->
+       let g = Hashtbl.find groups s1.array in
+       g.later <- List.tl g.later;
+       match s1.role with
+       | `Write ->
+         g.later_writes <- List.tl g.later_writes;
+         (* self pairs need direction machinery; skip in plain mode *)
+         if cfg.directions then out := (s1, s1) :: !out;
+         List.iter (pair_with s1) g.later
+       | `Read -> List.iter (pair_with s1) g.later_writes)
+    sites;
   List.rev !out
 
 let analyze_sites ?(config = default_config) ?cancel ?cache pairs =

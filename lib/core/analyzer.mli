@@ -87,6 +87,9 @@ type dep_kind =
   | Output  (** write then write *)
   | Input  (** read then read (never produced for tested pairs) *)
 
+val dep_kind_name : dep_kind -> string
+(** ["flow" | "anti" | "output" | "input"]. *)
+
 val pp_dep_kind : Format.formatter -> dep_kind -> unit
 
 val vector_kind : pair_report -> Direction.dir array -> dep_kind
@@ -265,8 +268,10 @@ val site_pairs :
 (** The pair enumeration {!analyze} performs after extraction: every
     textually ordered pair of same-array references with at least one
     write (self pairs only for writes, and only when [directions] is
-    on), filtered by [within_nest_only]. Exposed so the verification
-    layer can replay the analyzer's work pair by pair. *)
+    on), filtered by [within_nest_only], in textual (first, second)
+    order. Sites are grouped by array, so the cost is linear in sites
+    plus pairs considered, not quadratic in sites. Exposed so the
+    verification layer can replay the analyzer's work pair by pair. *)
 
 val analyze_sites :
   ?config:config ->

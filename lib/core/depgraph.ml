@@ -2,8 +2,6 @@ open Dda_lang
 
 let node_id (loc : Loc.t) = Printf.sprintf "n_%d_%d" loc.line loc.col
 
-let vector_string v = Format.asprintf "%a" Direction.pp_vector v
-
 (* Which endpoint is the source: the instance executing first. *)
 let source_of v =
   let rec go k =
@@ -68,7 +66,7 @@ let to_dot (report : Analyzer.report) =
            List.iter
              (fun v ->
                 let kind =
-                  Format.asprintf "%a" Analyzer.pp_dep_kind (Analyzer.vector_kind r v)
+                  Analyzer.dep_kind_name (Analyzer.vector_kind r v)
                 in
                 let dist =
                   match t.distance with
@@ -86,7 +84,8 @@ let to_dot (report : Analyzer.report) =
                   | None -> (" loop-indep", "")
                 in
                 let label =
-                  Printf.sprintf "%s %s%s%s" kind (vector_string v) dist carrier
+                  Printf.sprintf "%s %s%s%s" kind
+                    (Direction.vector_to_string v) dist carrier
                 in
                 match source_of v with
                 | `First -> edge r.loc1 r.loc2 label color

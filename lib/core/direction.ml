@@ -6,18 +6,21 @@ type dir =
   | Dgt
   | Dany
 
-let pp_dir fmt d =
-  Format.pp_print_string fmt
-    (match d with Dlt -> "<" | Deq -> "=" | Dgt -> ">" | Dany -> "*")
+let dir_char = function Dlt -> '<' | Deq -> '=' | Dgt -> '>' | Dany -> '*'
+let pp_dir fmt d = Format.pp_print_char fmt (dir_char d)
 
-let pp_vector fmt v =
-  Format.fprintf fmt "(";
-  Array.iteri
-    (fun i d ->
-       if i > 0 then Format.fprintf fmt ",";
-       pp_dir fmt d)
-    v;
-  Format.fprintf fmt ")"
+(* "(<,=,*)": one allocation, no formatter — reports render thousands. *)
+let vector_to_string v =
+  let n = Array.length v in
+  if n = 0 then "()"
+  else
+    String.init ((2 * n) + 1) (fun i ->
+        if i = 0 then '('
+        else if i = 2 * n then ')'
+        else if i land 1 = 1 then dir_char v.(i / 2)
+        else ',')
+
+let pp_vector fmt v = Format.pp_print_string fmt (vector_to_string v)
 
 type prune = {
   unused : bool;

@@ -32,6 +32,9 @@ type dir =
 val pp_dir : Format.formatter -> dir -> unit
 val pp_vector : Format.formatter -> dir array -> unit
 
+val vector_to_string : dir array -> string
+(** What {!pp_vector} prints, e.g. ["(<,=,*)"]. *)
+
 type prune = {
   unused : bool;
   distance : bool;

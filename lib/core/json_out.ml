@@ -8,30 +8,33 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Most keys and values need no escaping: those are written as-is,
+   without a copy. *)
+let write_string buf s =
+  Buffer.add_char buf '"';
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+         match c with
+         | '"' -> Buffer.add_string buf "\\\""
+         | '\\' -> Buffer.add_string buf "\\\\"
+         | '\n' -> Buffer.add_string buf "\\n"
+         | '\r' -> Buffer.add_string buf "\\r"
+         | '\t' -> Buffer.add_string buf "\\t"
+         | c when Char.code c < 0x20 ->
+           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+         | c -> Buffer.add_char buf c)
+      s;
+  Buffer.add_char buf '"'
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int n -> Buffer.add_string buf (string_of_int n)
-  | Str s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | Str s -> write_string buf s
   | List items ->
     Buffer.add_char buf '[';
     List.iteri
@@ -45,7 +48,7 @@ let rec write buf = function
     List.iteri
       (fun i (k, v) ->
          if i > 0 then Buffer.add_char buf ',';
-         write buf (Str k);
+         write_string buf k;
          Buffer.add_char buf ':';
          write buf v)
       fields;
@@ -236,9 +239,8 @@ let role = function `Read -> Str "read" | `Write -> Str "write"
 let vector r v =
   Obj
     [
-      ("directions", Str (Format.asprintf "%a" Direction.pp_vector v));
-      ( "kind",
-        Str (Format.asprintf "%a" Analyzer.pp_dep_kind (Analyzer.vector_kind r v)) );
+      ("directions", Str (Direction.vector_to_string v));
+      ("kind", Str (Analyzer.dep_kind_name (Analyzer.vector_kind r v)));
     ]
 
 let outcome (r : Analyzer.pair_report) =

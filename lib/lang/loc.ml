@@ -9,5 +9,5 @@ let compare a b =
   | c -> c
 
 let equal a b = compare a b = 0
-let pp fmt { line; col } = Format.fprintf fmt "%d:%d" line col
-let to_string l = Format.asprintf "%a" pp l
+let to_string { line; col } = string_of_int line ^ ":" ^ string_of_int col
+let pp fmt l = Format.pp_print_string fmt (to_string l)

@@ -344,11 +344,14 @@ let analyze_task t conn req id ~rid ~t0 () =
           a_ok = false;
           a_flags = [ ("quarantined", Json_out.Bool true) ] }
   in
+  (* Log before responding: a client that waits for each answer before
+     sending its next request then finds the access log in request
+     order, as it does for the ops answered on the reader thread. *)
+  finish_request t ~req:rid ~op:"analyze" ~ok:outcome.a_ok ~t0
+    ~flags:outcome.a_flags;
   (match outcome.json with
    | Ok json -> respond conn json
    | Error (msg, extra) -> respond conn (error_response id msg extra));
-  finish_request t ~req:rid ~op:"analyze" ~ok:outcome.a_ok ~t0
-    ~flags:outcome.a_flags;
   Mutex.lock t.lock;
   t.in_flight <- t.in_flight - 1;
   conn.pending <- conn.pending - 1;

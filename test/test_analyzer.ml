@@ -472,6 +472,82 @@ let prop_plain_verdict_matches_oracle =
               (not t.unknown) && t.dependent = obs.dependent)
          report.pair_reports)
 
+(* ------------------------------------------------------------------ *)
+(* Pair enumeration vs the all-pairs scan                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The oracle: every textually ordered (i, j >= i) pair of sites,
+   filtered exactly as the analyzer's enumeration promises. *)
+let naive_site_pairs (cfg : Analyzer.config) sites =
+  let arr = Array.of_list sites in
+  let out = ref [] in
+  for i = 0 to Array.length arr - 1 do
+    for j = i to Array.length arr - 1 do
+      let s1 = arr.(i) and s2 = arr.(j) in
+      let self = i = j in
+      if
+        String.equal s1.Affine.array s2.Affine.array
+        && (s1.role = `Write || s2.role = `Write)
+        && ((not self) || s1.role = `Write)
+        && ((not self) || cfg.directions)
+        && ((not cfg.within_nest_only) || self
+            || Affine.common_loops s1 s2 >= 1)
+      then out := (s1, s2) :: !out
+    done
+  done;
+  List.rev !out
+
+(* Fuzzed programs, single PERFECT programs, and runs of PERFECT-shaped
+   nests, so that one array's sites span several nests. *)
+let arb_pairing_program =
+  let open QCheck.Gen in
+  let fuzzed =
+    map2
+      (fun seed index -> Dda_perfect.Fuzz.program Mixed ~seed ~index)
+      (int_bound 100_000) (int_bound 5_000)
+  in
+  let perfect =
+    map Dda_perfect.Programs.source (oneofl Dda_perfect.Programs.all)
+  in
+  let shapes =
+    map2
+      (fun seed n ->
+         let rng = Dda_perfect.Prng.create seed in
+         String.concat "\n"
+           (List.init n (fun _ ->
+                Dda_perfect.Patterns.generate rng
+                  (Dda_perfect.Prng.choose rng
+                     Dda_perfect.Patterns.all_categories))))
+      (int_bound 100_000) (int_range 1 6)
+  in
+  QCheck.make ~print:Fun.id (frequency [ (3, fuzzed); (1, perfect); (2, shapes) ])
+
+let prop_site_pairs_match_naive =
+  QCheck.Test.make
+    ~name:"grouped site_pairs equals the all-pairs scan, in order" ~count:150
+    arb_pairing_program
+    (fun text ->
+       let sites =
+         Affine.extract (Dda_passes.Pipeline.run (Parser.parse_program text))
+       in
+       List.for_all
+         (fun (within_nest_only, directions) ->
+            let cfg =
+              { Analyzer.default_config with
+                Analyzer.within_nest_only; directions }
+            in
+            let got = Analyzer.site_pairs cfg sites in
+            let want = naive_site_pairs cfg sites in
+            List.compare_lengths got want = 0
+            && List.for_all2
+                 (fun (a1, a2) (b1, b2) -> a1 == b1 && a2 == b2)
+                 got want
+            || QCheck.Test.fail_reportf
+                 "within_nest_only=%b directions=%b: %d pairs, oracle %d"
+                 within_nest_only directions (List.length got)
+                 (List.length want))
+         [ (false, false); (false, true); (true, false); (true, true) ])
+
 (* Two sessions advanced in lockstep over the same programs: each
    call's memo statistics must be the per-call delta of that session's
    own tables — never polluted by the other session's interleaved
@@ -577,5 +653,6 @@ let () =
           qt prop_separable_exact;
           qt prop_symbolic_sound_for_all_inputs;
           qt prop_plain_verdict_matches_oracle;
+          qt prop_site_pairs_match_naive;
         ] );
     ]

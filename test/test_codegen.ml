@@ -150,6 +150,52 @@ let test_fortran_loop_semantics () =
   check_against_interp "negative indices"
     (Parser.parse_program "for i = 1 to 5 do a[0 - i] = i end")
 
+(* A parallel loop's body writes scalars — inner loop variables,
+   temporaries — that the C side keeps as globals. Shared between the
+   threads, they race: one thread's subscript picks up another's inner
+   index. This nest (a shrunk counterexample of the OpenMP property
+   below) gave a wrong dump in about half the 4-thread runs while they
+   were shared. *)
+let test_private_scalars () =
+  let prog =
+    Parser.parse_program
+      "for i = 1 to 64 do\n\
+      \  t = i * 2\n\
+      \  for j = 1 to 8 do\n\
+      \    c[i][j] = a[i][j] + t\n\
+      \  end\n\
+       end"
+  in
+  let prepared, parallel = parallel_flags prog in
+  (match C_emit.emit ~parallel prepared with
+   | Ok src ->
+     let contains needle hay =
+       let nl = String.length needle and hl = String.length hay in
+       let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+       go 0
+     in
+     Alcotest.(check bool) "inner scalars private" true
+       (contains
+          "#pragma omp parallel for lastprivate(v_i, v_t, v_j) firstprivate(v_t, v_j)"
+          src)
+   | Error e -> Alcotest.fail e);
+  require_gcc ();
+  let racy =
+    Parser.parse_program
+      "for i = 2 to 5 do\n\
+      \  for j = 0 to 2 do\n\
+      \    for k = 1 to 4 do\n\
+      \      a[3 - j + k][-2 - 2 * i - 2 * j + 2 * k] = c[-1 + i + j - k][-2 - 2 * i - 2 * j] + 2\n\
+      \    end\n\
+      \  end\n\
+       end"
+  in
+  for run = 1 to 5 do
+    check_against_interp ~openmp:true ~threads:4
+      (Printf.sprintf "shrunk nest, run %d" run)
+      racy
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Property: random affine nests through gcc                           *)
 (* ------------------------------------------------------------------ *)
@@ -190,6 +236,7 @@ let () =
           Alcotest.test_case "pragma placement" `Quick test_pragma_placement;
           Alcotest.test_case "rejections" `Quick test_rejections;
           Alcotest.test_case "fortran loop semantics" `Quick test_fortran_loop_semantics;
+          Alcotest.test_case "private scalars in parallel loops" `Quick test_private_scalars;
         ] );
       ( "property",
         [ qt prop_codegen_matches_interp; qt prop_codegen_openmp_matches_interp ] );

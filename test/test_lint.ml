@@ -148,6 +148,94 @@ let prop_starved_budget_only_denies =
             tight.Lint.summary.Summary.loops)
 
 (* ------------------------------------------------------------------ *)
+(* Per-loop buckets and shared witnesses                               *)
+(* ------------------------------------------------------------------ *)
+
+let same_edge (a : Classify.edge) (b : Classify.edge) =
+  a.pair == b.pair && a.kind = b.kind && a.vector = b.vector
+  && a.carried_lids = b.carried_lids
+  && a.loop_independent = b.loop_independent
+  && a.exact = b.exact
+
+let index_of x xs =
+  let rec go k = function
+    | [] -> None
+    | y :: _ when y = x -> Some k
+    | _ :: rest -> go (k + 1) rest
+  in
+  go 0 xs
+
+(* A witness realizes its edge at carrier level [k]: the iterations
+   agree on every outer level and differ at level [k] in a direction
+   the edge's vector admits. *)
+let witness_ok (e : Classify.edge) k (w : Summary.witness) =
+  let open Dda_numeric in
+  k < Array.length w.iter1
+  && Array.length w.iter1 = Array.length w.iter2
+  && (let ok = ref true in
+      for j = 0 to k - 1 do
+        if not (Zint.equal w.iter1.(j) w.iter2.(j)) then ok := false
+      done;
+      !ok)
+  &&
+  let c = Zint.compare w.iter1.(k) w.iter2.(k) in
+  match e.vector with
+  | Some v when k < Array.length v -> (
+      match v.(k) with
+      | Direction.Dlt -> c < 0
+      | Direction.Dgt -> c > 0
+      | Direction.Deq | Direction.Dany -> c <> 0)
+  | _ -> c <> 0
+
+let prop_buckets_and_witnesses =
+  QCheck.Test.make
+    ~name:
+      "each loop blocks on exactly its carried edges, in edge order, with \
+       valid witnesses"
+    ~count:200
+    (QCheck.pair arb_fuzzed QCheck.bool)
+    (fun ((profile, seed, index), annotated) ->
+       let text = Fuzz.program profile ~seed ~index in
+       let prog = Parser.parse_program text in
+       let prog = if annotated then List.map annotate_stmt prog else prog in
+       let res = Lint.run prog in
+       let edges = Classify.edges res.Lint.report in
+       List.for_all
+         (fun (li : Summary.loop_info) ->
+            let want =
+              List.filter
+                (fun (e : Classify.edge) -> List.mem li.lid e.carried_lids)
+                edges
+            in
+            let got = List.map (fun (b : Summary.blocking) -> b.edge) li.blocking in
+            if
+              not
+                (List.compare_lengths got want = 0
+                 && List.for_all2 same_edge got want)
+            then
+              QCheck.Test.fail_reportf
+                "loop %s (L%d): %d blocking edges, %d carried edges\n%s"
+                li.var li.lid (List.length got) (List.length want) text
+            else
+              List.for_all
+                (fun (b : Summary.blocking) ->
+                   match
+                     (b.witness, index_of li.lid b.edge.pair.common_ids)
+                   with
+                   | None, _ -> true
+                   | Some w, Some k when witness_ok b.edge k w -> true
+                   | Some _, _ ->
+                     QCheck.Test.fail_reportf
+                       "loop %s (L%d): witness does not realize its edge at \
+                        %s x %s\n%s"
+                       li.var li.lid
+                       (Loc.to_string b.edge.pair.loc1)
+                       (Loc.to_string b.edge.pair.loc2)
+                       text)
+                li.blocking)
+         res.Lint.summary.Summary.loops)
+
+(* ------------------------------------------------------------------ *)
 (* Deterministic fixtures                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -206,6 +294,39 @@ let test_starved_race_degrades_to_warning () =
     Alcotest.(check string) "code" "parallel-unproven" d.Dda_check.Verify.code
   | _ -> Alcotest.fail "expected exactly one finding"
 
+(* Summary.compute's contract: a pair list that does not match the
+   report costs the witnesses, never a verdict or an edge. *)
+let test_pair_mismatch_keeps_verdicts () =
+  let res =
+    Lint.run
+      (parse
+         "for i = 1 to 10 do\n  a[i] = a[i - 1] + 1\n  b[i] = b[i] + 2\nend\n")
+  in
+  let s = res.Lint.summary in
+  let bare =
+    Summary.compute ~prepared:res.Lint.prepared ~pairs:[] res.Lint.report
+  in
+  let shape (t : Summary.t) =
+    List.map
+      (fun (li : Summary.loop_info) ->
+         (li.lid, Summary.verdict_name li.verdict, List.length li.blocking))
+      t.loops
+  in
+  Alcotest.(check (list (triple int string int)))
+    "same loops, verdicts and blocking edges" (shape s) (shape bare);
+  Alcotest.(check int) "same edges" (List.length s.edges)
+    (List.length bare.edges);
+  let witnesses (t : Summary.t) =
+    List.concat_map
+      (fun (li : Summary.loop_info) ->
+         List.filter_map (fun (b : Summary.blocking) -> b.witness) li.blocking)
+      t.loops
+  in
+  Alcotest.(check bool) "the matched run has a witness" true
+    (witnesses s <> []);
+  Alcotest.(check int) "the mismatched run has none" 0
+    (List.length (witnesses bare))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "lint"
@@ -220,11 +341,14 @@ let () =
             test_reduction_detected;
           Alcotest.test_case "starved race degrades to warning" `Quick
             test_starved_race_degrades_to_warning;
+          Alcotest.test_case "pair mismatch keeps verdicts" `Quick
+            test_pair_mismatch_keeps_verdicts;
         ] );
       ( "fuzzed",
         [
           qt prop_doall_differential;
           qt prop_annotations_answered;
           qt prop_starved_budget_only_denies;
+          qt prop_buckets_and_witnesses;
         ] );
     ]
