@@ -149,31 +149,46 @@ let reduction_op = function
 
 (* Collect the reduction-shaped assignments anywhere in the body
    (conditionals and inner loops included), plus, per scalar, whether
-   every write of it is such an accumulation. *)
+   it is an accumulator: every write of it is an accumulation, and it
+   is read nowhere but in its own accumulations. A scalar read
+   elsewhere in the body — [b[i] = s] after [s = s + a[i]] — sees a
+   partial sum, so the loop is a scan, not a reduction. *)
 let reductions_of body =
   let slocs = ref [] in
   let scalar_writes = Hashtbl.create 8 in (* name -> all-reductions flag *)
+  let read_elsewhere = Hashtbl.create 8 in
   let note_scalar v is_red =
     let prev = Option.value (Hashtbl.find_opt scalar_writes v) ~default:true in
     Hashtbl.replace scalar_writes v (prev && is_red)
   in
+  let note_reads ?own e =
+    List.iter
+      (fun v ->
+         if own <> Some v then Hashtbl.replace read_elsewhere v ())
+      (Ast.expr_vars e)
+  in
   let classify (s : Ast.stmt) =
     match s.sdesc with
-    | Ast.Assign (Ast.Larr (a, subs), { desc = Ast.Bin (op, l, r); _ }) ->
-      let matches cell other =
-        match cell.Ast.desc with
-        | Ast.Aref (a', subs')
-          when String.equal a' a
-               && List.length subs = List.length subs'
-               && List.for_all2 Ast.equal_expr subs subs'
-               && (not (expr_uses_array a other))
-               && not (List.exists (expr_uses_array a) subs) ->
-          true
-        | _ -> false
-      in
-      if (reduction_op op && matches l r) || (commutative op && matches r l)
-      then slocs := s.sloc :: !slocs
-    | Ast.Assign (Ast.Lvar v, { desc = Ast.Bin (op, l, r); _ }) ->
+    | Ast.Assign (Ast.Larr (a, subs), e) -> (
+        List.iter note_reads subs;
+        note_reads e;
+        match e.desc with
+        | Ast.Bin (op, l, r) ->
+          let matches cell other =
+            match cell.Ast.desc with
+            | Ast.Aref (a', subs')
+              when String.equal a' a
+                   && List.length subs = List.length subs'
+                   && List.for_all2 Ast.equal_expr subs subs'
+                   && (not (expr_uses_array a other))
+                   && not (List.exists (expr_uses_array a) subs) ->
+              true
+            | _ -> false
+          in
+          if (reduction_op op && matches l r) || (commutative op && matches r l)
+          then slocs := s.sloc :: !slocs
+        | _ -> ())
+    | Ast.Assign (Ast.Lvar v, ({ desc = Ast.Bin (op, l, r); _ } as e)) ->
       let matches cell other =
         match cell.Ast.desc with
         | Ast.Var v' when String.equal v' v ->
@@ -183,15 +198,29 @@ let reductions_of body =
       let is_red =
         (reduction_op op && matches l r) || (commutative op && matches r l)
       in
-      if is_red then slocs := s.sloc :: !slocs;
+      if is_red then begin
+        slocs := s.sloc :: !slocs;
+        note_reads ~own:v e
+      end
+      else note_reads e;
       note_scalar v is_red
-    | Ast.Assign (Ast.Lvar v, _) | Ast.Read v -> note_scalar v false
-    | Ast.For { var; _ } -> note_scalar var false
-    | Ast.Assign (Ast.Larr _, _) | Ast.If _ -> ()
+    | Ast.Assign (Ast.Lvar v, e) ->
+      note_reads e;
+      note_scalar v false
+    | Ast.Read v -> note_scalar v false
+    | Ast.For { var; lo; hi; step; _ } ->
+      note_reads lo;
+      note_reads hi;
+      Option.iter note_reads step;
+      note_scalar var false
+    | Ast.If (c, _, _) ->
+      note_reads c.Ast.lhs;
+      note_reads c.Ast.rhs
   in
   Ast.iter_stmts classify body;
   let scalar_red_ok v =
     Option.value (Hashtbl.find_opt scalar_writes v) ~default:false
+    && not (Hashtbl.mem read_elsewhere v)
   in
   (!slocs, scalar_red_ok)
 
@@ -199,62 +228,131 @@ let reductions_of body =
 (* Witness replay                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* A problem's replay state: its extended-gcd reduction ([None] when
+   the gcd test proves independence) and the answers already computed
+   per (level, direction). *)
+type replay_entry = {
+  reduced : (Problem.t * Gcd_test.reduction) option;
+  mutable answers : ((int * Direction.dir) * witness option) list;
+}
+
+(* The replay memo of one [compute] call, keyed by the problem exactly
+   as written: the layout ([n1], [n2], [nsym], [ncommon], row counts)
+   and every equality and inequality row's coefficients and rhs, plus
+   each bound's [subject]. Signs are kept as they are —
+   [Problem.to_key] makes every equality's leading coefficient
+   positive, but a negated row can reduce to a different particular
+   solution and so to different witness iterations. *)
+module Replay_memo = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+
+  let hash (a : t) =
+    Array.fold_left (fun h x -> (h * 65599) + x) (Array.length a) a
+    land max_int
+end)
+
+exception Key_overflow
+
+let replay_key (p : Problem.t) =
+  let w = Problem.nvars p + 1 in
+  let neqs = List.length p.eqs and nineqs = List.length p.ineqs in
+  let key = Array.make (6 + (w * neqs) + ((w + 1) * nineqs)) 0 in
+  key.(0) <- p.n1;
+  key.(1) <- p.n2;
+  key.(2) <- p.nsym;
+  key.(3) <- p.ncommon;
+  key.(4) <- neqs;
+  key.(5) <- nineqs;
+  let int_of z =
+    match Zint.to_int z with Some n -> n | None -> raise Key_overflow
+  in
+  let write_row off (r : Consys.row) =
+    Array.iteri (fun i c -> key.(off + i) <- int_of c) r.coeffs;
+    key.(off + w - 1) <- int_of r.rhs;
+    off + w
+  in
+  let off = List.fold_left write_row 6 p.eqs in
+  ignore
+    (List.fold_left
+       (fun off (b : Problem.bound) ->
+          let off = write_row off b.row in
+          key.(off) <- b.subject;
+          off + 1)
+       off p.ineqs);
+  key
+
+let new_entry p =
+  match Gcd_test.run p with
+  | Gcd_test.Independent _ -> { reduced = None; answers = [] }
+  | Gcd_test.Reduced red -> { reduced = Some (p, red); answers = [] }
+
+(* The entry for [p]: found, or reduced and added. A problem whose
+   coefficients do not fit a native int gets a fresh entry outside the
+   memo, shared only by its own pair's queries. *)
+let find_entry memo p =
+  match replay_key p with
+  | exception Key_overflow -> new_entry p
+  | key -> (
+      match Replay_memo.find_opt memo key with
+      | Some e -> e
+      | None ->
+        let e = new_entry p in
+        Replay_memo.add memo key e;
+        e)
+
+(* One witness query: levels before [k] constrained equal, level [k]
+   strict in direction [sign], and the cascade asked for a witness.
+   [Error ()] when the budget ran out — that answer says nothing about
+   the problem, so it is not cached. *)
+let attempt ~(config : Analyzer.config) ~cancel (p, red) k sign =
+  let base = red.Gcd_test.system in
+  let extra =
+    List.concat (List.init k (fun j -> Direction.dir_rows p j Direction.Deq))
+    @ Direction.dir_rows p k sign
+  in
+  let extra_t = List.map (Gcd_test.transform_row red) extra in
+  let sys = Consys.make ~nvars:base.Consys.nvars (base.Consys.rows @ extra_t) in
+  let budget = Budget.create ?cancel config.Analyzer.limits in
+  let cas = Cascade.run ~budget ~fm_tighten:config.Analyzer.fm_tighten sys in
+  match cas.Cascade.verdict with
+  | Cascade.Dependent w ->
+    let x = Gcd_test.x_of_t red w in
+    Ok
+      (Some
+         {
+           iter1 = Array.init p.Problem.ncommon (fun j -> x.(Problem.var1 p j));
+           iter2 = Array.init p.Problem.ncommon (fun j -> x.(Problem.var2 p j));
+         })
+  | Cascade.Independent _ | Cascade.Unknown -> Ok None
+  | Cascade.Exhausted _ -> Error ()
+
 (* The witness replayer of one pair: [replay edge k] re-derives a
-   concrete iteration pair realizing [edge] at carrier level [k] — the
-   pair's problem reduced with the extended gcd test, levels before [k]
-   constrained equal and level [k] strict in the direction(s) the
-   edge's vector admits, and the cascade asked for a witness. The
-   problem is built and reduced once, on first demand, and each
-   (level, direction) query runs the cascade at most once: the edges
-   of a pair share their answers. Budget exhaustion or an unknown just
-   loses the witness. *)
-let pair_replayer ~(config : Analyzer.config) ~cancel
-    ((s1 : Affine.site), (s2 : Affine.site)) =
-  let reduced =
-    lazy
-      (match Build_problem.build s1 s2 with
-       | None -> None
-       | Some p -> (
-           match Gcd_test.run p with
-           | Gcd_test.Independent _ -> None
-           | Gcd_test.Reduced red -> Some (p, red)))
+   concrete iteration pair realizing [edge] at carrier level [k]. The
+   pair's problem is built on first demand and looked up in [memo]:
+   pairs with identical problems share one gcd reduction and one
+   cascade query per (level, direction). Budget exhaustion or an
+   unknown just loses the witness. *)
+let pair_replayer ~memo ~config ~cancel ((s1 : Affine.site), (s2 : Affine.site))
+    =
+  let entry =
+    lazy (Option.map (find_entry memo) (Build_problem.build s1 s2))
   in
-  let attempt (p, red) k sign =
-    let base = red.Gcd_test.system in
-    let extra =
-      List.concat
-        (List.init k (fun j -> Direction.dir_rows p j Direction.Deq))
-      @ Direction.dir_rows p k sign
-    in
-    let extra_t = List.map (Gcd_test.transform_row red) extra in
-    let sys =
-      Consys.make ~nvars:base.Consys.nvars (base.Consys.rows @ extra_t)
-    in
-    let budget = Budget.create ?cancel config.Analyzer.limits in
-    let cas = Cascade.run ~budget ~fm_tighten:config.Analyzer.fm_tighten sys in
-    match cas.Cascade.verdict with
-    | Cascade.Dependent w ->
-      let x = Gcd_test.x_of_t red w in
-      Some
-        {
-          iter1 = Array.init p.Problem.ncommon (fun j -> x.(Problem.var1 p j));
-          iter2 = Array.init p.Problem.ncommon (fun j -> x.(Problem.var2 p j));
-        }
-    | Cascade.Independent _ | Cascade.Unknown | Cascade.Exhausted _ -> None
-  in
-  let memo = ref [] in
-  let query pr k sign =
-    match List.assoc_opt (k, sign) !memo with
+  let query e pr k sign =
+    match List.assoc_opt (k, sign) e.answers with
     | Some w -> w
-    | None ->
-      let w = attempt pr k sign in
-      memo := ((k, sign), w) :: !memo;
-      w
+    | None -> (
+        match attempt ~config ~cancel pr k sign with
+        | Ok w ->
+          e.answers <- ((k, sign), w) :: e.answers;
+          w
+        | Error () -> None)
   in
   fun (edge : Classify.edge) k ->
-    match Lazy.force reduced with
-    | None -> None
-    | Some pr ->
+    match Lazy.force entry with
+    | None | Some { reduced = None; _ } -> None
+    | Some ({ reduced = Some pr; _ } as e) ->
       let signs =
         match edge.Classify.vector with
         | Some v when k < Array.length v -> (
@@ -265,7 +363,7 @@ let pair_replayer ~(config : Analyzer.config) ~cancel
               [ Direction.Dlt; Direction.Dgt ])
         | _ -> [ Direction.Dlt; Direction.Dgt ]
       in
-      List.find_map (query pr k) signs
+      List.find_map (query e pr k) signs
 
 (* ------------------------------------------------------------------ *)
 (* Assembly                                                            *)
@@ -275,18 +373,20 @@ let pair_replayer ~(config : Analyzer.config) ~cancel
    is pushed (with its witness) onto the bucket of every loop it may
    carry — at the level that loop holds in the pair's common nest.
    Walking pairs in order, and edges in order within a pair, leaves
-   every bucket in edge order once reversed. A pair's replayer (and
-   with it the pair's problem) is dropped before the next pair. *)
+   every bucket in edge order once reversed. A pair's replayer is
+   dropped before the next pair; the replay memo it draws on lives
+   until [compute] returns. *)
 let compute ?(config = Analyzer.default_config) ?cancel ~prepared ~pairs
     (report : Analyzer.report) =
   let metas = loop_metas prepared in
   let nloops = List.length metas in
   let buckets = Array.make nloops [] in
   let edges_rev = ref [] in
+  let memo = Replay_memo.create 64 in
   let add_pair (r : Analyzer.pair_report) sites =
     let replay =
       match sites with
-      | Some ss -> pair_replayer ~config ~cancel ss
+      | Some ss -> pair_replayer ~memo ~config ~cancel ss
       | None -> fun _ _ -> None
     in
     List.iter

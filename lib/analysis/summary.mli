@@ -22,8 +22,10 @@ type verdict =
           execution) *)
   | Reduction
       (** carried dependences are confined to accumulation statements
-          ([x = x ⊕ e], [⊕] commutative-associative) — parallelizable
-          with a reduction clause *)
+          ([x = x ⊕ e], [⊕] commutative-associative), and each
+          accumulator scalar is read nowhere else in the body (a
+          prefix scan such as [s = s + a\[i\]; b\[i\] = s] is
+          [Serial]) — parallelizable with a reduction clause *)
   | Serial
 
 val verdict_name : verdict -> string
@@ -85,8 +87,17 @@ val compute :
 
     One pair-major pass, linear in pairs + edges + loops: each pair's
     edges are pushed onto the buckets of the loops they may carry, in
-    edge order. Witness replay builds and gcd-reduces a pair's problem
-    at most once and runs one cascade query per distinct (level,
-    direction) the pair's edges ask for, shared by those edges, under
-    [config]'s budget; exhaustion leaves the witness [None], never
-    changes a verdict. *)
+    edge order. Witness replay runs under [config]'s budget and is
+    memoized for the duration of this call: a pair's problem is built,
+    then looked up by an exact key ([n1], [n2], [nsym], [ncommon] and
+    every equality and inequality row as written, bound [subject]
+    included), so pairs with identical problems share one gcd
+    reduction and one cascade query per distinct (level, direction).
+    The key keeps row signs: {!Problem.to_key} is not used, since a
+    negated equality can reduce to a different particular solution and
+    so to different witness iterations. A problem with a coefficient
+    past the native int range is replayed outside the memo. An
+    exhausted query is not cached; it leaves the witness [None] and
+    never changes a verdict. Witness records are shared between
+    blocking entries (of one loop or several): treat them as
+    immutable. *)

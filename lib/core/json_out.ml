@@ -30,29 +30,56 @@ let write_string buf s =
       s;
   Buffer.add_char buf '"'
 
+(* Digits of [n <= 0], most significant first. Working on the
+   non-positive side keeps [min_int], which has no positive
+   counterpart, exact. *)
+let rec write_nonpos buf n =
+  if n <= -10 then write_nonpos buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let write_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    write_nonpos buf n
+  end
+  else write_nonpos buf (-n)
+
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Int n -> write_int buf n
   | Str s -> write_string buf s
-  | List items ->
+  | List [] -> Buffer.add_string buf "[]"
+  | List (item :: items) ->
     Buffer.add_char buf '[';
-    List.iteri
-      (fun i item ->
-         if i > 0 then Buffer.add_char buf ',';
-         write buf item)
-      items;
+    write buf item;
+    write_items buf items;
     Buffer.add_char buf ']'
-  | Obj fields ->
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (field :: fields) ->
     Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-         if i > 0 then Buffer.add_char buf ',';
-         write_string buf k;
-         Buffer.add_char buf ':';
-         write buf v)
-      fields;
+    write_field buf field;
+    write_fields buf fields;
     Buffer.add_char buf '}'
+
+and write_items buf = function
+  | [] -> ()
+  | item :: items ->
+    Buffer.add_char buf ',';
+    write buf item;
+    write_items buf items
+
+and write_field buf (k, v) =
+  write_string buf k;
+  Buffer.add_char buf ':';
+  write buf v
+
+and write_fields buf = function
+  | [] -> ()
+  | field :: fields ->
+    Buffer.add_char buf ',';
+    write_field buf field;
+    write_fields buf fields
 
 let to_string j =
   let buf = Buffer.create 256 in

@@ -24,6 +24,90 @@ let test_composite () =
     (to_string (Obj [ ("a", Int 1); ("b", List [ Bool true; Null ]) ]));
   Alcotest.(check string) "empty object" "{}" (to_string (Obj []))
 
+(* A reference writer built on [Printf], kept deliberately naive: the
+   compact writer must match it byte for byte. *)
+let rec reference = function
+  | Null -> "null"
+  | Bool b -> Printf.sprintf "%b" b
+  | Int n -> Printf.sprintf "%d" n
+  | Str s -> reference_string s
+  | List items -> "[" ^ String.concat "," (List.map reference items) ^ "]"
+  | Obj fields ->
+    "{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> reference_string k ^ ":" ^ reference v) fields)
+    ^ "}"
+
+and reference_string s =
+  let b = Buffer.create 16 in
+  String.iter
+    (fun c ->
+       Buffer.add_string b
+         (match c with
+          | '"' -> "\\\""
+          | '\\' -> "\\\\"
+          | '\n' -> "\\n"
+          | '\r' -> "\\r"
+          | '\t' -> "\\t"
+          | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+          | c -> String.make 1 c))
+    s;
+  "\"" ^ Buffer.contents b ^ "\""
+
+let gen_json =
+  let open QCheck.Gen in
+  let gen_int =
+    frequency
+      [
+        (4, small_signed_int);
+        (2, int);
+        (1, oneofl [ 0; -1; 9; -10; 10; min_int; max_int; min_int + 1 ]);
+      ]
+  in
+  let gen_str =
+    frequency
+      [
+        (3, string_size ~gen:printable (int_bound 8));
+        (1, string_size ~gen:char (int_bound 8));
+        (1, oneofl [ "\""; "\\"; "a\nb"; "\r\t"; "\001\031"; "" ]);
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+      let leaf =
+        frequency
+          [
+            (1, return Null);
+            (1, map (fun b -> Bool b) bool);
+            (3, map (fun n -> Int n) gen_int);
+            (3, map (fun s -> Str s) gen_str);
+          ]
+      in
+      if n <= 0 then leaf
+      else
+        frequency
+          [
+            (2, leaf);
+            (1, map (fun l -> List l) (list_size (int_bound 5) (self (n / 3))));
+            ( 1,
+              map
+                (fun l -> Obj l)
+                (list_size (int_bound 5) (pair gen_str (self (n / 3)))) );
+          ])
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"compact writer matches a Printf reference"
+    ~count:1000
+    (QCheck.make ~print:reference gen_json)
+    (fun j -> String.equal (to_string j) (reference j))
+
+let test_int_extremes () =
+  List.iter
+    (fun n ->
+       Alcotest.(check string) (string_of_int n) (string_of_int n)
+         (to_string (Int n)))
+    [ 0; 7; -7; 10; -10; 1234567890; max_int; min_int; min_int + 1 ]
+
 let contains needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -78,6 +162,8 @@ let () =
           Alcotest.test_case "escaping" `Quick test_escaping;
           Alcotest.test_case "composite" `Quick test_composite;
           Alcotest.test_case "pp vs compact" `Quick test_pp_reparses_as_same_compact;
+          Alcotest.test_case "int extremes" `Quick test_int_extremes;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
         ] );
       ("report", [ Alcotest.test_case "shape" `Quick test_report_shape ]);
     ]

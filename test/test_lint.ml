@@ -236,6 +236,139 @@ let prop_buckets_and_witnesses =
          res.Lint.summary.Summary.loops)
 
 (* ------------------------------------------------------------------ *)
+(* Memoized replay vs a one-pair-at-a-time oracle                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The replay without any memo: every blocking entry rebuilds its
+   pair's problem, re-runs the gcd reduction and asks the cascade
+   afresh. [Summary.compute] must produce exactly these witnesses. *)
+let naive_witness ~(config : Analyzer.config) (s1, s2) (edge : Classify.edge)
+    k =
+  match Build_problem.build s1 s2 with
+  | None -> None
+  | Some p -> (
+      match Gcd_test.run p with
+      | Gcd_test.Independent _ -> None
+      | Gcd_test.Reduced red ->
+        let attempt sign =
+          let extra =
+            List.concat
+              (List.init k (fun j -> Direction.dir_rows p j Direction.Deq))
+            @ Direction.dir_rows p k sign
+          in
+          let base = red.Gcd_test.system in
+          let sys =
+            Consys.make ~nvars:base.Consys.nvars
+              (base.Consys.rows @ List.map (Gcd_test.transform_row red) extra)
+          in
+          let budget = Budget.create config.Analyzer.limits in
+          match
+            (Cascade.run ~budget ~fm_tighten:config.Analyzer.fm_tighten sys)
+              .Cascade.verdict
+          with
+          | Cascade.Dependent w ->
+            let x = Gcd_test.x_of_t red w in
+            Some
+              {
+                Summary.iter1 =
+                  Array.init p.Problem.ncommon (fun j -> x.(Problem.var1 p j));
+                iter2 =
+                  Array.init p.Problem.ncommon (fun j -> x.(Problem.var2 p j));
+              }
+          | Cascade.Independent _ | Cascade.Unknown | Cascade.Exhausted _ ->
+            None
+        in
+        let signs =
+          match edge.vector with
+          | Some v when k < Array.length v -> (
+              match v.(k) with
+              | Direction.Dlt -> [ Direction.Dlt ]
+              | Direction.Dgt -> [ Direction.Dgt ]
+              | Direction.Dany | Direction.Deq ->
+                [ Direction.Dlt; Direction.Dgt ])
+          | _ -> [ Direction.Dlt; Direction.Dgt ]
+        in
+        List.find_map attempt signs)
+
+let show_witness = function
+  | None -> "none"
+  | Some (w : Summary.witness) ->
+    let show a =
+      String.concat "," (Array.to_list (Array.map Dda_numeric.Zint.to_string a))
+    in
+    Printf.sprintf "(%s)->(%s)" (show w.iter1) (show w.iter2)
+
+(* [None] when [res.summary] matches the oracle, else what differs. *)
+let oracle_mismatch ~config (res : Lint.result) =
+  let pairs = Analyzer.site_pairs config res.Lint.sites in
+  let sites = List.combine res.Lint.report.Analyzer.pair_reports pairs in
+  let edges = Classify.edges res.Lint.report in
+  List.find_map
+    (fun (li : Summary.loop_info) ->
+       let want =
+         List.filter
+           (fun (e : Classify.edge) -> List.mem li.lid e.carried_lids)
+           edges
+       in
+       if
+         not
+           (List.compare_lengths li.blocking want = 0
+            && List.for_all2
+                 (fun (b : Summary.blocking) e -> same_edge b.edge e)
+                 li.blocking want)
+       then Some (Printf.sprintf "L%d: blocking edges differ" li.lid)
+       else
+         List.find_map
+           (fun (b : Summary.blocking) ->
+              let pair = b.edge.pair in
+              let naive =
+                match index_of li.lid pair.common_ids with
+                | None -> None
+                | Some k ->
+                  naive_witness ~config (List.assq pair sites) b.edge k
+              in
+              if show_witness b.witness = show_witness naive then None
+              else
+                Some
+                  (Printf.sprintf "L%d, %s x %s: witness %s, oracle %s" li.lid
+                     (Loc.to_string pair.loc1) (Loc.to_string pair.loc2)
+                     (show_witness b.witness) (show_witness naive)))
+           li.blocking)
+    res.Lint.summary.Summary.loops
+
+let prop_memo_matches_oracle =
+  QCheck.Test.make
+    ~name:"memoized witness replay equals the one-pair-at-a-time oracle"
+    ~count:200
+    (QCheck.triple arb_fuzzed QCheck.bool QCheck.bool)
+    (fun ((profile, seed, index), annotated, starve) ->
+       let text = Fuzz.program profile ~seed ~index in
+       let prog = Parser.parse_program text in
+       let prog = if annotated then List.map annotate_stmt prog else prog in
+       let config = if starve then starved else Analyzer.default_config in
+       match oracle_mismatch ~config (Lint.run ~config prog) with
+       | None -> true
+       | Some msg -> QCheck.Test.fail_reportf "%s\n%s" msg text)
+
+let test_perfect_matches_oracle () =
+  List.iter
+    (fun (spec : Programs.spec) ->
+       let prog = Parser.parse_program (Programs.source spec) in
+       List.iter
+         (fun (annotated, config) ->
+            let prog = if annotated then List.map annotate_stmt prog else prog in
+            match oracle_mismatch ~config (Lint.run ~config prog) with
+            | None -> ()
+            | Some msg -> Alcotest.failf "%s: %s" spec.name msg)
+         [
+           (false, Analyzer.default_config);
+           (true, Analyzer.default_config);
+           (false, starved);
+           (true, starved);
+         ])
+    Programs.all
+
+(* ------------------------------------------------------------------ *)
 (* Deterministic fixtures                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -294,6 +427,116 @@ let test_starved_race_degrades_to_warning () =
     Alcotest.(check string) "code" "parallel-unproven" d.Dda_check.Verify.code
   | _ -> Alcotest.fail "expected exactly one finding"
 
+(* A prefix scan reads its accumulator outside the accumulation: each
+   iteration needs the partial sum, so no reduction clause can run it
+   in parallel. *)
+let test_scan_is_serial () =
+  let res =
+    Lint.run
+      (parse "s = 0\nfor i = 1 to 100 do\n  s = s + a[i]\n  b[i] = s\nend\n")
+  in
+  match res.Lint.summary.Summary.loops with
+  | [ li ] ->
+    Alcotest.(check string) "serial" "serial" (Summary.verdict_name li.verdict)
+  | _ -> Alcotest.fail "expected one loop"
+
+(* [a] and [b] give problems whose equality rows are negations of each
+   other ([4i - 3j - 3j' = 1] against [-4i + 3j + 3j' = -1]). Negated,
+   the anti pair's row reduces to a different particular solution. The
+   replay memo keys rows exactly as written, so each pair is replayed
+   from its own reduction: its witness satisfies its own problem and is
+   the one the one-pair-at-a-time oracle derives. *)
+let test_negated_rows_keep_own_witness () =
+  let res =
+    Lint.run
+      (parse
+         "for i = 1 to 10 do\n\
+         \  for j = 1 to 10 do\n\
+         \    a[4*i - 3*j] = a[3*j + 1] + 1\n\
+         \    b[-4*i + 3*j] = b[-3*j - 1] + 1\n\
+         \  end\n\
+          end\n")
+  in
+  let config = Analyzer.default_config in
+  let pairs = Analyzer.site_pairs config res.Lint.sites in
+  let sites = List.combine res.Lint.report.Analyzer.pair_reports pairs in
+  let anti = Hashtbl.create 4 in
+  List.iter
+    (fun (b : Summary.blocking) ->
+       let s1, s2 = List.assq b.edge.pair sites in
+       match (b.witness, Build_problem.build s1 s2) with
+       | Some w, Some p ->
+         let point = Array.append w.iter1 w.iter2 in
+         Alcotest.(check bool)
+           (b.edge.pair.array_name ^ ": witness satisfies its problem")
+           true
+           (Array.length point = Problem.nvars p && Problem.satisfies point p);
+         if b.edge.kind = Analyzer.Anti then
+           Hashtbl.replace anti b.edge.pair.array_name (show_witness (Some w))
+       | _ -> ())
+    (List.concat_map
+       (fun (li : Summary.loop_info) -> li.blocking)
+       res.Lint.summary.Summary.loops);
+  Alcotest.(check bool)
+    "the two anti pairs have different witnesses" true
+    (Hashtbl.find_opt anti "a" <> Hashtbl.find_opt anti "b");
+  Alcotest.(check (option string)) "every witness is the oracle's" None
+    (oracle_mismatch ~config res)
+
+(* A coefficient past the native int range cannot be keyed: the pair
+   is replayed outside the memo, and still gets its witness. The
+   analyzer cannot key such a problem either, so the report comes from
+   the same nest with a small coefficient (same pairs, same edges);
+   the sites, and with them the replayed problems, from the big one. *)
+let test_unkeyable_problem_replayed () =
+  let config = { Analyzer.default_config with Analyzer.run_pipeline = false } in
+  let nest c =
+    Printf.sprintf "for i = 1 to 10 do\n  a[%s * i] = a[%s * i - %s] + 1\nend\n"
+      c c c
+  in
+  let small = Lint.run ~config (parse (nest "2")) in
+  let big = parse (nest "(4611686018427387903 + 4611686018427387903)") in
+  let sites = Affine.extract ~symbolic:true big in
+  let pairs = Analyzer.site_pairs config sites in
+  let t = Summary.compute ~config ~prepared:big ~pairs small.Lint.report in
+  let witnesses =
+    List.concat_map
+      (fun (li : Summary.loop_info) ->
+         List.filter_map (fun (b : Summary.blocking) -> b.witness) li.blocking)
+      t.loops
+  in
+  Alcotest.(check (list string)) "the flow witness" [ "(1)->(2)" ]
+    (List.map (fun w -> show_witness (Some w)) witnesses)
+
+(* An exhausted cascade run says nothing about its problem, so the
+   replay memo must not keep it: [a] and [b] share one problem, the
+   first cascade run (on [a]'s pair) is forced to exhaust, and [b]'s
+   pair must still get a witness. *)
+let test_exhausted_answer_not_cached () =
+  let res =
+    Lint.run
+      (parse "for i = 1 to 10 do\n  a[i + 1] = a[i] + 1\n  b[i + 1] = b[i] + 1\nend\n")
+  in
+  let pairs = Analyzer.site_pairs Analyzer.default_config res.Lint.sites in
+  let t =
+    Fun.protect ~finally:Failpoint.clear (fun () ->
+        Failpoint.set "svpc.run=exhaust@1";
+        Summary.compute ~prepared:res.Lint.prepared ~pairs res.Lint.report)
+  in
+  let witnessed name =
+    List.exists
+      (fun (li : Summary.loop_info) ->
+         List.exists
+           (fun (b : Summary.blocking) ->
+              b.edge.pair.array_name = name && b.witness <> None)
+           li.blocking)
+      t.loops
+  in
+  Alcotest.(check bool) "the exhausted query lost a's witness" false
+    (witnessed "a");
+  Alcotest.(check bool) "b's identical problem still gets one" true
+    (witnessed "b")
+
 (* Summary.compute's contract: a pair list that does not match the
    report costs the witnesses, never a verdict or an edge. *)
 let test_pair_mismatch_keeps_verdicts () =
@@ -343,6 +586,16 @@ let () =
             test_starved_race_degrades_to_warning;
           Alcotest.test_case "pair mismatch keeps verdicts" `Quick
             test_pair_mismatch_keeps_verdicts;
+          Alcotest.test_case "scan is serial, not a reduction" `Quick
+            test_scan_is_serial;
+          Alcotest.test_case "negated rows keep their own witness" `Quick
+            test_negated_rows_keep_own_witness;
+          Alcotest.test_case "unkeyable problem replayed" `Quick
+            test_unkeyable_problem_replayed;
+          Alcotest.test_case "exhausted answer not cached" `Quick
+            test_exhausted_answer_not_cached;
+          Alcotest.test_case "PERFECT replay equals the oracle" `Quick
+            test_perfect_matches_oracle;
         ] );
       ( "fuzzed",
         [
@@ -350,5 +603,6 @@ let () =
           qt prop_annotations_answered;
           qt prop_starved_budget_only_denies;
           qt prop_buckets_and_witnesses;
+          qt prop_memo_matches_oracle;
         ] );
     ]
