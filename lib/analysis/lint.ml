@@ -229,55 +229,95 @@ let to_text ~file res =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let loc_fields prefix (l : Loc.t) =
-  [
-    (prefix ^ "line", Json_out.Int l.Loc.line);
-    (prefix ^ "col", Json_out.Int l.Loc.col);
-  ]
+(* The whole object is written straight into one buffer. Blocking
+   entries share witness records (the replay memo hands one record to
+   every pair with the same problem), so each record's text is
+   rendered once per call and copied for every entry that holds it.
+   Edge prefixes are written each time: nearly every entry has an
+   edge of its own, so a table of them costs more than it saves. *)
 
-let blocking_json (b : Summary.blocking) =
+module Witness_text = Hashtbl.Make (struct
+    type t = Summary.witness
+
+    let equal = ( == )
+    let hash = Hashtbl.hash
+  end)
+
+let add = Buffer.add_string
+
+(* The second reference's keys are "2line" and "2col". *)
+let write_line_col buf ~second (l : Loc.t) =
+  add buf (if second then ",\"2line\":" else ",\"line\":");
+  Json_out.write_int buf l.Loc.line;
+  add buf (if second then ",\"2col\":" else ",\"col\":");
+  Json_out.write_int buf l.Loc.col
+
+let witness_text (w : Summary.witness) =
+  let buf = Buffer.create 64 in
+  let coords a =
+    Buffer.add_char buf '[';
+    Array.iteri
+      (fun i z ->
+         if i > 0 then Buffer.add_char buf ',';
+         Json_out.write_string buf (Dda_numeric.Zint.to_string z))
+      a;
+    Buffer.add_char buf ']'
+  in
+  add buf "{\"iter1\":";
+  coords w.iter1;
+  add buf ",\"iter2\":";
+  coords w.iter2;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
+
+let write_blocking witnesses buf (b : Summary.blocking) =
   let e = b.edge in
-  Json_out.Obj
-    ([
-       ("array", Json_out.Str e.pair.array_name);
-       ("kind", Json_out.Str (Classify.kind_name e.kind));
-       ("exact", Json_out.Bool e.exact);
-     ]
-     @ (match e.vector with
-        | Some v -> [ ("vector", Json_out.Str (Direction.vector_to_string v)) ]
-        | None -> [])
-     @ loc_fields "" e.pair.loc1
-     @ loc_fields "2" e.pair.loc2
-     @
-     match b.witness with
-     | Some w ->
-       let ints a =
-         Json_out.List
-           (List.map
-              (fun z -> Json_out.Str (Dda_numeric.Zint.to_string z))
-              (Array.to_list a))
-       in
-       [ ("witness", Json_out.Obj [ ("iter1", ints w.iter1);
-                                    ("iter2", ints w.iter2) ]) ]
-     | None -> [])
+  add buf "{\"array\":";
+  Json_out.write_string buf e.pair.array_name;
+  add buf ",\"kind\":\"";
+  add buf (Classify.kind_name e.kind);
+  add buf "\",\"exact\":";
+  Json_out.write_bool buf e.exact;
+  (match e.vector with
+   | Some v ->
+     add buf ",\"vector\":\"";
+     add buf (Direction.vector_to_string v);
+     Buffer.add_char buf '"'
+   | None -> ());
+  write_line_col buf ~second:false e.pair.loc1;
+  write_line_col buf ~second:true e.pair.loc2;
+  (match b.witness with
+   | Some w ->
+     add buf ",\"witness\":";
+     add buf
+       (match Witness_text.find_opt witnesses w with
+        | Some text -> text
+        | None ->
+          let text = witness_text w in
+          Witness_text.add witnesses w text;
+          text)
+   | None -> ());
+  Buffer.add_char buf '}'
 
-let loop_json (li : Summary.loop_info) =
-  Json_out.Obj
-    ([
-       ("lid", Json_out.Int li.lid);
-       ("var", Json_out.Str li.var);
-     ]
-     @ loc_fields "" li.loc
-     @ [
-       ("depth", Json_out.Int li.depth);
-       ("parallel_annot", Json_out.Bool li.parallel_annot);
-       ("verdict", Json_out.Str (Summary.verdict_name li.verdict));
-       ("degraded", Json_out.Bool li.degraded);
-       ("blocking", Json_out.List (List.map blocking_json li.blocking));
-       ("scalar_blockers",
-        Json_out.List
-          (List.map (fun s -> Json_out.Str s) li.scalar_blockers));
-     ])
+let write_loop witnesses buf (li : Summary.loop_info) =
+  add buf "{\"lid\":";
+  Json_out.write_int buf li.lid;
+  add buf ",\"var\":";
+  Json_out.write_string buf li.var;
+  write_line_col buf ~second:false li.loc;
+  add buf ",\"depth\":";
+  Json_out.write_int buf li.depth;
+  add buf ",\"parallel_annot\":";
+  Json_out.write_bool buf li.parallel_annot;
+  add buf ",\"verdict\":\"";
+  add buf (Summary.verdict_name li.verdict);
+  add buf "\",\"degraded\":";
+  Json_out.write_bool buf li.degraded;
+  add buf ",\"blocking\":";
+  Json_out.write_list buf (write_blocking witnesses) li.blocking;
+  add buf ",\"scalar_blockers\":";
+  Json_out.write_list buf Json_out.write_string li.scalar_blockers;
+  Buffer.add_char buf '}'
 
 let edge_counts (edges : Classify.edge list) =
   let count k =
@@ -293,24 +333,31 @@ let edge_counts (edges : Classify.edge list) =
 
 let to_json ~file res =
   let d, v, r, s = counts res.summary in
-  Json_out.Obj
-    [
-      ("file", Json_out.Str file);
-      ("loops",
-       Json_out.List (List.map loop_json res.summary.Summary.loops));
-      ("edges", edge_counts res.summary.Summary.edges);
-      ("verdicts",
-       Json_out.Obj
-         [
-           ("doall", Json_out.Int d);
-           ("vectorizable", Json_out.Int v);
-           ("reduction", Json_out.Int r);
-           ("serial", Json_out.Int s);
-         ]);
-      ("findings", Json_out.List (List.map Verify.diagnostic_json res.findings));
-      ("errors", Json_out.Int res.errors);
-      ("warnings", Json_out.Int res.warnings);
-    ]
+  let buf = Buffer.create 4096 and witnesses = Witness_text.create 64 in
+  add buf "{\"file\":";
+  Json_out.write_string buf file;
+  add buf ",\"loops\":";
+  Json_out.write_list buf (write_loop witnesses) res.summary.Summary.loops;
+  add buf ",\"edges\":";
+  Json_out.write buf (edge_counts res.summary.Summary.edges);
+  add buf ",\"verdicts\":";
+  Json_out.write buf
+    (Json_out.Obj
+       [
+         ("doall", Json_out.Int d);
+         ("vectorizable", Json_out.Int v);
+         ("reduction", Json_out.Int r);
+         ("serial", Json_out.Int s);
+       ]);
+  add buf ",\"findings\":";
+  Json_out.write buf
+    (Json_out.List (List.map Verify.diagnostic_json res.findings));
+  add buf ",\"errors\":";
+  Json_out.write_int buf res.errors;
+  add buf ",\"warnings\":";
+  Json_out.write_int buf res.warnings;
+  Buffer.add_char buf '}';
+  Json_out.Raw (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* SARIF                                                               *)

@@ -60,6 +60,10 @@ val to_text : file:string -> result -> string
     summary. *)
 
 val to_json : file:string -> result -> Json_out.t
+(** The summary, findings and counts as one JSON object, written
+    straight into one buffer and returned as a {!Json_out.Raw}. Each
+    witness record's text is rendered once per call, however many
+    blocking entries share it. *)
 
 val to_sarif : file:string -> result -> Json_out.t
 (** SARIF 2.1.0: one run, driver [ddtest-lint], rules

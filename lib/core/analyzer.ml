@@ -526,32 +526,39 @@ and analyze_problem st ~self ~finish problem =
           let mirrored, info =
             if st.cfg.memo = Memo_symmetric && not self then begin
               let info_s = info_of (Problem.swap problem) in
-              if
+              match
                 compare (Problem.to_key info_s.Canonical.problem)
                   (Problem.to_key info.Canonical.problem)
-                < 0
-              then (true, info_s)
-              else (false, info)
+              with
+              | c -> if c < 0 then (true, info_s) else (false, info)
+              | exception Problem.Unkeyable -> (false, info)
             end
             else (false, info)
-          in
-          (* Borrowed scratch key: every cache backend copies it on a
-             miss before computing, and the hit path discards it. *)
-          let key =
-            Problem.to_key_scratch ~tag:(if self then 1 else 0) info.Canonical.problem
           in
           let deliver value =
             let out = reinsert_outcome info value in
             finish (if mirrored then mirror_outcome out else out)
           in
+          let direct st = deliver (compute st info.Canonical.problem ~self) in
           match st.cfg.memo with
-          | Memo_off -> deliver (compute st info.Canonical.problem ~self)
-          | Memo_simple | Memo_improved | Memo_symmetric ->
-            let value, _hit =
-              st.cache.find_or_add_full key (fun () ->
-                  compute st info.Canonical.problem ~self)
-            in
-            deliver value
+          | Memo_off -> direct st
+          | Memo_simple | Memo_improved | Memo_symmetric -> (
+              (* Borrowed scratch key: every cache backend copies it on
+                 a miss before computing, and the hit path discards it.
+                 A problem past the native int range has no key and is
+                 computed outside both memo tables. *)
+              match
+                Problem.to_key_scratch ~tag:(if self then 1 else 0)
+                  info.Canonical.problem
+              with
+              | exception Problem.Unkeyable ->
+                direct { st with cfg = { st.cfg with memo = Memo_off } }
+              | key ->
+                let value, _hit =
+                  st.cache.find_or_add_full key (fun () ->
+                      compute st info.Canonical.problem ~self)
+                in
+                deliver value)
 
 let analyze_pair st s1 s2 =
   Dda_obs.Metrics.incr m_pairs;

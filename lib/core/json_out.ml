@@ -7,6 +7,7 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
 
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
@@ -44,11 +45,26 @@ let write_int buf n =
   end
   else write_nonpos buf (-n)
 
+let write_bool buf b = Buffer.add_string buf (if b then "true" else "false")
+
+let write_list buf write_item = function
+  | [] -> Buffer.add_string buf "[]"
+  | x :: xs ->
+    Buffer.add_char buf '[';
+    write_item buf x;
+    List.iter
+      (fun x ->
+         Buffer.add_char buf ',';
+         write_item buf x)
+      xs;
+    Buffer.add_char buf ']'
+
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Bool b -> write_bool buf b
   | Int n -> write_int buf n
   | Str s -> write_string buf s
+  | Raw s -> Buffer.add_string buf s
   | List [] -> Buffer.add_string buf "[]"
   | List (item :: items) ->
     Buffer.add_char buf '[';
@@ -81,31 +97,12 @@ and write_fields buf = function
     write_field buf field;
     write_fields buf fields
 
-let to_string j =
-  let buf = Buffer.create 256 in
-  write buf j;
-  Buffer.contents buf
-
-let rec pp fmt = function
-  | (Null | Bool _ | Int _ | Str _) as j -> Format.pp_print_string fmt (to_string j)
-  | List [] -> Format.pp_print_string fmt "[]"
-  | List items ->
-    Format.fprintf fmt "[@[<v 1>";
-    List.iteri
-      (fun i item ->
-         if i > 0 then Format.fprintf fmt ",@,";
-         pp fmt item)
-      items;
-    Format.fprintf fmt "@]]"
-  | Obj [] -> Format.pp_print_string fmt "{}"
-  | Obj fields ->
-    Format.fprintf fmt "{@[<v 1>";
-    List.iteri
-      (fun i (k, v) ->
-         if i > 0 then Format.fprintf fmt ",@,";
-         Format.fprintf fmt "%s: %a" (to_string (Str k)) pp v)
-      fields;
-    Format.fprintf fmt "@]}"
+let to_string = function
+  | Raw s -> s
+  | j ->
+    let buf = Buffer.create 256 in
+    write buf j;
+    Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Parsing (the subset this module emits)                              *)
@@ -256,6 +253,34 @@ let of_string s =
   | v -> Ok v
   | exception Parse_fail msg -> Error msg
 
+let rec pp fmt = function
+  | (Null | Bool _ | Int _ | Str _) as j -> Format.pp_print_string fmt (to_string j)
+  | Raw s -> (
+      (* Indented output must not depend on whether a subtree was
+         rendered ahead of time; text that does not parse (never
+         written by this library) is printed as it is. *)
+      match of_string s with
+      | Ok j -> pp fmt j
+      | Error _ -> Format.pp_print_string fmt s)
+  | List [] -> Format.pp_print_string fmt "[]"
+  | List items ->
+    Format.fprintf fmt "[@[<v 1>";
+    List.iteri
+      (fun i item ->
+         if i > 0 then Format.fprintf fmt ",@,";
+         pp fmt item)
+      items;
+    Format.fprintf fmt "@]]"
+  | Obj [] -> Format.pp_print_string fmt "{}"
+  | Obj fields ->
+    Format.fprintf fmt "{@[<v 1>";
+    List.iteri
+      (fun i (k, v) ->
+         if i > 0 then Format.fprintf fmt ",@,";
+         Format.fprintf fmt "%s: %a" (to_string (Str k)) pp v)
+      fields;
+    Format.fprintf fmt "@]}"
+
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
@@ -321,6 +346,99 @@ let pair (r : Analyzer.pair_report) =
       ("outcome", outcome r);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The pair list, written straight into one buffer                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Byte for byte what [write] makes of [List (List.map pair pairs)]:
+   [pair] above stays the tree form (the server's and the tests'
+   reference), this one skips building it. *)
+
+let add = Buffer.add_string
+
+let write_loc buf (l : Loc.t) =
+  Buffer.add_char buf '"';
+  write_int buf l.line;
+  Buffer.add_char buf ':';
+  write_int buf l.col;
+  Buffer.add_char buf '"'
+
+let write_role buf = function
+  | `Read -> add buf "\"read\""
+  | `Write -> add buf "\"write\""
+
+let write_verdict buf dependent =
+  add buf (if dependent then "{\"verdict\":\"dependent\"" else "{\"verdict\":\"independent\"")
+
+let write_vector r buf v =
+  add buf "{\"directions\":\"";
+  add buf (Direction.vector_to_string v);
+  add buf "\",\"kind\":\"";
+  add buf (Analyzer.dep_kind_name (Analyzer.vector_kind r v));
+  add buf "\"}"
+
+let write_distance buf d =
+  Array.iteri
+    (fun i z ->
+       if i > 0 then Buffer.add_char buf ',';
+       match Dda_numeric.Zint.to_int z with
+       | Some n -> write_int buf n
+       | None -> write_string buf (Dda_numeric.Zint.to_string z))
+    d
+
+let write_outcome buf (r : Analyzer.pair_report) =
+  match r.outcome with
+  | Analyzer.Constant d ->
+    write_verdict buf d;
+    add buf ",\"how\":\"constant-subscripts\"}"
+  | Analyzer.Gcd_independent -> add buf "{\"verdict\":\"independent\",\"how\":\"extended-gcd\"}"
+  | Analyzer.Assumed_dependent ->
+    add buf "{\"verdict\":\"dependent\",\"how\":\"assumed-not-affine\"}"
+  | Analyzer.Tested t ->
+    write_verdict buf t.dependent;
+    add buf ",\"how\":\"tested\",\"exact\":";
+    write_bool buf (not t.unknown);
+    (match t.degraded with
+     | Some reason ->
+       add buf ",\"degraded\":";
+       write_string buf (Budget.reason_name reason)
+     | None -> ());
+    (match t.decided_by with
+     | Some test ->
+       add buf ",\"decided_by\":";
+       write_string buf (Cascade.test_name test)
+     | None -> ());
+    if t.directions <> [] then begin
+      add buf ",\"vectors\":";
+      write_list buf (write_vector r) t.directions
+    end;
+    (match t.distance with
+     | Some d ->
+       add buf ",\"distance\":[";
+       write_distance buf d;
+       Buffer.add_char buf ']'
+     | None -> ());
+    Buffer.add_char buf '}'
+
+let write_pair buf (r : Analyzer.pair_report) =
+  add buf "{\"array\":";
+  write_string buf r.array_name;
+  add buf ",\"ref1\":{\"loc\":";
+  write_loc buf r.loc1;
+  add buf ",\"role\":";
+  write_role buf r.role1;
+  add buf "},\"ref2\":{\"loc\":";
+  write_loc buf r.loc2;
+  add buf ",\"role\":";
+  write_role buf r.role2;
+  add buf "},\"self\":";
+  write_bool buf r.self_pair;
+  add buf ",\"common_loops\":";
+  write_int buf r.ncommon;
+  add buf ",\"outcome\":";
+  write_outcome buf r;
+  Buffer.add_char buf '}'
+
 let stats (s : Analyzer.stats) =
   Obj
     ([
@@ -364,7 +482,9 @@ let stats (s : Analyzer.stats) =
     else [ ("degraded_pairs", Int s.degraded_pairs) ])
 
 let report (r : Analyzer.report) =
-  Obj [ ("pairs", List (List.map pair r.pair_reports)); ("stats", stats r.stats) ]
+  let buf = Buffer.create 4096 in
+  write_list buf write_pair r.pair_reports;
+  Obj [ ("pairs", Raw (Buffer.contents buf)); ("stats", stats r.stats) ]
 
 let metrics (snap : Dda_obs.Metrics.snapshot) =
   Obj

@@ -11,18 +11,45 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** JSON already rendered in compact form, as {!to_string} would
+          render it: a direct writer's output ({!report}'s pair list,
+          the linter's summary) embedded in a tree without being built
+          as one. {!write} copies it as is; {!of_string} never
+          produces it. *)
 
 val to_string : t -> string
-(** Compact rendering with correct string escaping. *)
+(** Compact rendering with correct string escaping.
+    [to_string (Raw s)] is [s] itself. *)
+
+val write : Buffer.t -> t -> unit
+(** {!to_string}, appended to a buffer. *)
+
+val write_string : Buffer.t -> string -> unit
+(** [write buf (Str s)]: a quoted, escaped string literal. *)
+
+val write_int : Buffer.t -> int -> unit
+(** [write buf (Int n)]. *)
+
+val write_bool : Buffer.t -> bool -> unit
+(** [write buf (Bool b)]. *)
+
+val write_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
+(** A JSON array of the items, each written by the given writer. *)
 
 val pp : Format.formatter -> t -> unit
-(** Indented rendering. *)
+(** Indented rendering. A [Raw s] is parsed with {!of_string} and the
+    result printed, so [pp] prints a tree holding [Raw (to_string j)]
+    exactly as it prints the same tree holding [j]. *)
 
 val of_string : string -> (t, string) result
 (** Parse the subset of JSON this module emits — in particular, numbers
     must be integers (no fraction or exponent). Round-trips
-    {!to_string}: [of_string (to_string j) = Ok j]. Used by the batch
-    journal reader; the error carries a byte offset. *)
+    {!to_string} on every tree without [Raw]:
+    [of_string (to_string j) = Ok j]. A tree with [Raw] parses back as
+    the same tree with each [Raw s] replaced by the tree [s] denotes.
+    Used by the batch journal reader; the error carries a byte
+    offset. *)
 
 val member : string -> t -> t option
 (** [member k (Obj fields)] is the value bound to [k]; [None] when
@@ -31,10 +58,14 @@ val member : string -> t -> t option
 val report : Analyzer.report -> t
 (** The whole report: one object per pair (locations, roles, outcome,
     direction vectors with dependence kinds, distance) plus the
-    statistics block. *)
+    statistics block, as [Obj [("pairs", Raw _); ("stats", _)]]. The
+    pair list is written straight into one buffer, byte for byte what
+    [List (List.map pair pairs)] renders to. *)
 
 val pair : Analyzer.pair_report -> t
-(** One pair object, as embedded in {!report}. *)
+(** One pair object, as embedded in {!report}, built as a tree (the
+    server's rendering, and the reference the direct writer of
+    {!report} is tested against). *)
 
 val stats : Analyzer.stats -> t
 (** The statistics block alone (used for the batch driver's merged

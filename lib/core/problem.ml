@@ -65,10 +65,12 @@ let satisfies point p =
     p.eqs
   && List.for_all (fun b -> Consys.satisfies point b.row) p.ineqs
 
+exception Unkeyable
+
 let int_of_z z =
   match Zint.to_int z with
   | Some n -> n
-  | None -> failwith "Problem.to_key: coefficient exceeds native int"
+  | None -> raise Unkeyable
 
 (* Keys are built once per analyzed pair on the memoization hot path,
    so they are written into a single flat array instead of concatenated

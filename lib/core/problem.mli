@@ -61,11 +61,15 @@ val swap : t -> t
 val satisfies : Zint.t array -> t -> bool
 (** Does a full assignment satisfy every equality and inequality? *)
 
+exception Unkeyable
+(** A coefficient or constant is past the native int range, so the
+    problem has no key. *)
+
 val to_key : ?tag:int -> t -> int array
 (** A canonical integer serialization, the memoization key, written
-    into one flat array. Coefficients must fit in native ints (they do
-    by construction: keys are built from source-program problems,
-    before any test transforms them). Variable names are not part of
+    into one flat array. Raises {!Unkeyable} when a coefficient does
+    not fit a native int; the analyzer then computes the problem
+    outside its memo tables. Variable names are not part of
     the key — two textually different nests with the same shape
     memoize together, as in the paper. [tag] prepends one
     caller-chosen slot (e.g. the self-pair flag) without a second

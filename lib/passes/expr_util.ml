@@ -21,13 +21,37 @@ let rec map_sharing f l =
 let remake (e : Ast.expr) desc = { e with Ast.desc = desc }
 let remake_stmt (s : Ast.stmt) sdesc = { s with Ast.sdesc = sdesc }
 
+(* Native arithmetic that refuses to wrap: a fold or a linear rewrite
+   past the native int range leaves the expression as written, for the
+   exact (Zint) extraction downstream. [min_int] counts as out of range
+   too, so every folded constant and collected coefficient can be
+   negated. *)
+let add_ok x y =
+  let s = x + y in
+  (x lxor s) land (y lxor s) >= 0 && s <> min_int
+
+let sub_ok x y =
+  let s = x - y in
+  (x lxor y) land (x lxor s) >= 0 && s <> min_int
+
+let mul_ok x y =
+  x = 0
+  ||
+  let p = x * y in
+  p / x = y && p <> min_int
+
+exception Overflow
+
+let add_exn x y = if add_ok x y then x + y else raise Overflow
+let mul_exn x y = if mul_ok x y then x * y else raise Overflow
+
 let rec const_fold (e : Ast.expr) : Ast.expr =
   match e.desc with
   | Ast.Int _ | Ast.Var _ -> e
   | Ast.Neg a -> (
       let a' = const_fold a in
       match a'.desc with
-      | Ast.Int n -> remake e (Ast.Int (-n))
+      | Ast.Int n when n <> min_int -> remake e (Ast.Int (-n))
       | Ast.Neg b -> b
       | _ -> if a' == a then e else remake e (Ast.Neg a'))
   | Ast.Aref (name, subs) ->
@@ -36,10 +60,11 @@ let rec const_fold (e : Ast.expr) : Ast.expr =
   | Ast.Bin (op, a, b) -> (
       let a = const_fold a and b = const_fold b in
       match (op, a.desc, b.desc) with
-      | Ast.Add, Ast.Int x, Ast.Int y -> remake e (Ast.Int (x + y))
-      | Ast.Sub, Ast.Int x, Ast.Int y -> remake e (Ast.Int (x - y))
-      | Ast.Mul, Ast.Int x, Ast.Int y -> remake e (Ast.Int (x * y))
-      | Ast.Div, Ast.Int x, Ast.Int y when y <> 0 -> remake e (Ast.Int (x / y))
+      | Ast.Add, Ast.Int x, Ast.Int y when add_ok x y -> remake e (Ast.Int (x + y))
+      | Ast.Sub, Ast.Int x, Ast.Int y when sub_ok x y -> remake e (Ast.Int (x - y))
+      | Ast.Mul, Ast.Int x, Ast.Int y when mul_ok x y -> remake e (Ast.Int (x * y))
+      | Ast.Div, Ast.Int x, Ast.Int y when y <> 0 && not (x = min_int && y = -1) ->
+        remake e (Ast.Int (x / y))
       | Ast.Add, Ast.Int 0, _ -> b
       | Ast.Add, _, Ast.Int 0 -> a
       | Ast.Sub, _, Ast.Int 0 -> a
@@ -103,7 +128,7 @@ let rec ws_merge ws i atom coeff =
   i < ws.t_len
   && ((ws.t_pure.(i)
        && Ast.equal_expr ws.t_atom.(i) atom
-       && (ws.t_coeff.(i) <- ws.t_coeff.(i) + coeff;
+       && (ws.t_coeff.(i) <- add_exn ws.t_coeff.(i) coeff;
            true))
       || ws_merge ws (i + 1) atom coeff)
 
@@ -182,12 +207,21 @@ and matches_spine ws base i (e : Ast.expr) =
    [sum coeff_i * atom_i + const]. Pure scalar atoms merge (and cancel)
    by structural equality; atoms that read arrays stay one-for-one so
    the access trace is untouched. Returns [e] itself when it is already
-   in canonical form. *)
+   in canonical form, or when a constant or coefficient would leave the
+   native int range. *)
 let rec linearize (e : Ast.expr) : Ast.expr = lin (Domain.DLS.get lin_ws_key) e
 
 and lin ws (e : Ast.expr) =
   let base = ws.t_len in
-  let const = lin_go ws base 1 0 e in
+  match lin_go ws base 1 0 e with
+  | exception Overflow ->
+    ws.t_len <- base;
+    e
+  | const -> lin_build ws base const e
+
+(* The canonical form of [e] from the terms collected at [base..] and
+   [const]; pops the region. *)
+and lin_build ws base const (e : Ast.expr) =
   let result =
     match ws_next_kept ws base with
     | -1 -> ( match e.desc with Ast.Int n when n = const -> e | _ -> Ast.int_ const)
@@ -228,7 +262,7 @@ and lin ws (e : Ast.expr) =
    threading the accumulated constant part through the return value. *)
 and lin_go ws base sign const (e : Ast.expr) =
   match e.desc with
-  | Ast.Int n -> const + (sign * n)
+  | Ast.Int n -> add_exn const (mul_exn sign n)
   | Ast.Var _ ->
     ws_add ws base sign e;
     const
@@ -239,8 +273,8 @@ and lin_go ws base sign const (e : Ast.expr) =
       (* Multiplication by a constant distributes exactly over the
          integers; anything else is an opaque atom. *)
       match (const_value a, const_value b) with
-      | Some k, _ -> lin_go ws base (sign * k) const b
-      | None, Some k -> lin_go ws base (sign * k) const a
+      | Some k, _ -> lin_go ws base (mul_exn sign k) const b
+      | None, Some k -> lin_go ws base (mul_exn sign k) const a
       | None, None ->
         let a' = lin ws a and b' = lin ws b in
         ws_add ws base sign

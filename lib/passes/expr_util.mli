@@ -12,7 +12,10 @@ val const_fold : Ast.expr -> Ast.expr
 (** Bottom-up constant folding with algebraic identities ([e + 0],
     [e * 1], [e * 0], [e - 0], [e / 1], double negation). Division is
     folded only when the divisor is a non-zero constant and, for a
-    constant dividend, only exactly as truncating division. *)
+    constant dividend, only exactly as truncating division. A fold
+    whose result would leave the native int range (or be [min_int])
+    is not made: the expression stays as written, for the exact
+    extraction downstream. *)
 
 val linearize : Ast.expr -> Ast.expr
 (** Canonicalize the additive structure: collect the expression as an
@@ -21,7 +24,9 @@ val linearize : Ast.expr -> Ast.expr
     ([i - 1 + 1] becomes [i], [(n + 1) * 2] becomes [2 * n + 2]) and
     re-emitting deterministically. Atoms that read arrays are kept
     one-for-one — never merged, cancelled or dropped — so the access
-    trace is preserved exactly. *)
+    trace is preserved exactly. When the constant or a coefficient
+    would leave the native int range (or be [min_int]), the
+    expression is returned as written. *)
 
 val const_value : Ast.expr -> int option
 (** [Some n] when the expression folds to the literal [n]. *)

@@ -31,6 +31,7 @@ let rec reference = function
   | Bool b -> Printf.sprintf "%b" b
   | Int n -> Printf.sprintf "%d" n
   | Str s -> reference_string s
+  | Raw s -> s
   | List items -> "[" ^ String.concat "," (List.map reference items) ^ "]"
   | Obj fields ->
     "{"
@@ -89,6 +90,7 @@ let gen_json =
           [
             (2, leaf);
             (1, map (fun l -> List l) (list_size (int_bound 5) (self (n / 3))));
+            (1, map (fun j -> Raw (to_string j)) (self (n / 3)));
             ( 1,
               map
                 (fun l -> Obj l)
@@ -100,6 +102,55 @@ let prop_matches_reference =
     ~count:1000
     (QCheck.make ~print:reference gen_json)
     (fun j -> String.equal (to_string j) (reference j))
+
+(* ------------------------------------------------------------------ *)
+(* Raw                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The tree a [Raw]-holding tree denotes. *)
+let rec expand = function
+  | Raw s -> (
+      match of_string s with
+      | Ok j -> j
+      | Error e -> failwith ("unparsable Raw: " ^ e))
+  | List items -> List (List.map expand items)
+  | Obj fields -> Obj (List.map (fun (k, v) -> (k, expand v)) fields)
+  | (Null | Bool _ | Int _ | Str _) as j -> j
+
+let rec has_raw = function
+  | Raw _ -> true
+  | List items -> List.exists has_raw items
+  | Obj fields -> List.exists (fun (_, v) -> has_raw v) fields
+  | Null | Bool _ | Int _ | Str _ -> false
+
+let test_raw_to_string_is_identity () =
+  List.iter
+    (fun s ->
+       Alcotest.(check bool) ("to_string (Raw " ^ s ^ ") == s") true
+         (to_string (Raw s) == s))
+    [ "null"; "[1,2]"; "{\"a\":\"b\\n\"}"; "" ]
+
+let prop_pp_raw_as_tree =
+  QCheck.Test.make ~name:"pp prints Raw (to_string j) exactly as j"
+    ~count:500
+    (QCheck.make ~print:reference gen_json)
+    (fun j ->
+       let j = expand j in
+       let pp_s v = Format.asprintf "%a" pp v in
+       String.equal (pp_s (Raw (to_string j))) (pp_s j)
+       && String.equal
+            (pp_s (Obj [ ("k", Raw (to_string j)); ("l", List [ Raw (to_string j) ]) ]))
+            (pp_s (Obj [ ("k", j); ("l", List [ j ]) ])))
+
+let prop_of_string_never_raw =
+  QCheck.Test.make
+    ~name:"of_string never yields Raw, and round-trips Raw-free trees"
+    ~count:500
+    (QCheck.make ~print:reference gen_json)
+    (fun j ->
+       match of_string (to_string j) with
+       | Ok back -> (not (has_raw back)) && back = expand j
+       | Error e -> QCheck.Test.fail_reportf "does not parse: %s" e)
 
 let test_int_extremes () =
   List.iter
@@ -164,6 +215,13 @@ let () =
           Alcotest.test_case "pp vs compact" `Quick test_pp_reparses_as_same_compact;
           Alcotest.test_case "int extremes" `Quick test_int_extremes;
           QCheck_alcotest.to_alcotest prop_matches_reference;
+        ] );
+      ( "raw",
+        [
+          Alcotest.test_case "to_string (Raw s) == s" `Quick
+            test_raw_to_string_is_identity;
+          QCheck_alcotest.to_alcotest prop_pp_raw_as_tree;
+          QCheck_alcotest.to_alcotest prop_of_string_never_raw;
         ] );
       ("report", [ Alcotest.test_case "shape" `Quick test_report_shape ]);
     ]

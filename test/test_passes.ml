@@ -237,6 +237,54 @@ let test_normalize_nested () =
   check_equivalent "nested" prog (Normalize.run prog)
 
 (* ------------------------------------------------------------------ *)
+(* Native overflow                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Rewrites that would wrap a native int are refused, so a rewritten
+   expression keeps its exact value: checked in Zint at a few points
+   for [x]. 4611686018427387903 is max_int. *)
+let rec zeval x (e : Ast.expr) =
+  let module Z = Dda_numeric.Zint in
+  match e.desc with
+  | Ast.Int n -> Z.of_int n
+  | Ast.Var _ -> x
+  | Ast.Neg a -> Z.neg (zeval x a)
+  | Ast.Bin (Ast.Add, a, b) -> Z.add (zeval x a) (zeval x b)
+  | Ast.Bin (Ast.Sub, a, b) -> Z.sub (zeval x a) (zeval x b)
+  | Ast.Bin (Ast.Mul, a, b) -> Z.mul (zeval x a) (zeval x b)
+  | Ast.Bin (Ast.Div, _, _) | Ast.Aref _ -> invalid_arg "zeval"
+
+let test_no_wrap () =
+  List.iter
+    (fun (name, rewrite, text) ->
+       let e = Parser.parse_expr text in
+       let e' = rewrite e in
+       List.iter
+         (fun x ->
+            let x = Dda_numeric.Zint.of_int x in
+            Alcotest.(check string)
+              (Format.asprintf "%s: %s -> %a" name text Pretty.pp_expr e')
+              (Dda_numeric.Zint.to_string (zeval x e))
+              (Dda_numeric.Zint.to_string (zeval x e')))
+         [ 1; -1; 3 ])
+    [
+      ("fold add", Expr_util.const_fold, "4611686018427387903 + 1");
+      ("fold sub", Expr_util.const_fold, "0 - 4611686018427387903 - 2");
+      ("fold to min_int", Expr_util.const_fold, "0 - 4611686018427387903 - 1");
+      ("fold mul", Expr_util.const_fold, "4611686018427387903 * 2");
+      ("fold negation", Expr_util.const_fold, "-(0 - 4611686018427387903 - 1)");
+      ("constant", Expr_util.linearize, "x + 4611686018427387903 + 1");
+      ("sign * k", Expr_util.linearize, "2 * (4611686018427387903 * x)");
+      ( "coefficient merge",
+        Expr_util.linearize,
+        "4611686018427387903 * x + 4611686018427387903 * x" );
+      ("negated constant", Expr_util.linearize, "x - 4611686018427387903 - 1");
+    ];
+  let e = Parser.parse_expr "x + 4611686018427387903 - 1" in
+  Alcotest.(check string) "in range still rewrites" "x + 4611686018427387902"
+    (Format.asprintf "%a" Pretty.pp_expr (Expr_util.linearize e))
+
+(* ------------------------------------------------------------------ *)
 (* Pipeline properties                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -302,6 +350,7 @@ let () =
           Alcotest.test_case "unit step annotation" `Quick test_normalize_unit_step_annotation;
           Alcotest.test_case "nested" `Quick test_normalize_nested;
         ] );
+      ("overflow", [ Alcotest.test_case "no wrap" `Quick test_no_wrap ]);
       ( "properties",
         List.map (fun (n, p) -> qt (prop_pass_preserves n p)) Pipeline.passes
         @ [
