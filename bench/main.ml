@@ -645,17 +645,15 @@ let batch_parallel () =
   Printf.printf "  output byte-identical across jobs: %b\n" (f1 = f2 && f1 = f4);
   let _, s1 = measure ~share_memo:true 1 in
   let _, s4 = measure ~share_memo:true 4 in
-  Printf.printf "shared-session mode: jobs=1 %.1f ms, jobs=4 %.1f ms (%.2fx)\n"
+  Printf.printf "shared-memo mode: jobs=1 %.1f ms, jobs=4 %.1f ms (%.2fx)\n"
     (s1 *. 1e3) (s4 *. 1e3) (s1 /. s4)
 
 (* ------------------------------------------------------------------ *)
-(* --jobs scaling: live-shared tables vs merge-after sessions          *)
+(* --jobs scaling: live-shared memo tables                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Per job count: (jobs, live wall ms, live full-table hit rate,
-   merge-after wall ms, merge-after full-table hit rate). *)
-let jobs_scaling_result :
-  (int * (int * float * float * float * float) list * bool) option ref =
+(* Per job count: (jobs, live wall ms, live full-table hit rate). *)
+let jobs_scaling_result : (int * (int * float * float) list * bool) option ref =
   ref None
 
 (* Reports minus the memo counters: live sharing changes who hits (a
@@ -675,15 +673,14 @@ let verdict_fingerprint (r : Dda_engine.Batch.result) =
 
 (* The live-sharing claim, measured: at [--jobs n] the sharded tables
    turn any cross-item repeat into a hit the moment one domain has
-   computed it, while the merge-after oracle only unions per-domain
-   sessions at the end — so its workers re-solve problems their
-   neighbours already finished. Wall clock and full-table hit rate per
-   mode per job count, plus a byte-identity check over every verdict. *)
+   computed it, so the full-table hit rate should hold flat as jobs
+   grow. Wall clock and hit rate per job count, plus a byte-identity
+   check of every verdict against the independent (unshared) run. *)
 let jobs_scaling () =
   let cores = Domain.recommended_domain_count () in
   section
     (Printf.sprintf
-       "--jobs scaling: live-shared memo tables vs merge-after sessions\n\
+       "--jobs scaling: live-shared memo tables\n\
         (synthetic PERFECT Club replicated 8x; this machine reports\n\
         %d core(s) -- wall-clock scaling needs real cores)"
        cores);
@@ -694,47 +691,29 @@ let jobs_scaling () =
       float_of_int full.Memo_table.hits /. float_of_int full.Memo_table.lookups
     | Some _ | None -> 0.
   in
-  let fps = ref [] in
+  let isolated = verdict_fingerprint (Dda_engine.Batch.run ~jobs:1 corpus) in
+  let identical = ref true in
   let rows =
     List.map
       (fun jobs ->
          let live, t_live =
            time (fun () -> Dda_engine.Batch.run ~share_memo:true ~jobs corpus)
          in
-         let merge, t_merge =
-           time (fun () ->
-               Dda_engine.Batch.run ~share_memo:true ~memo_merge_after:true
-                 ~jobs corpus)
-         in
-         fps := verdict_fingerprint merge :: verdict_fingerprint live :: !fps;
-         ( jobs,
-           t_live *. 1e3,
-           full_hit_rate live,
-           t_merge *. 1e3,
-           full_hit_rate merge ))
+         if not (String.equal (verdict_fingerprint live) isolated) then
+           identical := false;
+         (jobs, t_live *. 1e3, full_hit_rate live))
       [ 1; 2; 4 ]
   in
-  let identical =
-    match !fps with
-    | [] -> true
-    | f :: rest -> List.for_all (String.equal f) rest
-  in
-  Printf.printf "%d programs; full-table hit rates:\n" (List.length corpus);
-  Printf.printf "  %4s  %14s %9s  %15s %9s\n" "jobs" "live wall (ms)"
-    "hit rate" "merge wall (ms)" "hit rate";
+  let identical = !identical in
+  Printf.printf "%d programs; live-shared full-table hit rates:\n"
+    (List.length corpus);
+  Printf.printf "  %4s  %14s %9s\n" "jobs" "live wall (ms)" "hit rate";
   List.iter
-    (fun (jobs, lw, lr, mw, mr) ->
-       Printf.printf "  %4d  %14.1f %8.2f%%  %15.1f %8.2f%%\n" jobs lw
-         (lr *. 100.) mw (mr *. 100.))
+    (fun (jobs, lw, lr) ->
+       Printf.printf "  %4d  %14.1f %8.2f%%\n" jobs lw (lr *. 100.))
     rows;
-  (match List.rev rows with
-   | (4, _, lr4, _, mr4) :: _ ->
-     Printf.printf
-       "  live-shared hit rate at jobs=4 %s merge-after (%.4f vs %.4f)\n"
-       (if lr4 > mr4 then "exceeds" else "does NOT exceed")
-       lr4 mr4
-   | _ -> ());
-  Printf.printf "  verdicts byte-identical across modes and job counts: %b\n"
+  Printf.printf
+    "  verdicts byte-identical to the independent run at every job count: %b\n"
     identical;
   if cores < 2 then
     print_endline
@@ -1087,7 +1066,7 @@ let admin_overhead () =
     (if overhead_pct < 2.0 then "PASS < 2%" else "FAIL >= 2%");
   admin_overhead_result := Some (per_call_ns, overhead_pct)
 
-(* Corpus-wide memo hit rates, via the batch engine's shared session
+(* Corpus-wide memo hit rates, via the batch engine's shared memo tables
    (jobs=1 keeps the counters independent of chunking). *)
 let memo_hit_rates () =
   let corpus =
@@ -1236,14 +1215,12 @@ let results_json ~mode ~memo ~micro ~metrics ~trace =
                ( "runs",
                  Perf_json.List
                    (List.map
-                      (fun (jobs, lw, lr, mw, mr) ->
+                      (fun (jobs, lw, lr) ->
                          Perf_json.Obj
                            [
                              ("jobs", Perf_json.Num (float_of_int jobs));
                              ("live_wall_ms", Perf_json.Num lw);
                              ("live_full_hit_rate", Perf_json.Num lr);
-                             ("merge_wall_ms", Perf_json.Num mw);
-                             ("merge_full_hit_rate", Perf_json.Num mr);
                            ])
                       rows) );
              ] );

@@ -290,6 +290,19 @@ let pp_stats fmt (s : Analyzer.stats) =
 
 let print_stats s = Format.printf "%a" pp_stats s
 
+(* The paper's cross-compilation memoization: the memo tables live in
+   a durable cache store (the format behind [serve --cache]), replayed
+   on open and extended by every miss. A file written under another
+   configuration or build is set aside as [path.rejected] with a
+   warning, and the run starts cold under the requested flags; a
+   damaged record drops itself and everything after it. One fsync at
+   the end, not one per append. *)
+let with_memo_file path config f =
+  let c, _ = Dda_cache.Durable.create ~path ~fsync:false ~config () in
+  let r = f (Dda_cache.Durable.cache c) in
+  Dda_cache.Durable.close c;
+  r
+
 let analyze_cmd =
   let run () file config stats memo_file format verify =
     let prog = load file in
@@ -297,22 +310,8 @@ let analyze_cmd =
       match memo_file with
       | None -> Analyzer.analyze ~config prog
       | Some path ->
-        (* The paper's cross-compilation memoization: reuse a table
-           from a previous run and extend it for the next one. *)
-        let session =
-          if Sys.file_exists path then begin
-            let s = Analyzer.load_session path in
-            if Analyzer.session_config s <> config then
-              Dda_obs.Log.info
-                "%s was built under a different configuration; using the saved one"
-                path;
-            s
-          end
-          else Analyzer.create_session ~config ()
-        in
-        let report = Analyzer.analyze_session session prog in
-        Analyzer.save_session session path;
-        report
+        with_memo_file path config (fun cache ->
+            Analyzer.analyze ~config ~cache prog)
     in
     let verification =
       if verify then Some (Dda_check.Verify.run ~config prog) else None
@@ -352,8 +351,11 @@ let analyze_cmd =
       & opt (some string) None
       & info [ "memo-file" ] ~docv:"FILE"
           ~doc:
-            "Persist the memoization tables across runs: load $(docv) if it \
-             exists, save back after analyzing.")
+            "Persist the memoization tables across runs in the cache store \
+             $(docv) (the $(b,serve --cache) format; $(b,ddtest cache \
+             compact) works on it): replay it if it exists, append every \
+             new entry. A file written under other flags or damaged \
+             records only cost recomputation, never a wrong verdict.")
   in
   let format =
     Arg.(
@@ -564,17 +566,13 @@ let batch_cmd =
     if summary.Dda_engine.Stream.quarantined > 0 then exit 3
     else if summary.Dda_engine.Stream.verify_errors > 0 then exit 2
   in
-  let run () files jobs share_memo memo_merge_after verify lint retries
-      backoff_ms item_timeout_ms config format stream journal resume fuzz
-      fuzz_seed fuzz_profile perfect amplify =
+  let run () files jobs share_memo verify lint retries backoff_ms
+      item_timeout_ms config format stream journal resume fuzz fuzz_seed
+      fuzz_profile perfect amplify =
     let streaming =
       stream || journal <> None || resume || fuzz > 0 || perfect || amplify > 1
     in
     if streaming then begin
-      if memo_merge_after then
-        failwith
-          "--memo-merge-after is incompatible with streaming: there are no \
-           per-chunk sessions to merge (live sharing via --share-memo works)";
       run_stream ~files ~jobs ~share_memo ~verify ~lint ~retries ~backoff_ms
         ~item_timeout_ms ~config ~format ~journal ~resume ~fuzz ~fuzz_seed
         ~fuzz_profile ~perfect ~amplify
@@ -585,7 +583,7 @@ let batch_cmd =
       List.map (fun f -> { Dda_engine.Batch.name = f; program = load f }) files
     in
     let result =
-      Dda_engine.Batch.run ~config ~share_memo ~memo_merge_after ~verify ~lint
+      Dda_engine.Batch.run ~config ~share_memo ~verify ~lint
         ~retries ~backoff_ms ?item_timeout_ms ~jobs items
     in
     (* Successes and quarantined items interleaved back in input order. *)
@@ -747,17 +745,6 @@ let batch_cmd =
              unchanged, but memo hit counters then depend on cross-domain \
              timing when $(b,--jobs) > 1).")
   in
-  let memo_merge_after_arg =
-    Arg.(
-      value & flag
-      & info [ "memo-merge-after" ]
-          ~doc:
-            "With $(b,--share-memo): instead of live sharing, give each \
-             domain a private memoization session and merge the tables after \
-             the run (the pre-live behavior, kept as a differential oracle; \
-             deterministic hit counters for a fixed $(b,--jobs), but \
-             cross-domain repeats are recomputed).")
-  in
   let verify_arg =
     Arg.(
       value & flag
@@ -898,10 +885,10 @@ let batch_cmd =
           resumed ($(b,--resume)) after a crash.")
     Term.(
       const run $ obs_term $ files_arg $ jobs_arg $ share_memo_arg
-      $ memo_merge_after_arg $ verify_arg $ lint_arg $ retries_arg
-      $ backoff_arg $ timeout_arg $ config_term $ format $ stream_arg
-      $ journal_arg $ resume_arg $ fuzz_arg $ fuzz_seed_arg $ fuzz_profile_arg
-      $ perfect_arg $ amplify_arg)
+      $ verify_arg $ lint_arg $ retries_arg $ backoff_arg $ timeout_arg
+      $ config_term $ format $ stream_arg $ journal_arg $ resume_arg
+      $ fuzz_arg $ fuzz_seed_arg $ fuzz_profile_arg $ perfect_arg
+      $ amplify_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
@@ -984,20 +971,18 @@ let fuzz_cmd =
 (* parallel                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The lint summary is the one parallelism decider: a loop is
+   parallelizable only when it is certified DOALL (no carried array
+   dependence, no carried scalar). *)
 let parallel_cmd =
   let run file config =
-    let prog = load file in
-    let prepared = if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run prog else prog in
-    let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-    let report = Analyzer.analyze ~config:{ config with Analyzer.run_pipeline = false } prepared in
-    let verdicts = Analyzer.parallel_loops report sites in
-    let names = Affine.loop_table sites in
+    let res = Dda_analysis.Lint.run ~config (load file) in
     List.iter
-      (fun (lid, parallel) ->
-         let name = Option.value (List.assoc_opt lid names) ~default:"?" in
-         Format.printf "loop %s (id %d): %s@." name lid
-           (if parallel then "PARALLELIZABLE" else "serial"))
-      verdicts
+      (fun (li : Dda_analysis.Summary.loop_info) ->
+         Format.printf "loop %s (id %d): %s@." li.var li.lid
+           (if li.verdict = Dda_analysis.Summary.Doall then "PARALLELIZABLE"
+            else "serial"))
+      res.Dda_analysis.Lint.summary.Dda_analysis.Summary.loops
   in
   Cmd.v (Cmd.info "parallel" ~doc:"Mark loops as parallelizable or serial")
     Term.(const run $ file_arg $ config_term)
@@ -1210,17 +1195,12 @@ let cc_cmd =
 
 let annotate_cmd =
   let run file config =
-    let prog = load file in
-    let prepared =
-      if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run prog else prog
+    let res = Dda_analysis.Lint.run ~config (load file) in
+    let verdicts =
+      Dda_analysis.Summary.doall_loops res.Dda_analysis.Lint.summary
     in
-    let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-    let report =
-      Analyzer.analyze ~config:{ config with Analyzer.run_pipeline = false } prepared
-    in
-    let verdicts = Analyzer.parallel_loops report sites in
     (* Re-number loops in pre-order while printing, mirroring the
-       extractor's numbering. *)
+       summary's numbering — loops under an [if] included. *)
     let counter = ref 0 in
     let buf = Buffer.create 1024 in
     let rec emit indent (s : Ast.stmt) =
@@ -1230,28 +1210,36 @@ let annotate_cmd =
         let lid = !counter in
         incr counter;
         let tag =
-          match List.assoc_opt lid verdicts with
-          | Some true -> "# PARALLEL\n"
-          | Some false -> "# serial (carries a dependence)\n"
-          | None -> "# no array references\n"
+          if List.assoc lid verdicts then "# PARALLEL\n"
+          else "# serial (carries a dependence)\n"
         in
         Buffer.add_string buf (pad ^ tag);
         Buffer.add_string buf
-          (Format.asprintf "%sfor %s = %a to %a%t do\n" pad f.var Pretty.pp_expr
-             f.lo Pretty.pp_expr f.hi
+          (Format.asprintf "%s%sfor %s = %a to %a%t do\n" pad
+             (if f.parallel then "parallel " else "")
+             f.var Pretty.pp_expr f.lo Pretty.pp_expr f.hi
              (fun fmt ->
                 match f.step with
                 | None -> ()
                 | Some st -> Format.fprintf fmt " step %a" Pretty.pp_expr st));
         List.iter (emit (indent + 2)) f.body;
         Buffer.add_string buf (pad ^ "end\n")
-      | _ ->
-        (* Lean on the pretty-printer for non-loop statements. *)
+      | Ast.If (cond, then_, else_) ->
+        Buffer.add_string buf
+          (Format.asprintf "%sif %a then\n" pad Pretty.pp_cond cond);
+        List.iter (emit (indent + 2)) then_;
+        if else_ <> [] then begin
+          Buffer.add_string buf (pad ^ "else\n");
+          List.iter (emit (indent + 2)) else_
+        end;
+        Buffer.add_string buf (pad ^ "end\n")
+      | Ast.Assign _ | Ast.Read _ ->
+        (* Lean on the pretty-printer for simple statements. *)
         let text = Format.asprintf "%a" Pretty.pp_stmt s in
         String.split_on_char '\n' text
         |> List.iter (fun line -> Buffer.add_string buf (pad ^ line ^ "\n"))
     in
-    List.iter (emit 0) prepared;
+    List.iter (emit 0) res.Dda_analysis.Lint.prepared;
     print_string (Buffer.contents buf)
   in
   Cmd.v
@@ -1434,24 +1422,26 @@ let lint_cmd =
 
 let prime_cmd =
   let run out config =
-    let session = Analyzer.create_session ~config () in
-    List.iter
-      (fun (spec : Dda_perfect.Programs.spec) ->
-         let prog = Parser.parse_program (Dda_perfect.Programs.source spec) in
-         ignore (Analyzer.analyze_session session prog))
-      Dda_perfect.Programs.all;
-    Analyzer.save_session session out;
+    with_memo_file out config (fun cache ->
+        List.iter
+          (fun (spec : Dda_perfect.Programs.spec) ->
+             let prog = Parser.parse_program (Dda_perfect.Programs.source spec) in
+             ignore (Analyzer.analyze ~config ~cache prog))
+          Dda_perfect.Programs.all);
     Format.printf "primed %s from the 13 synthetic PERFECT programs@." out
   in
   let out_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Output memo file.")
+    Arg.(
+      required & pos 0 (some string) None
+      & info [] ~docv:"FILE"
+          ~doc:"Memo cache store to create or extend (see analyze --memo-file).")
   in
   Cmd.v
     (Cmd.info "prime"
        ~doc:
          "The paper's \"standard table\" idea: analyze the whole benchmark \
-          suite once and save the memo tables for later compilations \
-          (use with analyze --memo-file)")
+          suite once and keep the memo tables in a cache store for later \
+          compilations (use with analyze --memo-file)")
     Term.(const run $ out_arg $ config_term)
 
 (* ------------------------------------------------------------------ *)

@@ -6,28 +6,22 @@
    Run with: dune exec examples/compile_to_c.exe *)
 
 open Dda_lang
-open Dda_core
 
 let () =
   let kernel = Option.get (Dda_perfect.Kernels.find "matmul") in
   print_endline ("# kernel: " ^ kernel.name);
   print_endline kernel.source;
-  let prog = Dda_passes.Pipeline.run (Parser.parse_program kernel.source) in
-  let sites = Affine.extract prog in
-  let report =
-    Analyzer.analyze
-      ~config:{ Analyzer.default_config with Analyzer.run_pipeline = false }
-      prog
-  in
-  let parallel = Analyzer.parallel_loops report sites in
-  let names = Affine.loop_table sites in
+  (* The pragmas come from the lint summary: only loops it certifies
+     DOALL are emitted parallel. *)
+  let res = Dda_analysis.Lint.run (Parser.parse_program kernel.source) in
   List.iter
-    (fun (lid, p) ->
-       Printf.printf "# loop %s: %s\n"
-         (Option.value (List.assoc_opt lid names) ~default:"?")
-         (if p then "parallel -> pragma" else "serial"))
-    parallel;
+    (fun (li : Dda_analysis.Summary.loop_info) ->
+       Printf.printf "# loop %s: %s\n" li.var
+         (if li.verdict = Dda_analysis.Summary.Doall then "parallel -> pragma"
+          else "serial"))
+    res.Dda_analysis.Lint.summary.Dda_analysis.Summary.loops;
   print_newline ();
-  match Dda_codegen.C_emit.emit ~parallel prog with
+  let parallel = Dda_analysis.Summary.doall_loops res.Dda_analysis.Lint.summary in
+  match Dda_codegen.C_emit.emit ~parallel res.Dda_analysis.Lint.prepared with
   | Ok c -> print_string c
   | Error reason -> prerr_endline ("codegen rejected: " ^ reason)

@@ -5,7 +5,6 @@
    Run with: dune exec examples/parallelizer.exe *)
 
 open Dda_lang
-open Dda_core
 
 let kernels =
   [
@@ -39,17 +38,12 @@ let () =
   List.iter
     (fun (name, src) ->
        Format.printf "== %s ==@." name;
-       let program = Parser.parse_program src in
-       let prepared = Dda_passes.Pipeline.run program in
-       let sites = Affine.extract prepared in
-       let config = { Analyzer.default_config with Analyzer.run_pipeline = false } in
-       let report = Analyzer.analyze ~config prepared in
-       let names = Affine.loop_table sites in
+       let res = Dda_analysis.Lint.run (Parser.parse_program src) in
        List.iter
-         (fun (lid, parallel) ->
-            Format.printf "  loop %-3s %s@."
-              (Option.value (List.assoc_opt lid names) ~default:"?")
-              (if parallel then "parallel" else "SERIAL (carries a dependence)"))
-         (Analyzer.parallel_loops report sites);
+         (fun (li : Dda_analysis.Summary.loop_info) ->
+            Format.printf "  loop %-3s %s@." li.var
+              (if li.verdict = Dda_analysis.Summary.Doall then "parallel"
+               else "SERIAL (carries a dependence)"))
+         res.Dda_analysis.Lint.summary.Dda_analysis.Summary.loops;
        Format.printf "@.")
     kernels

@@ -68,9 +68,9 @@ type t = {
 }
 
 val doall_loops : t -> (int * bool) list
-(** [(lid, is_doall)] per loop, sorted by id — the shape
-    {!Analyzer.parallel_loops} produces, for the C back end and for
-    comparison against ground truth. *)
+(** [(lid, is_doall)] per loop, sorted by id: the one parallelism
+    decider, behind [ddtest parallel], [annotate] and the C back end's
+    pragmas, and what the tests compare against ground truth. *)
 
 val compute :
   ?config:Analyzer.config ->

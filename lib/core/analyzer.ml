@@ -324,7 +324,7 @@ type state = {
   cancel : unit -> bool;
       (* cooperative watchdog (e.g. the batch engine's per-item
          deadline); deliberately outside [config], which is marshaled
-         into sessions and compared structurally *)
+         into the durable cache's fingerprint *)
 }
 
 let m_pairs = Dda_obs.Metrics.counter "analyzer.pairs"
@@ -647,7 +647,7 @@ let analyze_sites ?(config = default_config) ?cancel ?cache pairs =
      fresh in-memory cache the snapshot is zero and the delta is the
      absolute count, but a caller-supplied cache (the serve daemon's
      durable one) carries counters from earlier queries. Unique counts
-     stay absolute, as in sessions. *)
+     stay absolute: they are the tables' sizes. *)
   let gcd0, full0 = st.cache.cache_stats () in
   let reports = List.map (fun (s1, s2) -> analyze_pair st s1 s2) pairs in
   finalize st;
@@ -665,125 +665,13 @@ let analyze ?(config = default_config) ?cancel ?cache program =
   let sites = Affine.extract ~symbolic:config.symbolic program in
   analyze_sites ~config ?cancel ?cache (site_pairs config sites)
 
-(* ------------------------------------------------------------------ *)
-(* Sessions: memoization across compilations                          *)
-(* ------------------------------------------------------------------ *)
-
-type session = {
-  (* The session owns its raw tables (they are what [save_session]
-     marshals and [merge_sessions] unions); [session_state] wraps them
-     in a {!table_cache}. *)
-  s_gcd : Gcd_test.outcome Memo_table.t;
-  s_full : memo_value Memo_table.t;
-  mutable session_state : state;
-}
-
-let session_of_tables ?(cancel = fun () -> false) cfg gcd full =
-  {
-    s_gcd = gcd;
-    s_full = full;
-    session_state = fresh_state ~cancel ~cache:(table_cache gcd full) cfg;
-  }
-
-let create_session ?(config = default_config) () =
-  session_of_tables config (Memo_table.create ()) (Memo_table.create ())
-
-let session_config s = s.session_state.cfg
-
-let analyze_session ?cancel session program =
-  (* Fresh per-call statistics, shared memo tables; the watchdog is
-     per-call, so it never outlives the query it guards. *)
-  let st =
-    {
-      session.session_state with
-      stats = fresh_stats ();
-      cancel =
-        (match cancel with
-         | Some c -> c
-         | None -> session.session_state.cancel);
-    }
-  in
-  (* Snapshot the table counters rather than resetting them: the
-     report's memo statistics are the per-call delta, while the tables
-     keep session-lifetime counts for {!session_table_stats} (the batch
-     engine's corpus-wide hit rates). *)
-  let gcd_lookups0 = Memo_table.lookups session.s_gcd
-  and gcd_hits0 = Memo_table.hits session.s_gcd
-  and full_lookups0 = Memo_table.lookups session.s_full
-  and full_hits0 = Memo_table.hits session.s_full in
-  session.session_state <- st;
-  let config = st.cfg in
-  let program = if config.run_pipeline then Dda_passes.Pipeline.run program else program in
-  let sites = Affine.extract ~symbolic:config.symbolic program in
-  let reports =
-    List.map (fun (s1, s2) -> analyze_pair st s1 s2) (site_pairs config sites)
-  in
-  finalize st;
-  st.stats.memo_lookups_nobounds <- st.stats.memo_lookups_nobounds - gcd_lookups0;
-  st.stats.memo_hits_nobounds <- st.stats.memo_hits_nobounds - gcd_hits0;
-  st.stats.memo_lookups_full <- st.stats.memo_lookups_full - full_lookups0;
-  st.stats.memo_hits_full <- st.stats.memo_hits_full - full_hits0;
-  { pair_reports = reports; stats = st.stats }
-
-(* On-disk format: a magic string, a format version, then the marshaled
-   (config, gcd table, full table). Keys are config-dependent, so a
-   session only reloads under the configuration that built it. *)
-let session_magic = "dda-session"
-
 (* Version 2: [config] grew the [limits] field (budget caps).
    Version 3: memo keys became [int array] and entries store their
-   hash, changing the marshaled table layout. *)
-let session_version = 3
-
-(* The durable cache marshals the same key/value types the session
-   format does, so its compatibility fingerprint tracks the same
-   version number. *)
-let memo_format_version = session_version
-
-let merge_sessions ~into src =
-  if into == src then
-    invalid_arg "Analyzer.merge_sessions: a session cannot absorb itself";
-  if into.session_state.cfg <> src.session_state.cfg then
-    invalid_arg "Analyzer.merge_sessions: sessions built under different configurations";
-  Memo_table.merge_into ~into:into.s_gcd src.s_gcd;
-  Memo_table.merge_into ~into:into.s_full src.s_full
-
-let session_table_sizes session =
-  (Memo_table.length session.s_gcd, Memo_table.length session.s_full)
-
-let session_table_stats session =
-  (Memo_table.stats session.s_gcd, Memo_table.stats session.s_full)
-
-let save_session session path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-       output_string oc session_magic;
-       output_binary_int oc session_version;
-       Marshal.to_channel oc
-         (session.session_state.cfg, session.s_gcd, session.s_full)
-         [])
-
-let load_session path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-       let magic = really_input_string ic (String.length session_magic) in
-       if not (String.equal magic session_magic) then
-         failwith "Analyzer.load_session: not a saved session";
-       let version = input_binary_int ic in
-       if version <> session_version then
-         failwith "Analyzer.load_session: unsupported session version";
-       let cfg, gcd_table, full_table =
-         (Marshal.from_channel ic
-          : config * Gcd_test.outcome Memo_table.t * memo_value Memo_table.t)
-       in
-       session_of_tables cfg gcd_table full_table)
+   hash, changing the marshaled layout. *)
+let memo_format_version = 3
 
 (* ------------------------------------------------------------------ *)
-(* Parallel-loop client                                                *)
+(* Carried-dependence helpers                                          *)
 (* ------------------------------------------------------------------ *)
 
 let vector_carries_at v k =
@@ -800,36 +688,3 @@ let vector_carrier v =
     else go (k + 1)
   in
   go 0
-
-let pair_carries report lid =
-  let rec index_of k = function
-    | [] -> None
-    | id :: _ when id = lid -> Some k
-    | _ :: rest -> index_of (k + 1) rest
-  in
-  match index_of 0 report.common_ids with
-  | None -> false
-  | Some k -> (
-      match report.outcome with
-      | Constant false | Gcd_independent -> false
-      | Constant true | Assumed_dependent -> true
-      | Tested t ->
-        t.dependent
-        && (t.directions = [] (* no vector info: conservative *)
-            || List.exists (fun v -> vector_carries_at v k) t.directions))
-
-let parallel_loops { pair_reports; _ } sites =
-  let ids = ref [] in
-  List.iter
-    (fun (s : Affine.site) ->
-       List.iter
-         (fun (c : Affine.loop_ctx) ->
-            if not (List.mem_assoc c.Affine.lid !ids) then
-              ids := (c.Affine.lid, ()) :: !ids)
-         s.loops)
-    sites;
-  List.rev_map
-    (fun (lid, ()) ->
-       (lid, not (List.exists (fun r -> pair_carries r lid) pair_reports)))
-    !ids
-  |> List.sort compare

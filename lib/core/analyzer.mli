@@ -33,8 +33,9 @@ type config = {
   limits : Budget.limits;
       (** per-query resource caps; exhaustion degrades to a flagged
           assumed-dependent verdict, never an exception or a hang.
-          Pure data (no callbacks): the config is marshaled into
-          sessions — pass a watchdog via [?cancel] instead. *)
+          Pure data (no callbacks): the config is marshaled into the
+          durable cache's fingerprint — pass a watchdog via [?cancel]
+          instead. *)
 }
 
 val default_config : config
@@ -110,14 +111,6 @@ val vector_carrier : Direction.dir array -> int option
 (** The outermost common-loop index at which the vector can be
     carried, or [None] for a loop-independent (all-[=]) vector. *)
 
-val pair_carries : pair_report -> int -> bool
-(** [pair_carries r lid]: whether the pair may be carried by the loop
-    with id [lid]. Conservative in exactly the way
-    {!parallel_loops} is: [Constant true] and [Assumed_dependent]
-    outcomes (no vector information) and tested-dependent outcomes
-    with an empty direction set carry at {e every} common loop; a
-    loop that is not common to both references never carries. *)
-
 type stats = {
   mutable pairs : int;
   mutable constant_cases : int;
@@ -145,9 +138,9 @@ val merge_stats : into:stats -> stats -> unit
 (** Field-wise accumulation of the second statistics record into the
     first, {!Direction.counts} included. Memo counters are summed too:
     when each record comes from an independent analysis (its own memo
-    tables), the sums are the corpus totals; when records share a
-    session, sum the per-call lookups/hits but take unique-entry counts
-    from the session's tables (see {!session_table_sizes}), since each
+    tables), the sums are the corpus totals; when records share one
+    cache, sum the per-call lookups/hits but take unique-entry counts
+    from the cache's tables (see {!shared_table_stats}), since each
     per-call value is already cumulative. *)
 
 val stats_to_list : stats -> int list
@@ -169,9 +162,10 @@ type report = {
     The analyzer is a pure query layer over this interface: every
     memoized lookup (the bounds-free gcd table and the full canonical
     table) goes through one [cache] record, so the backend can be a
-    pair of fresh in-process tables (the default), a session's shared
-    tables, or a write-through durable store with a mutex around it
-    ([Dda_cache]). Keys are the canonical problem keys
+    pair of fresh in-process tables (the default), the live-shared
+    tables of a parallel batch ({!shared}), or a write-through durable
+    store ([Dda_cache], behind [ddtest serve], [analyze --memo-file]
+    and [prime]). Keys are the canonical problem keys
     ({!Problem.to_key} / {!Problem.key_without_bounds}); whoever
     persists them must fingerprint the {!config} and
     {!memo_format_version}, since both determine key and value
@@ -201,10 +195,9 @@ val memory_cache : unit -> cache
 
 type shared
 (** One gcd + one full lock-striped {!Sharded_table} pair, safe to
-    query live from every worker domain of a parallel run. This is the
-    live-sharing alternative to per-domain sessions merged after the
-    fact: a cross-item repeat is a hit the moment any domain has
-    computed it. *)
+    query live from every worker domain of a parallel run: a
+    cross-item repeat is a hit the moment any domain has computed
+    it. *)
 
 val create_shared : ?stripes:int -> unit -> shared
 
@@ -235,10 +228,10 @@ val shared_contended : shared -> int
     the live-sharing cost signal ([memo.stripe.contended]). *)
 
 val memo_format_version : int
-(** Version of the marshaled memo key/value representation (the same
-    number the session file format carries). Durable cache backends
-    include it in their header fingerprint: a cache written by an
-    incompatible build must read as a cold start, never as data. *)
+(** Version of the marshaled memo key/value representation. Durable
+    cache backends include it in their header fingerprint: a cache
+    written by an incompatible build must read as a cold start, never
+    as data. *)
 
 val analyze :
   ?config:config -> ?cancel:(unit -> bool) -> ?cache:cache -> Ast.program -> report
@@ -248,15 +241,23 @@ val analyze :
     excluded, so a self pair is dependent only when distinct iterations
     collide).
 
+    Memoization across compilations (the paper's suggestion, as is
+    priming a standard table from a benchmark suite) is a persistent
+    [cache]: [ddtest analyze --memo-file] and [ddtest prime] pass a
+    [Dda_cache.Durable] store. The report's memo lookups and hits are
+    this call's delta; unique counts are the tables' sizes. Degraded
+    verdicts are memoized like any other (they are deterministic under
+    the step/row/coefficient caps); a [Deadline]-degraded verdict,
+    however, depends on wall time, so a cache kept across runs with
+    watchdogs can hold a verdict a later run would have refined.
+
     Domain safety: every piece of mutable state ([stats], memo tables,
-    pass-internal accumulators) lives in values created per call or per
-    session — the analyzer keeps no module-level mutable globals — so
-    concurrent [analyze] calls, and [analyze_session] calls on
-    {e distinct} sessions, are safe from different domains. A single
-    session must not be shared across domains; cross-domain sharing
-    goes through a {!shared} cache ([Dda_engine.Batch]'s live mode),
-    or each domain gets its own session merged afterwards (the
-    merge-after oracle mode).
+    pass-internal accumulators) lives in values created per call or in
+    the [cache] passed in — the analyzer keeps no module-level mutable
+    globals — so concurrent [analyze] calls are safe from different
+    domains. A {!memory_cache} must not be shared across domains;
+    cross-domain sharing goes through a {!shared} cache
+    ([Dda_engine.Batch]'s live mode) or a [Dda_cache.Durable] one.
 
     [cancel] is a cooperative watchdog polled by the per-query budget
     every few dozen solver steps; returning [true] degrades the current
@@ -281,63 +282,3 @@ val analyze_sites :
   report
 (** Analyze explicit site pairs (used by the benchmark harness, which
     generates problems directly, and by the verifier). *)
-
-(** {1 Sessions: memoization across compilations}
-
-    The paper suggests storing the hash table across compilations to
-    eliminate the dependence cost of incremental recompilation, or even
-    priming a standard table from a benchmark suite. A session carries
-    the memo tables from one [analyze] call to the next and can be
-    saved to and loaded from disk. *)
-
-type session
-
-val create_session : ?config:config -> unit -> session
-val session_config : session -> config
-
-val analyze_session : ?cancel:(unit -> bool) -> session -> Ast.program -> report
-(** Like {!analyze}, but reusing (and extending) the session's memo
-    tables. The report's memo statistics are per-call; table sizes are
-    cumulative. [cancel] applies to this call only. Note that degraded
-    verdicts are memoized like any other (they are deterministic under
-    the step/row/coefficient caps); a [Deadline]-degraded verdict,
-    however, depends on wall time, so sharing sessions across runs with
-    watchdogs can cache a verdict a later run would have refined. *)
-
-val merge_sessions : into:session -> session -> unit
-(** Absorb the second session's memo tables into the first
-    ({!Memo_table.merge_into} on both tables): keys are unioned, the
-    first session's bindings win on overlap, counters are summed. The
-    parallel batch engine uses this to combine per-domain sessions into
-    one corpus-wide table; it is equally useful for merging primed
-    tables built from different suites.
-    @raise Invalid_argument when the sessions were built under
-    different configurations (their memo keys are not comparable), or
-    when both arguments are the same session. *)
-
-val session_table_sizes : session -> int * int
-(** [(gcd_entries, full_entries)]: distinct problems currently stored
-    in the session's two memo tables. *)
-
-val session_table_stats : session -> Memo_table.stats * Memo_table.stats
-(** [(gcd_stats, full_stats)]: full {!Memo_table.stats} snapshots
-    (entries, bucket count, lifetime lookups and hits) for the
-    session's two memo tables. After {!merge_sessions} the counters
-    cover every absorbed session, so the batch engine can report
-    corpus-wide hit rates. *)
-
-val save_session : session -> string -> unit
-(** Persist the session's memo tables. *)
-
-val load_session : string -> session
-(** Restores the tables {e and the configuration they were built
-    under} (memo keys are config-dependent, so the two travel
-    together); check {!session_config} if a particular setup is
-    required.
-    @raise Failure when the file is not a saved session or has an
-    unsupported version. *)
-
-val parallel_loops : report -> Affine.site list -> (int * bool) list
-(** For each loop id occurring in the sites: is the loop parallelizable
-    (no dependence carried at its level)? A conservative client of the
-    direction vectors, as in the paper's introduction. *)

@@ -5,8 +5,7 @@
     stripes, each guarded by its own mutex, with the key's hash
     selecting the stripe. Lookups from different domains only contend
     when their keys land on the same stripe, so the paper's
-    memoization win (section 5) is shared *during* a parallel run
-    instead of being merged after it.
+    memoization win (section 5) is shared *during* a parallel run.
 
     Stripe selection uses a Fibonacci multiplicative mix of the stored
     hash: the per-stripe [Memo_table] buckets already consume the

@@ -18,16 +18,10 @@
     same key set the post-run union would — but memo-{e hit} counters
     (and the gcd-table traffic, which only happens on full-table
     misses) then depend on cross-domain timing, so they are only
-    deterministic at [--jobs 1]. With [memo_merge_after] (implies [share_memo]) each
-    domain instead threads one {!Analyzer.session} through its whole
-    chunk and the per-domain sessions are merged with
-    {!Analyzer.merge_sessions} afterwards — the pre-live behaviour,
-    kept as a differential oracle: same verdicts, same distinct-problem
-    counts, hit counters deterministic for a fixed corpus and [jobs]
-    (they depend only on the chunking), but cross-item repeats that
-    land on different domains are recomputed instead of hitting. In
-    both modes the merged statistics report the union's
-    distinct-problem counts.
+    deterministic at [--jobs 1]. The merged statistics then report the
+    shared tables' distinct-problem counts. The independent mode is the
+    oracle for the shared one: same verdicts, direction vectors and
+    distances item by item.
 
     {b Fault isolation.} A worker exception on one item — an analyzer
     bug, an injected {!Dda_core.Failpoint} failure — never aborts the
@@ -80,12 +74,10 @@ type result = {
       (** totals over [items] only ({!Analyzer.merge_stats}) *)
   table_stats : (Memo_table.stats * Memo_table.stats) option;
       (** with [share_memo]: [(gcd, full)] {!Dda_core.Memo_table.stats}
-          of the corpus-wide tables — the live-shared pair's aggregated
-          stripe stats, or (with [memo_merge_after]) the merged union
-          tables with lookup/hit counters summed over every worker
-          session. [None] in the independent mode. *)
+          of the corpus-wide live-shared tables, aggregated over
+          stripes. [None] in the independent mode. *)
   contended : int option;
-      (** live-shared mode only: stripe-lock acquisitions that had to
+      (** [share_memo] only: stripe-lock acquisitions that had to
           block ({!Analyzer.shared_contended}) — a load signal, never
           deterministic. [None] otherwise. *)
 }
@@ -98,7 +90,6 @@ val chunks : jobs:int -> int -> (int * int) list
 val run :
   ?config:Analyzer.config ->
   ?share_memo:bool ->
-  ?memo_merge_after:bool ->
   ?verify:bool ->
   ?lint:bool ->
   ?retries:int ->
@@ -109,10 +100,7 @@ val run :
   result
 (** Analyze the corpus on [jobs] domains. [share_memo] defaults to
     [false] (the fully [jobs]-independent mode described above); when
-    set, workers share the memo tables live unless [memo_merge_after]
-    (default [false]) selects the per-domain-sessions-merged-at-the-end
-    oracle mode instead ([memo_merge_after] without [share_memo] is
-    ignored).
+    set, workers share the memo tables live.
     [verify] (default [false]) certificate-checks each program's
     report on its worker domain and fills [verification]. [lint]
     (default [false]) classifies each program's dependences and

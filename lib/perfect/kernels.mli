@@ -8,7 +8,7 @@ type kernel = {
   name : string;
   description : string;
   source : string;
-  parallel_loops : string list;
+  doall_loops : string list;
       (** loop variables (outermost occurrence order) that carry no
           dependence *)
   serial_loops : string list;  (** loops that do carry a dependence *)

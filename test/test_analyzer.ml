@@ -201,11 +201,10 @@ let test_control_flow_conservative () =
   let obs = Trace.observe (parse src) ~site1:r.loc1 ~site2:r.loc2 in
   Alcotest.(check bool) "but nothing executes" false obs.dependent
 
-let test_parallel_loops_client () =
+let test_doall_loops_client () =
   let prog = parse "for i = 1 to 10 do a[i] = a[i+10] + 3 end\nfor j = 1 to 10 do b[j+1] = b[j] + 3 end" in
-  let sites = Affine.extract prog in
-  let report = Analyzer.analyze ~config:exact_config prog in
-  match Analyzer.parallel_loops report sites with
+  let res = Dda_analysis.Lint.run ~config:exact_config prog in
+  match Dda_analysis.Summary.doall_loops res.Dda_analysis.Lint.summary with
   | [ (_, p1); (_, p2) ] ->
     Alcotest.(check bool) "first loop parallel" true p1;
     Alcotest.(check bool) "second loop serial" false p2
@@ -548,11 +547,11 @@ let prop_site_pairs_match_naive =
                  (List.length want))
          [ (false, false); (false, true); (true, false); (true, true) ])
 
-(* Two sessions advanced in lockstep over the same programs: each
-   call's memo statistics must be the per-call delta of that session's
-   own tables — never polluted by the other session's interleaved
+(* Two persistent caches advanced in lockstep over the same programs:
+   each call's memo statistics must be the per-call delta of that
+   cache's own tables — never polluted by the other cache's interleaved
    activity — and the deltas must sum back to the lifetime counters
-   [session_table_stats] reports. *)
+   [Durable.table_stats] reports. *)
 let test_interleaved_session_stats () =
   let config =
     { Analyzer.default_config with Analyzer.memo = Analyzer.Memo_improved }
@@ -560,26 +559,30 @@ let test_interleaved_session_stats () =
   let p1 = parse "for i = 1 to 10 do a[i] = a[i+1] + a[2*i] end" in
   let p2 = parse "for i = 1 to 8 do for j = 1 to 8 do b[i+j] = b[i+j+1] end end" in
   let sequence = [ p1; p2; p1 ] in
-  let s1 = Analyzer.create_session ~config () in
-  let s2 = Analyzer.create_session ~config () in
+  let s1, _ = Dda_cache.Durable.create ~config () in
+  let s2, _ = Dda_cache.Durable.create ~config () in
   let calls =
     List.map
       (fun p ->
-         let r1 = Analyzer.analyze_session s1 p in
-         let r2 = Analyzer.analyze_session s2 p in
+         let r1 =
+           Analyzer.analyze ~config ~cache:(Dda_cache.Durable.cache s1) p
+         in
+         let r2 =
+           Analyzer.analyze ~config ~cache:(Dda_cache.Durable.cache s2) p
+         in
          (r1.Analyzer.stats, r2.Analyzer.stats))
       sequence
   in
   List.iteri
     (fun i ((a : Analyzer.stats), (b : Analyzer.stats)) ->
        Alcotest.(check int)
-         (Printf.sprintf "call %d: same full-table lookups either session" i)
+         (Printf.sprintf "call %d: same full-table lookups either cache" i)
          a.memo_lookups_full b.memo_lookups_full;
        Alcotest.(check int)
-         (Printf.sprintf "call %d: same full-table hits either session" i)
+         (Printf.sprintf "call %d: same full-table hits either cache" i)
          a.memo_hits_full b.memo_hits_full;
        Alcotest.(check int)
-         (Printf.sprintf "call %d: same gcd-table lookups either session" i)
+         (Printf.sprintf "call %d: same gcd-table lookups either cache" i)
          a.memo_lookups_nobounds b.memo_lookups_nobounds)
     calls;
   (* Re-analyzing p1 must hit on every single case: a cumulative (or
@@ -593,7 +596,7 @@ let test_interleaved_session_stats () =
      Alcotest.(check bool) "first pass over p1 missed at least once" true
        (first.Analyzer.memo_hits_full < first.Analyzer.memo_lookups_full));
   let sum f = List.fold_left (fun acc (a, _) -> acc + f a) 0 calls in
-  let gcd_stats, full_stats = Analyzer.session_table_stats s1 in
+  let gcd_stats, full_stats = Dda_cache.Durable.table_stats s1 in
   Alcotest.(check int) "per-call full lookups sum to the lifetime counter"
     (sum (fun (s : Analyzer.stats) -> s.memo_lookups_full))
     full_stats.Memo_table.lookups;
@@ -606,13 +609,13 @@ let test_interleaved_session_stats () =
   Alcotest.(check int) "per-call gcd hits sum to the lifetime counter"
     (sum (fun (s : Analyzer.stats) -> s.memo_hits_nobounds))
     gcd_stats.Memo_table.hits;
-  (* Lockstep sessions end with identical lifetime statistics. *)
-  let gcd2, full2 = Analyzer.session_table_stats s2 in
-  Alcotest.(check int) "lifetime full lookups equal across sessions"
+  (* Lockstep caches end with identical lifetime statistics. *)
+  let gcd2, full2 = Dda_cache.Durable.table_stats s2 in
+  Alcotest.(check int) "lifetime full lookups equal across caches"
     full_stats.Memo_table.lookups full2.Memo_table.lookups;
-  Alcotest.(check int) "lifetime full entries equal across sessions"
+  Alcotest.(check int) "lifetime full entries equal across caches"
     full_stats.Memo_table.size full2.Memo_table.size;
-  Alcotest.(check int) "lifetime gcd hits equal across sessions"
+  Alcotest.(check int) "lifetime gcd hits equal across caches"
     gcd_stats.Memo_table.hits gcd2.Memo_table.hits
 
 let () =
@@ -635,7 +638,7 @@ let () =
             test_distance_not_constant;
           Alcotest.test_case "control flow conservative" `Quick
             test_control_flow_conservative;
-          Alcotest.test_case "parallel loops client" `Quick test_parallel_loops_client;
+          Alcotest.test_case "parallel loops client" `Quick test_doall_loops_client;
           Alcotest.test_case "self pair output dependence" `Quick
             test_self_pair_output_dependence;
           Alcotest.test_case "triangular bounds" `Quick test_triangular_bounds;

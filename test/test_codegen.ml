@@ -5,7 +5,6 @@
    (wrong) "parallel" verdict shows up as a divergent dump. *)
 
 open Dda_lang
-open Dda_core
 open Dda_codegen
 
 let gcc_available = Sys.command "gcc --version > /dev/null 2>&1" = 0
@@ -53,14 +52,9 @@ let compile_and_run ?(openmp = false) ?(threads = 1) c_src =
        | _ -> failwith "generated program crashed")
 
 let parallel_flags prog =
-  let prepared = Dda_passes.Pipeline.run prog in
-  let sites = Affine.extract prepared in
-  let report =
-    Analyzer.analyze
-      ~config:{ Analyzer.default_config with Analyzer.run_pipeline = false }
-      prepared
-  in
-  (prepared, Analyzer.parallel_loops report sites)
+  let res = Dda_analysis.Lint.run prog in
+  ( res.Dda_analysis.Lint.prepared,
+    Dda_analysis.Summary.doall_loops res.Dda_analysis.Lint.summary )
 
 let check_against_interp ?(openmp = false) ?(threads = 1) name prog =
   let prepared, parallel = parallel_flags prog in

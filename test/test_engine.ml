@@ -91,47 +91,8 @@ let test_pool_stress_mixed_failures () =
   Pool.shutdown pool
 
 (* ------------------------------------------------------------------ *)
-(* Memo_table merge and the paper's hash                               *)
+(* Statistics merge and the paper's hash                               *)
 (* ------------------------------------------------------------------ *)
-
-let test_memo_merge () =
-  let a = Memo_table.create () and b = Memo_table.create () in
-  Memo_table.add a [| 1; 2 |] "a12";
-  Memo_table.add a [| 3 |] "a3";
-  Memo_table.add b [| 1; 2 |] "b12";
-  Memo_table.add b [| 4; 5 |] "b45";
-  ignore (Memo_table.find a [| 1; 2 |]);
-  ignore (Memo_table.find a [| 9 |]);
-  ignore (Memo_table.find b [| 4; 5 |]);
-  Memo_table.merge_into ~into:a b;
-  Alcotest.(check int) "union size" 3 (Memo_table.length a);
-  Alcotest.(check int) "lookups summed" 3 (Memo_table.lookups a);
-  Alcotest.(check int) "hits summed" 2 (Memo_table.hits a);
-  Alcotest.(check (option string)) "existing binding wins" (Some "a12")
-    (Memo_table.find a [| 1; 2 |]);
-  Alcotest.(check (option string)) "absorbed binding present" (Some "b45")
-    (Memo_table.find a [| 4; 5 |]);
-  Alcotest.(check int) "absorbed table untouched" 2 (Memo_table.length b);
-  Alcotest.check_raises "self-merge refused"
-    (Invalid_argument "Memo_table.merge_into: a table cannot absorb itself")
-    (fun () -> Memo_table.merge_into ~into:a a)
-
-let test_memo_merge_grows () =
-  (* Absorbing a large table forces rehashing mid-merge; every key must
-     survive. *)
-  let a = Memo_table.create ~initial_buckets:2 () in
-  let b = Memo_table.create () in
-  for i = 0 to 99 do
-    Memo_table.add b [| i; i + 1 |] i
-  done;
-  Memo_table.add a [| 1000 |] (-1);
-  Memo_table.merge_into ~into:a b;
-  Alcotest.(check int) "all keys present" 101 (Memo_table.length a);
-  let ok = ref true in
-  for i = 0 to 99 do
-    if Memo_table.find a [| i; i + 1 |] <> Some i then ok := false
-  done;
-  Alcotest.(check bool) "all retrievable after merge rehash" true !ok
 
 let prop_hash_formula =
   (* hash_key agrees with the paper's h(x) = size(x) + sum 2^i x_i on
@@ -279,38 +240,6 @@ let test_merge_stats () =
      + s2.Analyzer.dir_counts.Direction.by_test.(0))
     merged.Analyzer.dir_counts.Direction.by_test.(0)
 
-let test_merge_sessions () =
-  let config = Analyzer.default_config in
-  let s1 = Analyzer.create_session ~config () in
-  let s2 = Analyzer.create_session ~config () in
-  let p1 = parse "for i = 1 to 10 do\n  a[i + 1] = a[i] + 1\nend" in
-  let p2 = parse "for i = 1 to 10 do\n  b[i + 1] = b[i] + 2\nend" in
-  let p3 = parse "for i = 1 to 8 do\n  c[2 * i] = c[i] + 1\nend" in
-  ignore (Analyzer.analyze_session s1 p1);
-  ignore (Analyzer.analyze_session s2 p2);
-  ignore (Analyzer.analyze_session s2 p3);
-  let _, full1 = Analyzer.session_table_sizes s1 in
-  Analyzer.merge_sessions ~into:s1 s2;
-  let _, full_merged = Analyzer.session_table_sizes s1 in
-  (* p1 and p2 key identically (names are not part of the key), so the
-     union must be strictly smaller than the sum but at least as large
-     as either side. *)
-  Alcotest.(check bool) "union at least as large" true (full_merged >= full1);
-  let _, full2 = Analyzer.session_table_sizes s2 in
-  Alcotest.(check bool) "union deduplicates shared problems" true
-    (full_merged < full1 + full2);
-  (* A fresh analysis over the merged session hits on both corpora. *)
-  let r = Analyzer.analyze_session s1 p3 in
-  Alcotest.(check int) "every pair of p3 now hits"
-    r.Analyzer.stats.Analyzer.memo_lookups_full
-    r.Analyzer.stats.Analyzer.memo_hits_full;
-  let cfg2 = { config with Analyzer.symbolic = false } in
-  let s3 = Analyzer.create_session ~config:cfg2 () in
-  Alcotest.check_raises "config mismatch refused"
-    (Invalid_argument
-       "Analyzer.merge_sessions: sessions built under different configurations")
-    (fun () -> Analyzer.merge_sessions ~into:s1 s3)
-
 (* ------------------------------------------------------------------ *)
 (* Batch driver                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -420,42 +349,6 @@ let prop_batch_share_memo_verdicts =
             pairs_only (Batch.run ~share_memo:true ~jobs corpus) = isolated)
          [ 1; 3 ])
 
-let prop_batch_live_vs_merge_after =
-  (* The sharded live-sharing path against its differential oracle, the
-     per-domain-sessions-merged-after path: byte-identical per-item
-     reports (verdicts, direction vectors, distances) and identical
-     distinct-problem counts at any job count. *)
-  QCheck.Test.make ~name:"live-shared equals merge-after (verdicts + uniques)"
-    ~count:15 arb_corpus
-    (fun programs ->
-       let corpus = corpus_of_programs programs in
-       let reports_bytes (r : Batch.result) =
-         String.concat "\n"
-           (List.map
-              (fun (a : Batch.analyzed) ->
-                 a.Batch.name ^ " "
-                 ^ String.concat ";"
-                     (List.map
-                        (fun p -> Json_out.to_string (Json_out.pair p))
-                        a.Batch.report.Analyzer.pair_reports))
-              r.Batch.items)
-       in
-       let uniques (r : Batch.result) =
-         ( r.Batch.merged.Analyzer.memo_unique_nobounds,
-           r.Batch.merged.Analyzer.memo_unique_full )
-       in
-       List.for_all
-         (fun jobs ->
-            let live = Batch.run ~share_memo:true ~jobs corpus in
-            let merge =
-              Batch.run ~share_memo:true ~memo_merge_after:true ~jobs corpus
-            in
-            reports_bytes live = reports_bytes merge
-            && uniques live = uniques merge
-            && live.Batch.contended <> None
-            && merge.Batch.contended = None)
-         [ 1; 2; 4 ])
-
 let test_batch_share_memo_unique_counts () =
   (* Two copies of the same program: whatever the chunking, the union
      of the per-domain tables holds each distinct problem once, and the
@@ -490,11 +383,7 @@ let () =
         ] );
       ( "merge",
         [
-          Alcotest.test_case "memo merge_into" `Quick test_memo_merge;
-          Alcotest.test_case "memo merge rehash" `Quick test_memo_merge_grows;
           Alcotest.test_case "merge_stats sums fields" `Quick test_merge_stats;
-          Alcotest.test_case "merge_sessions unions tables" `Quick
-            test_merge_sessions;
           qt prop_hash_formula;
         ] );
       ( "sharded",
@@ -514,6 +403,5 @@ let () =
             test_batch_share_memo_unique_counts;
           qt prop_batch_deterministic;
           qt prop_batch_share_memo_verdicts;
-          qt prop_batch_live_vs_merge_after;
         ] );
     ]

@@ -1,6 +1,6 @@
 (* Tests for the paper's "further optimizations", implemented as
    features: symmetric-pair memoization, dependence-kind
-   classification, and persistent memo sessions. *)
+   classification, and persistent memo tables. *)
 
 open Dda_lang
 open Dda_core
@@ -167,12 +167,31 @@ let test_kind_loop_independent () =
     (kinds_of src = [ Analyzer.Flow ])
 
 (* ------------------------------------------------------------------ *)
-(* Sessions                                                            *)
+(* Persistent memo tables                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The paper's memoization across compilations, on the digest-checked
+   cache store behind [ddtest analyze --memo-file] and [ddtest prime]:
+   each "compilation" opens the store, analyzes through it and closes
+   it, exactly as the CLI does. *)
+
+module Durable = Dda_cache.Durable
+
 let with_temp_file f =
-  let path = Filename.temp_file "dda_session" ".bin" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+  let path = Filename.temp_file "dda_memo" ".bin" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () ->
+        List.iter
+          (fun p -> if Sys.file_exists p then Sys.remove p)
+          [ path; path ^ ".rejected" ])
+    (fun () -> f path)
+
+let compile ?(config = Analyzer.default_config) path prog =
+  let c, recovery = Durable.create ~path ~fsync:false ~config () in
+  let r = Analyzer.analyze ~config ~cache:(Durable.cache c) prog in
+  Durable.close c;
+  (r, Option.get recovery)
 
 let strip (r : Analyzer.report) =
   List.map
@@ -189,9 +208,10 @@ let strip (r : Analyzer.report) =
 
 let test_session_accumulates () =
   let prog = parse mirror_src in
-  let session = Analyzer.create_session () in
-  let r1 = Analyzer.analyze_session session prog in
-  let r2 = Analyzer.analyze_session session prog in
+  let config = Analyzer.default_config in
+  let c, _ = Durable.create ~config () in
+  let r1 = Analyzer.analyze ~config ~cache:(Durable.cache c) prog in
+  let r2 = Analyzer.analyze ~config ~cache:(Durable.cache c) prog in
   Alcotest.(check bool) "same outcomes" true (strip r1 = strip r2);
   Alcotest.(check int) "second run all hits" r2.stats.memo_lookups_full
     r2.stats.memo_hits_full;
@@ -201,43 +221,55 @@ let test_session_accumulates () =
 let test_session_save_load () =
   with_temp_file (fun path ->
       let prog = parse mirror_src in
-      let s1 = Analyzer.create_session () in
-      let r1 = Analyzer.analyze_session s1 prog in
-      Analyzer.save_session s1 path;
-      let s2 = Analyzer.load_session path in
-      Alcotest.(check bool) "config restored" true
-        (Analyzer.session_config s2 = Analyzer.session_config s1);
-      let r2 = Analyzer.analyze_session s2 prog in
-      Alcotest.(check bool) "same outcomes after reload" true (strip r1 = strip r2);
-      Alcotest.(check int) "reloaded session: all hits" r2.stats.memo_lookups_full
+      let r1, rec1 = compile path prog in
+      Alcotest.(check bool) "first compilation starts fresh" true rec1.fresh;
+      let r2, rec2 = compile path prog in
+      Alcotest.(check bool) "reopened file replays records" true
+        (rec2.records > 0);
+      Alcotest.(check bool) "same outcomes after reopening" true
+        (strip r1 = strip r2);
+      Alcotest.(check int) "reopened file: all hits" r2.stats.memo_lookups_full
         r2.stats.memo_hits_full)
 
 let test_session_priming () =
   (* The paper's suggestion: prime a standard table from a benchmark
      suite, then compile something else. Shared shapes hit. *)
-  let train = parse "for i = 1 to 10 do a[i] = a[i-1] + 1 end" in
-  let fresh = parse "for i = 1 to 10 do zz[i] = zz[i-1] + 1 end" in
-  let session = Analyzer.create_session () in
-  ignore (Analyzer.analyze_session session train);
-  let r = Analyzer.analyze_session session fresh in
-  Alcotest.(check int) "different array, same shape: all hits"
-    r.stats.memo_lookups_full r.stats.memo_hits_full
+  with_temp_file (fun path ->
+      let train = parse "for i = 1 to 10 do a[i] = a[i-1] + 1 end" in
+      let fresh = parse "for i = 1 to 10 do zz[i] = zz[i-1] + 1 end" in
+      ignore (compile path train);
+      let r, _ = compile path fresh in
+      Alcotest.(check int) "different array, same shape: all hits"
+        r.stats.memo_lookups_full r.stats.memo_hits_full)
 
+(* A file from another build or configuration is set aside, never read
+   as data: the run starts cold and answers under its own flags. *)
 let test_session_version_mismatch () =
   with_temp_file (fun path ->
-      let s1 = Analyzer.create_session () in
-      Analyzer.save_session s1 path;
-      (* Corrupt the version number (bytes 11-14 after the magic). *)
-      let ic = open_in_bin path in
-      let content = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let bytes = Bytes.of_string content in
-      Bytes.set bytes 14 '\xff';
-      let oc = open_out_bin path in
-      output_bytes oc bytes;
-      close_out oc;
-      Alcotest.(check bool) "version rejected" true
-        (try ignore (Analyzer.load_session path); false with Failure _ -> true))
+      (* The --no-pipeline repro: a table built with the prepass on
+         must not answer for a run with it off. *)
+      let src = "k = 10\nfor i = 1 to 10 do a[i + k] = a[i] + 1 end" in
+      let prog = parse src in
+      ignore (compile path prog);
+      let config =
+        { Analyzer.default_config with Analyzer.run_pipeline = false }
+      in
+      let r, recovery = compile ~config path prog in
+      Alcotest.(check bool) "config mismatch rejects the file" true
+        (recovery.reset <> None && Sys.file_exists (path ^ ".rejected"));
+      Alcotest.(check bool) "answers under the requested flags" true
+        (strip r = strip (Analyzer.analyze ~config prog));
+      (* A different memo format version changes the header
+         fingerprint (bytes 11-26) the same way. *)
+      Sys.remove (path ^ ".rejected");
+      let bytes = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+      Bytes.set bytes 14 (Char.chr (Char.code (Bytes.get bytes 14) lxor 0xff));
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes);
+      let r, recovery = compile ~config path prog in
+      Alcotest.(check bool) "fingerprint mismatch rejects the file" true
+        (recovery.reset <> None);
+      Alcotest.(check bool) "cold answer equals a fresh one" true
+        (strip r = strip (Analyzer.analyze ~config prog)))
 
 let test_within_nest_only () =
   (* Two separate nests touching the same array: skipped under the
@@ -258,11 +290,56 @@ let test_within_nest_only () =
 
 let test_session_bad_file () =
   with_temp_file (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "not a session at all";
-      close_out oc;
-      Alcotest.(check bool) "rejects garbage" true
-        (try ignore (Analyzer.load_session path); false with Failure _ -> true))
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc "not a memo file at all");
+      let prog = parse mirror_src in
+      let r, recovery = compile path prog in
+      Alcotest.(check bool) "garbage is set aside" true
+        (recovery.reset <> None && Sys.file_exists (path ^ ".rejected"));
+      Alcotest.(check bool) "clean answer" true
+        (strip r = strip (Analyzer.analyze prog)))
+
+(* Every single-bit flip of a saved memo file, at every byte offset,
+   reopens to the clean report: the header gate rejects the file, a
+   record's digest drops it and everything after it, and nothing
+   raises. *)
+let test_session_flipped_bytes () =
+  with_temp_file (fun path ->
+      let prog =
+        parse
+          "for i = 1 to 10 do\n  a[i + 1] = a[i] + 1\n  b[2 * i] = b[i] + 1\nend"
+      in
+      let pairs (r : Analyzer.report) =
+        List.map (fun p -> Json_out.to_string (Json_out.pair p)) r.pair_reports
+      in
+      let clean = pairs (Analyzer.analyze prog) in
+      ignore (compile path prog);
+      let saved = In_channel.with_open_bin path In_channel.input_all in
+      let level = Dda_obs.Log.level () in
+      Dda_obs.Log.set_level Dda_obs.Log.Quiet;
+      Fun.protect
+        ~finally:(fun () -> Dda_obs.Log.set_level level)
+        (fun () ->
+           for off = 0 to String.length saved - 1 do
+             List.iter
+               (fun mask ->
+                  let b = Bytes.of_string saved in
+                  Bytes.set b off (Char.chr (Char.code saved.[off] lxor mask));
+                  Out_channel.with_open_bin path (fun oc ->
+                      Out_channel.output_bytes oc b);
+                  let got =
+                    match compile path prog with
+                    | r, _ -> pairs r
+                    | exception e ->
+                      Alcotest.failf "offset %d mask %#x raised %s" off mask
+                        (Printexc.to_string e)
+                  in
+                  if got <> clean then
+                    Alcotest.failf "offset %d mask %#x: report differs" off mask;
+                  if Sys.file_exists (path ^ ".rejected") then
+                    Sys.remove (path ^ ".rejected"))
+               [ 0x01; 0x80 ]
+           done))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -295,5 +372,7 @@ let () =
           Alcotest.test_case "bad file" `Quick test_session_bad_file;
           Alcotest.test_case "version mismatch" `Quick test_session_version_mismatch;
           Alcotest.test_case "within-nest filtering" `Quick test_within_nest_only;
+          Alcotest.test_case "flipped bytes never change the report" `Quick
+            test_session_flipped_bytes;
         ] );
     ]

@@ -31,16 +31,11 @@ let configs =
 let loop_names sites = Affine.loop_table sites
 
 let classify config (k : Kernels.kernel) =
-  let prog = Dda_passes.Pipeline.run (Parser.parse_program k.source) in
-  let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prog in
-  let report =
-    Analyzer.analyze ~config:{ config with Analyzer.run_pipeline = false } prog
-  in
-  let names = loop_names sites in
+  let res = Dda_analysis.Lint.run ~config (Parser.parse_program k.source) in
   List.map
-    (fun (lid, parallel) ->
-       (Option.value (List.assoc_opt lid names) ~default:"?", parallel))
-    (Analyzer.parallel_loops report sites)
+    (fun (li : Dda_analysis.Summary.loop_info) ->
+       (li.var, li.verdict = Dda_analysis.Summary.Doall))
+    res.Dda_analysis.Lint.summary.Dda_analysis.Summary.loops
 
 let check_kernel config_name config (k : Kernels.kernel) () =
   let result = classify config k in
@@ -52,7 +47,7 @@ let check_kernel config_name config (k : Kernels.kernel) () =
            (Printf.sprintf "[%s] %s: loop %s parallel" config_name k.name v)
            true p
        | None -> Alcotest.failf "loop %s not found in %s" v k.name)
-    k.parallel_loops;
+    k.doall_loops;
   List.iter
     (fun v ->
        match List.assoc_opt v result with
@@ -65,7 +60,7 @@ let check_kernel config_name config (k : Kernels.kernel) () =
   Alcotest.(check int)
     (Printf.sprintf "[%s] %s: all loops accounted for" config_name k.name)
     (List.length result)
-    (List.length k.parallel_loops + List.length k.serial_loops)
+    (List.length k.doall_loops + List.length k.serial_loops)
 
 (* The linter's headline contract: its DOALL set is exactly the
    textbook parallel set, kernel by kernel. Reduction and vectorizable
@@ -87,7 +82,7 @@ let check_lint_doall config_name config (k : Kernels.kernel) () =
   Alcotest.(check (list string))
     (Printf.sprintf "[%s] %s: lint DOALL set = textbook parallel set"
        config_name k.name)
-    (List.sort String.compare k.parallel_loops)
+    (List.sort String.compare k.doall_loops)
     doall;
   (* Nothing on exact kernels is degraded, so no verdict leans on
      conservative evidence. *)
