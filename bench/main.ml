@@ -228,11 +228,15 @@ let table6 () =
              ignore (Semant.check prog);
              Dda_passes.Pipeline.run prog)
        in
+       (* Extraction is timed with the dependence tests, as it was
+          when [Analyzer.analyze] ran it. *)
        let report, t_analyze =
          time (fun () ->
-             Analyzer.analyze
-               ~config:{ Analyzer.default_config with Analyzer.run_pipeline = false }
-               prepared)
+             let config = Analyzer.default_config in
+             let sites =
+               Affine.extract ~symbolic:config.Analyzer.symbolic prepared
+             in
+             Analyzer.analyze_sites ~config (Analyzer.site_pairs config sites))
        in
        let pairs = report.Analyzer.stats.pairs in
        tot_a := !tot_a +. t_analyze;
@@ -259,8 +263,7 @@ let all_problem_pairs config =
        let prepared = Dda_passes.Pipeline.run prog in
        let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
        let report =
-         Analyzer.analyze ~config:{ config with Analyzer.run_pipeline = false }
-           prepared
+         Analyzer.analyze_sites ~config (Analyzer.site_pairs config sites)
        in
        let by_locs = Hashtbl.create 64 in
        List.iter
@@ -617,10 +620,13 @@ let batch_corpus_8x () =
 let batch_fingerprint (r : Dda_engine.Batch.result) =
   String.concat "\n"
     (List.map
-       (fun (a : Dda_engine.Batch.analyzed) ->
-          a.name ^ " " ^ Dda_core.Json_out.to_string (Dda_core.Json_out.report a.report))
-       r.Dda_engine.Batch.items)
-  ^ Dda_core.Json_out.to_string (Dda_core.Json_out.stats r.Dda_engine.Batch.merged)
+       (function
+         | Dda_engine.Stream.Analyzed a ->
+           a.name ^ " " ^ Dda_core.Json_out.to_string (Dda_core.Json_out.report a.report)
+         | Dda_engine.Stream.Quarantined q -> q.name ^ " quarantined")
+       r.Dda_engine.Batch.outcomes)
+  ^ Dda_core.Json_out.to_string
+      (Dda_core.Json_out.stats r.Dda_engine.Batch.summary.Dda_engine.Stream.merged)
 
 let batch_parallel () =
   section
@@ -662,14 +668,16 @@ let jobs_scaling_result : (int * (int * float * float) list * bool) option ref =
 let verdict_fingerprint (r : Dda_engine.Batch.result) =
   String.concat "\n"
     (List.map
-       (fun (a : Dda_engine.Batch.analyzed) ->
-          a.name
-          ^ " "
-          ^ String.concat ";"
-              (List.map
-                 (fun p -> Dda_core.Json_out.to_string (Dda_core.Json_out.pair p))
-                 a.report.Dda_core.Analyzer.pair_reports))
-       r.Dda_engine.Batch.items)
+       (function
+         | Dda_engine.Stream.Analyzed a ->
+           a.name
+           ^ " "
+           ^ String.concat ";"
+               (List.map
+                  (fun p -> Dda_core.Json_out.to_string (Dda_core.Json_out.pair p))
+                  a.report.Dda_core.Analyzer.pair_reports)
+         | Dda_engine.Stream.Quarantined q -> q.name ^ " quarantined")
+       r.Dda_engine.Batch.outcomes)
 
 (* The live-sharing claim, measured: at [--jobs n] the sharded tables
    turn any cross-item repeat into a hit the moment one domain has
@@ -1067,7 +1075,7 @@ let admin_overhead () =
   admin_overhead_result := Some (per_call_ns, overhead_pct)
 
 (* Corpus-wide memo hit rates, via the batch engine's shared memo tables
-   (jobs=1 keeps the counters independent of chunking). *)
+   (jobs=1 keeps the hit counters independent of scheduling). *)
 let memo_hit_rates () =
   let corpus =
     List.map

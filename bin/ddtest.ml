@@ -303,18 +303,30 @@ let with_memo_file path config f =
   Dda_cache.Durable.close c;
   r
 
+(* The optimizer prepass (when the configuration asks for it), affine
+   extraction and pair enumeration: what [Analyzer.analyze] composes,
+   for commands that also need the sites or the pairs. *)
+let front_end config prog =
+  let prepared =
+    if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run prog else prog
+  in
+  let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
+  (sites, Analyzer.site_pairs config sites)
+
 let analyze_cmd =
   let run () file config stats memo_file format verify =
-    let prog = load file in
+    let _, pairs = front_end config (load file) in
     let report =
       match memo_file with
-      | None -> Analyzer.analyze ~config prog
+      | None -> Analyzer.analyze_sites ~config pairs
       | Some path ->
         with_memo_file path config (fun cache ->
-            Analyzer.analyze ~config ~cache prog)
+            Analyzer.analyze_sites ~config ~cache pairs)
     in
+    (* The report printed is the report checked, memo file or not. *)
     let verification =
-      if verify then Some (Dda_check.Verify.run ~config prog) else None
+      if verify then Some (Dda_check.Verify.verify_report ~config pairs report)
+      else None
     in
     (match format with
      | `Text ->
@@ -382,18 +394,19 @@ let analyze_cmd =
 (* ------------------------------------------------------------------ *)
 
 let batch_cmd =
+  let open Dda_engine in
   (* The output deliberately never mentions the job count: in the
      default (independent) mode it is byte-identical whatever --jobs
      is, and the determinism tests compare runs across job counts.
 
-     The streaming path renders each item's block to a string with the
-     same format strings as the in-memory path below, so the two modes
-     are byte-identical on stdout (modulo the in-memory JSON layout:
-     streaming JSON is one compact JSONL object per program). The
-     rendered chunk is also what the journal stores, which is what
-     makes a resumed run byte-identical to an uninterrupted one. *)
+     Both modes render each item and the corpus summary with the
+     functions below, so they are byte-identical on stdout, except for
+     the in-memory JSON layout: one indented document, where streaming
+     JSON is one compact JSONL object per program. The streamed chunk
+     is also what the journal stores, which is what makes a resumed run
+     byte-identical to an uninterrupted one. *)
   let render_text = function
-    | Dda_engine.Stream.Analyzed a ->
+    | Stream.Analyzed a ->
       let buf = Buffer.create 256 in
       let fmt = Format.formatter_of_buffer buf in
       Format.fprintf fmt "== %s ==@." a.name;
@@ -413,39 +426,56 @@ let batch_cmd =
         a.lint;
       Format.pp_print_flush fmt ();
       Buffer.contents buf
-    | Dda_engine.Stream.Quarantined q ->
+    | Stream.Quarantined q ->
       Format.asprintf "== %s ==@.QUARANTINED after %d attempt%s: %s@." q.name
         q.attempts
         (if q.attempts = 1 then "" else "s")
         q.error
   in
-  let render_json = function
-    | Dda_engine.Stream.Analyzed a ->
-      Json_out.to_string
-        (Json_out.Obj
-           ([
-              ("file", Json_out.Str a.name);
-              ("report", Json_out.report a.report);
-            ]
-           @ (match a.verification with
-              | Some s ->
-                [ ("verification", Dda_check.Verify.to_json ~file:a.name s) ]
-              | None -> [])
-           @
-           match a.lint with
-           | Some l -> [ ("lint", Dda_analysis.Lint.to_json ~file:a.name l) ]
-           | None -> []))
-      ^ "\n"
-    | Dda_engine.Stream.Quarantined q ->
-      Json_out.to_string
-        (Json_out.Obj
-           [
-             ("file", Json_out.Str q.name);
-             ("quarantined", Json_out.Bool true);
-             ("attempts", Json_out.Int q.attempts);
-             ("error", Json_out.Str q.error);
-           ])
-      ^ "\n"
+  let item_json = function
+    | Stream.Analyzed a ->
+      Json_out.Obj
+        ([ ("file", Json_out.Str a.name); ("report", Json_out.report a.report) ]
+        @ (match a.verification with
+           | Some s ->
+             [ ("verification", Dda_check.Verify.to_json ~file:a.name s) ]
+           | None -> [])
+        @
+        match a.lint with
+        | Some l -> [ ("lint", Dda_analysis.Lint.to_json ~file:a.name l) ]
+        | None -> [])
+    | Stream.Quarantined q ->
+      Json_out.Obj
+        [
+          ("file", Json_out.Str q.name);
+          ("quarantined", Json_out.Bool true);
+          ("attempts", Json_out.Int q.attempts);
+          ("error", Json_out.Str q.error);
+        ]
+  in
+  let render_json o = Json_out.to_string (item_json o) ^ "\n" in
+  let summary_text (s : Stream.summary) =
+    Format.asprintf "@.== corpus: %d programs ==@." s.total
+    ^ (if s.retried > 0 || s.quarantined > 0 then
+         Format.asprintf "engine: %d retried, %d quarantined@." s.retried
+           s.quarantined
+       else "")
+    ^ Format.asprintf "%a" pp_stats s.merged
+  in
+  let engine_json (s : Stream.summary) =
+    if s.retried = 0 && s.quarantined = 0 then []
+    else
+      [
+        ( "engine",
+          Json_out.Obj
+            [
+              ("retried", Json_out.Int s.retried);
+              ("quarantined", Json_out.Int s.quarantined);
+            ] );
+      ]
+  in
+  let exit_status (s : Stream.summary) =
+    if s.quarantined > 0 then exit 3 else if s.verify_errors > 0 then exit 2
   in
   let run_stream ~files ~jobs ~share_memo ~verify ~lint ~retries ~backoff_ms
       ~item_timeout_ms ~config ~format ~journal ~resume ~fuzz ~fuzz_seed
@@ -454,23 +484,23 @@ let batch_cmd =
       (if files = [] then []
        else
          [
-           Dda_engine.Stream.concat
+           Stream.concat
              (List.map
                 (fun f ->
                   if Sys.file_exists f && Sys.is_directory f then
-                    Dda_engine.Stream.of_dir f
-                  else Dda_engine.Stream.of_files [ f ])
+                    Stream.of_dir f
+                  else Stream.of_files [ f ])
                 files);
          ])
-      @ (if perfect then [ Dda_engine.Stream.of_perfect ~amplify () ] else [])
+      @ (if perfect then [ Stream.of_perfect ~amplify () ] else [])
       @
       if fuzz > 0 then
-        [ Dda_engine.Stream.of_fuzz ~profile:fuzz_profile ~seed:fuzz_seed fuzz ]
+        [ Stream.of_fuzz ~profile:fuzz_profile ~seed:fuzz_seed fuzz ]
       else []
     in
     if sources = [] then
       failwith "batch: no corpus (give FILES, --perfect or --fuzz N)";
-    let source = Dda_engine.Stream.concat sources in
+    let source = Stream.concat sources in
     let render =
       match format with `Text -> render_text | `Json -> render_json
     in
@@ -496,36 +526,23 @@ let batch_cmd =
     in
     let summary =
       Fun.protect ~finally:restore_signals (fun () ->
-          Dda_engine.Stream.run ~config ~share_memo ~verify ~lint ~retries
+          Stream.run ~config ~share_memo ~verify ~lint ~retries
             ~backoff_ms ?item_timeout_ms ?journal ~resume
             ~stop:(fun () -> Atomic.get stop_flag)
             ~jobs ~render ~emit source)
     in
-    if summary.Dda_engine.Stream.interrupted then begin
+    if summary.interrupted then begin
       (* No summary block: the run is incomplete by design. Everything
          emitted so far is already on stdout and in the journal. *)
       Dda_obs.Log.warn
         "stream: interrupted after %d item(s); journal %s is flushed — \
          resume with --resume"
-        summary.Dda_engine.Stream.total
+        summary.total
         (Option.value ~default:"-" journal);
       exit 130
     end;
     (match format with
-     | `Text ->
-       print_string
-         (Format.asprintf "@.== corpus: %d programs ==@."
-            summary.Dda_engine.Stream.total);
-       if
-         summary.Dda_engine.Stream.retried > 0
-         || summary.Dda_engine.Stream.quarantined > 0
-       then
-         print_string
-           (Format.asprintf "engine: %d retried, %d quarantined@."
-              summary.Dda_engine.Stream.retried
-              summary.Dda_engine.Stream.quarantined);
-       print_string
-         (Format.asprintf "%a" pp_stats summary.Dda_engine.Stream.merged)
+     | `Text -> print_string (summary_text summary)
      | `Json ->
        (* No metrics registry here: replayed items do not re-run, so
           registry counters are not resume-invariant — and the summary
@@ -534,37 +551,18 @@ let batch_cmd =
          (Json_out.to_string
             (Json_out.Obj
                ([
-                  ("corpus", Json_out.Int summary.Dda_engine.Stream.total);
-                  ( "merged_stats",
-                    Json_out.stats summary.Dda_engine.Stream.merged );
+                  ("corpus", Json_out.Int summary.total);
+                  ("merged_stats", Json_out.stats summary.merged);
                 ]
-               @
-               if
-                 summary.Dda_engine.Stream.retried = 0
-                 && summary.Dda_engine.Stream.quarantined = 0
-               then []
-               else
-                 [
-                   ( "engine",
-                     Json_out.Obj
-                       [
-                         ( "retried",
-                           Json_out.Int summary.Dda_engine.Stream.retried );
-                         ( "quarantined",
-                           Json_out.Int summary.Dda_engine.Stream.quarantined
-                         );
-                       ] );
-                 ]))
+               @ engine_json summary))
          ^ "\n"));
     flush stdout;
     (* The scale CI job greps this line to watch peak memory. *)
     Dda_obs.Log.info
       "stream: %d items (%d replayed), %d retried, %d quarantined, peak rss %d kB"
-      summary.Dda_engine.Stream.total summary.Dda_engine.Stream.replayed
-      summary.Dda_engine.Stream.retried summary.Dda_engine.Stream.quarantined
+      summary.total summary.replayed summary.retried summary.quarantined
       (Option.value ~default:0 (Dda_obs.Rusage.peak_rss_kb ()));
-    if summary.Dda_engine.Stream.quarantined > 0 then exit 3
-    else if summary.Dda_engine.Stream.verify_errors > 0 then exit 2
+    exit_status summary
   in
   let run () files jobs share_memo verify lint retries backoff_ms
       item_timeout_ms config format stream journal resume fuzz fuzz_seed
@@ -579,56 +577,17 @@ let batch_cmd =
     end
     else begin
     if files = [] then failwith "batch: no input files";
-    let items =
-      List.map (fun f -> { Dda_engine.Batch.name = f; program = load f }) files
-    in
+    (* Every file is parsed before any is analyzed: a malformed one
+       stops the run with its located error. *)
+    let items = List.map (fun f -> { Batch.name = f; program = load f }) files in
     let result =
-      Dda_engine.Batch.run ~config ~share_memo ~verify ~lint
-        ~retries ~backoff_ms ?item_timeout_ms ~jobs items
+      Batch.run ~config ~share_memo ~verify ~lint ~retries ~backoff_ms
+        ?item_timeout_ms ~jobs items
     in
-    (* Successes and quarantined items interleaved back in input order. *)
-    let entries =
-      let index = function
-        | `Ok (a : Dda_engine.Batch.analyzed) -> a.Dda_engine.Batch.index
-        | `Q (q : Dda_engine.Batch.quarantined) -> q.Dda_engine.Batch.q_index
-      in
-      List.merge
-        (fun a b -> compare (index a) (index b))
-        (List.map (fun a -> `Ok a) result.Dda_engine.Batch.items)
-        (List.map (fun q -> `Q q) result.Dda_engine.Batch.quarantined)
-    in
-    let nquarantined = List.length result.Dda_engine.Batch.quarantined in
     (match format with
      | `Text ->
-       List.iter
-         (function
-           | `Ok (a : Dda_engine.Batch.analyzed) ->
-             Format.printf "== %s ==@." a.name;
-             List.iter
-               (fun (r : Analyzer.pair_report) ->
-                  Format.printf "%s[%s]  %a x %a:  %a@." r.array_name
-                    (if r.self_pair then "self" else "pair")
-                    Loc.pp r.loc1 Loc.pp r.loc2 pp_outcome r)
-               a.report.Analyzer.pair_reports;
-             Option.iter
-               (fun s ->
-                  Format.printf "%a" (Dda_check.Verify.pp_text ~file:a.name) s)
-               a.verification;
-             Option.iter
-               (fun l ->
-                  Format.printf "%s" (Dda_analysis.Lint.to_text ~file:a.name l))
-               a.lint
-           | `Q (q : Dda_engine.Batch.quarantined) ->
-             Format.printf "== %s ==@." q.q_name;
-             Format.printf "QUARANTINED after %d attempt%s: %s@." q.q_attempts
-               (if q.q_attempts = 1 then "" else "s")
-               q.q_error)
-         entries;
-       Format.printf "@.== corpus: %d programs ==@." (List.length files);
-       if result.Dda_engine.Batch.retried > 0 || nquarantined > 0 then
-         Format.printf "engine: %d retried, %d quarantined@."
-           result.Dda_engine.Batch.retried nquarantined;
-       print_stats result.Dda_engine.Batch.merged;
+       List.iter (fun o -> print_string (render_text o)) result.outcomes;
+       print_string (summary_text result.summary);
        Option.iter
          (fun (gcd, full) ->
             let line name (st : Memo_table.stats) =
@@ -643,40 +602,15 @@ let batch_cmd =
             in
             line "gcd" gcd;
             line "full" full)
-         result.Dda_engine.Batch.table_stats
+         result.table_stats
      | `Json ->
-       let programs =
-         List.map
-           (function
-             | `Ok (a : Dda_engine.Batch.analyzed) ->
-               Json_out.Obj
-                 ([ ("file", Json_out.Str a.name); ("report", Json_out.report a.report) ]
-                  @ (match a.verification with
-                     | Some s ->
-                       [ ("verification", Dda_check.Verify.to_json ~file:a.name s) ]
-                     | None -> [])
-                  @
-                  match a.lint with
-                  | Some l ->
-                    [ ("lint", Dda_analysis.Lint.to_json ~file:a.name l) ]
-                  | None -> [])
-             | `Q (q : Dda_engine.Batch.quarantined) ->
-               Json_out.Obj
-                 [
-                   ("file", Json_out.Str q.q_name);
-                   ("quarantined", Json_out.Bool true);
-                   ("attempts", Json_out.Int q.q_attempts);
-                   ("error", Json_out.Str q.q_error);
-                 ])
-           entries
-       in
        Format.printf "%a@." Json_out.pp
          (Json_out.Obj
             ([
-              ("programs", Json_out.List programs);
-              ("merged_stats", Json_out.stats result.Dda_engine.Batch.merged);
+              ("programs", Json_out.List (List.map item_json result.outcomes));
+              ("merged_stats", Json_out.stats result.summary.merged);
             ]
-            @ (match result.Dda_engine.Batch.table_stats with
+            @ (match result.table_stats with
                | None -> []
                | Some (gcd, full) ->
                  let table (st : Memo_table.stats) =
@@ -696,30 +630,8 @@ let batch_cmd =
                function of the per-item work), so embedding them keeps
                the JSON byte-identical across --jobs values. *)
             @ [ ("metrics", Json_out.metrics (Dda_obs.Metrics.snapshot ())) ]
-            @
-            if result.Dda_engine.Batch.retried = 0 && nquarantined = 0 then []
-            else
-              [
-                ( "engine",
-                  Json_out.Obj
-                    [
-                      ("retried", Json_out.Int result.Dda_engine.Batch.retried);
-                      ("quarantined", Json_out.Int nquarantined);
-                    ] );
-              ])));
-    if nquarantined > 0 then exit 3
-    else if
-      List.exists
-        (fun (a : Dda_engine.Batch.analyzed) ->
-           (match a.verification with
-            | Some s -> s.Dda_check.Verify.errors > 0
-            | None -> false)
-           ||
-           match a.lint with
-           | Some l -> l.Dda_analysis.Lint.errors > 0
-           | None -> false)
-        result.Dda_engine.Batch.items
-    then exit 2
+            @ engine_json result.summary)));
+    exit_status result.summary
     end
   in
   let files_arg =
@@ -1113,13 +1025,8 @@ let transform_cmd =
            | _ -> Analyzer.Memo_simple);
       }
     in
-    let prepared =
-      if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run prog else prog
-    in
-    let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-    let report =
-      Analyzer.analyze ~config:{ config with Analyzer.run_pipeline = false } prepared
-    in
+    let sites, pairs = front_end config prog in
+    let report = Analyzer.analyze_sites ~config pairs in
     let table = Affine.loop_table sites in
     let loops = List.map fst table in
     let name lid = Option.value (List.assoc_opt lid table) ~default:"?" in
@@ -1263,10 +1170,42 @@ let check_trace prog =
       run_pipeline = false;
     }
   in
-  let report = Analyzer.analyze ~config prog in
+  let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prog in
+  let pairs = Analyzer.site_pairs config sites in
+  let report = Analyzer.analyze_sites ~config pairs in
+  (* Statements in an [if] branch run only where the guard holds. *)
+  let guarded = Hashtbl.create 16 in
+  Ast.iter_stmts
+    (fun s ->
+       match s.Ast.sdesc with
+       | Ast.If (_, then_, else_) ->
+         Ast.iter_stmts (fun s -> Hashtbl.replace guarded s.Ast.sloc ()) (then_ @ else_)
+       | Ast.Assign _ | Ast.For _ | Ast.Read _ -> ())
+    prog;
+  (* An exact "dependent" is existential: some values of the symbolic
+     terms, some iterations an [if] leaves out, make the references
+     meet. One run fixes both, so it can refute the claim only for a
+     reference whose subscripts and bounds are loop variables and
+     constants, outside every [if]. *)
+  let fixed (s : Affine.site) =
+    let fixed_expr = function
+      | None -> false
+      | Some e ->
+        not
+          (Symexpr.exists_var
+             (fun v ->
+                not (List.exists (fun (c : Affine.loop_ctx) -> c.lvar = v) s.loops))
+             e)
+    in
+    (not (Hashtbl.mem guarded s.stmt_loc))
+    && List.for_all fixed_expr s.subscripts
+    && List.for_all (fun (c : Affine.loop_ctx) -> fixed_expr c.lb && fixed_expr c.ub)
+         s.loops
+  in
   let failures = ref 0 in
-  List.iter
-    (fun (r : Analyzer.pair_report) ->
+  let unexercised = ref 0 in
+  List.iter2
+    (fun (s1, s2) (r : Analyzer.pair_report) ->
        let obs =
          try Trace.observe ~fuel:5_000_000 prog ~site1:r.loc1 ~site2:r.loc2
          with Interp.Runtime_error (msg, loc) ->
@@ -1280,7 +1219,9 @@ let check_trace prog =
          | Analyzer.Assumed_dependent -> (true, false)
          | Analyzer.Tested t -> (t.dependent, not t.unknown)
        in
-       let ok = if claim_exact then claim_dep = obs.dependent else claim_dep || not obs.dependent in
+       let refutable = claim_exact && ((not claim_dep) || (fixed s1 && fixed s2)) in
+       let ok = if refutable then claim_dep = obs.dependent else claim_dep || not obs.dependent in
+       if claim_exact && (not refutable) && not obs.dependent then incr unexercised;
        if not ok then begin
          incr failures;
          Format.printf "MISMATCH %s %a x %a: analysis says %s, execution shows %s@."
@@ -1288,10 +1229,16 @@ let check_trace prog =
            (if claim_dep then "dependent" else "independent")
            (if obs.dependent then "dependent" else "independent")
        end)
-    report.pair_reports;
+    pairs report.pair_reports;
   if !failures = 0 then
-    Format.printf "OK: all %d pairs agree with the execution trace@."
+    Format.printf "OK: all %d pairs agree with the execution trace%s@."
       (List.length report.pair_reports)
+      (if !unexercised = 0 then ""
+       else
+         Printf.sprintf
+           " (%d dependent claim%s on inputs or guards this run did not exercise)"
+           !unexercised
+           (if !unexercised = 1 then "" else "s"))
   else begin
     Format.printf "%d mismatches@." !failures;
     exit 2

@@ -129,9 +129,8 @@ type summary = {
   merged : Analyzer.stats;
 }
 
-(* Same counter names as the in-memory engine: items, retries and
-   quarantines are per-corpus-item events either way, so the two
-   drivers are indistinguishable to the metrics registry. *)
+(* Items, retries and quarantines are per-corpus-item events, so the
+   counters come out the same whatever the worker count. *)
 let m_items = Dda_obs.Metrics.counter "batch.items"
 let m_retries = Dda_obs.Metrics.counter "batch.retries"
 let m_quarantined = Dda_obs.Metrics.counter "batch.quarantined"
@@ -162,37 +161,25 @@ let parse name text =
 
 let md5_hex s = Digest.to_hex (Digest.string s)
 
-(* One item, with the in-memory engine's fault isolation — except that
-   a parse or lexical error quarantines immediately: the input is
-   static, retrying cannot change the answer. Returns the source-text
-   digest alongside the outcome ("" when the text was never obtained),
-   which becomes the journal's corpus key. *)
+(* What a worker gets for one item: source text, which it lexes,
+   parses and digests (the digest is the journal's corpus key), or a
+   program the caller already parsed, which has no text and no key. *)
+type input =
+  | Text of (unit -> string)
+  | Program of Ast.program
+
+(* One item, with fault isolation: an exception (a worker bug, an
+   injected failure, a blown budget escaping some future stage) is
+   retried with jittered exponential backoff ({!Retry}), then the item
+   is quarantined — except that a parse or lexical error quarantines
+   immediately: the input is static, retrying cannot change the answer.
+   The watchdog deadline is cooperative — the budget polls [cancel] and
+   degrades the verdict — so a stuck item comes back conservative
+   rather than killed. Returns the source-text digest alongside the
+   outcome ("" when there is no text, or it was never obtained). *)
 let process ~config ~cache ~verify ~lint ~retries ~backoff_ms ~item_timeout_ms
-    ~idx it =
+    ~idx ~name input =
   Dda_obs.Metrics.incr m_items;
-  let verification cancel program report =
-    if not verify then None
-    else begin
-      let prepared =
-        if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run program
-        else program
-      in
-      let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-      let pairs = Analyzer.site_pairs config sites in
-      Some (Dda_check.Verify.verify_report ~cancel ~config pairs report)
-    end
-  in
-  let lint_summary cancel program report =
-    if not lint then None
-    else begin
-      let prepared =
-        if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run program
-        else program
-      in
-      let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-      Some (Dda_analysis.Lint.of_report ~config ~cancel ~prepared ~sites report)
-    end
-  in
   let item_cancel () =
     match item_timeout_ms with
     | None -> fun () -> false
@@ -207,53 +194,63 @@ let process ~config ~cache ~verify ~lint ~retries ~backoff_ms ~item_timeout_ms
         ~args:(fun _ -> [ ("index", idx); ("attempt", attempt) ])
         (fun () ->
           Failpoint.hit "batch.item";
-          let text = it.text () in
-          key := md5_hex text;
-          let program = parse it.name text in
-          let cancel = item_cancel () in
-          let report =
-            match cache with
-            | Some c ->
-              (* Live-shared memo tables: each item wraps the shared
-                 backend with its own counters so its reported lookup
-                 totals stay a pure function of the item. *)
-              Analyzer.analyze ~config ~cancel
-                ~cache:(Analyzer.counted_cache c) program
-            | None -> Analyzer.analyze ~config ~cancel program
+          let program =
+            match input with
+            | Program p -> p
+            | Text text ->
+              let text = text () in
+              key := md5_hex text;
+              parse name text
           in
-          ( report,
-            verification cancel program report,
-            lint_summary cancel program report ))
+          let cancel = item_cancel () in
+          (* One front end per item: the report, its verification and
+             its lint summary all read the same prepared program, sites
+             and pairs — what [Analyzer.analyze] composes internally. *)
+          let prepared =
+            if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run program
+            else program
+          in
+          let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
+          let pairs = Analyzer.site_pairs config sites in
+          (* Live-shared memo tables: each item wraps the shared backend
+             with its own counters so its reported lookup totals stay a
+             pure function of the item. *)
+          let cache = Option.map Analyzer.counted_cache cache in
+          let report = Analyzer.analyze_sites ~config ~cancel ?cache pairs in
+          let verification =
+            if verify then
+              Some (Dda_check.Verify.verify_report ~cancel ~config pairs report)
+            else None
+          in
+          let lint_summary =
+            if lint then
+              Some
+                (Dda_analysis.Lint.of_report ~config ~cancel ~prepared ~sites
+                   report)
+            else None
+          in
+          (report, verification, lint_summary))
     with
-    | report, ver, lnt ->
-      ( !key,
-        Analyzed
-          {
-            name = it.name;
-            report;
-            verification = ver;
-            lint = lnt;
-            attempts = attempt;
-          } )
+    | report, verification, lint ->
+      (!key, Analyzed { name; report; verification; lint; attempts = attempt })
     | exception Parse_error msg ->
       Dda_obs.Metrics.incr m_quarantined;
-      Dda_obs.Log.info "stream: quarantining %s (malformed): %s" it.name msg;
-      (!key, Quarantined { name = it.name; attempts = attempt; error = msg })
+      Dda_obs.Log.info "stream: quarantining %s (malformed): %s" name msg;
+      (!key, Quarantined { name; attempts = attempt; error = msg })
     | exception e ->
       if attempt <= retries then begin
         Dda_obs.Metrics.incr m_retries;
-        Dda_obs.Log.info "stream: retrying %s (attempt %d of %d): %s" it.name
+        Dda_obs.Log.info "stream: retrying %s (attempt %d of %d): %s" name
           (attempt + 1) (retries + 1) (Printexc.to_string e);
         Retry.sleep ~base_ms:backoff_ms ~index:idx ~attempt;
         go (attempt + 1)
       end
       else begin
         Dda_obs.Metrics.incr m_quarantined;
-        Dda_obs.Log.info "stream: quarantining %s after %d attempts: %s"
-          it.name attempt (Printexc.to_string e);
+        Dda_obs.Log.info "stream: quarantining %s after %d attempts: %s" name
+          attempt (Printexc.to_string e);
         ( !key,
-          Quarantined
-            { name = it.name; attempts = attempt; error = Printexc.to_string e }
+          Quarantined { name; attempts = attempt; error = Printexc.to_string e }
         )
       end
   in
@@ -483,22 +480,19 @@ let journal_records path = (validate_journal path).jrecords
 (* The driver                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(config = Analyzer.default_config) ?(share_memo = false)
-    ?(verify = false) ?(lint = false) ?(retries = 1) ?(backoff_ms = 50)
-    ?item_timeout_ms ?journal ?(resume = false) ?(stop = fun () -> false) ~jobs
-    ~render ~emit source =
+(* The one driver: [next] pulls the next item's name and input. Only
+   {!run} passes a journal, and its items are all [Text]. *)
+let drive ?(config = Analyzer.default_config) ?cache ?(verify = false)
+    ?(lint = false) ?(retries = 1) ?(backoff_ms = 50) ?item_timeout_ms
+    ?journal ?(resume = false) ?(stop = fun () -> false) ~jobs ~render ~emit
+    next =
   if jobs < 1 then invalid_arg "Stream.run: jobs must be >= 1";
   if retries < 0 then invalid_arg "Stream.run: retries must be >= 0";
   if backoff_ms < 0 then invalid_arg "Stream.run: backoff_ms must be >= 0";
   if resume && journal = None then
     invalid_arg "Stream.run: resume requires a journal";
-  let cfg_digest = config_digest ~lint ~share_memo config ~verify in
-  (* The live-shared tables are bounded by the corpus's distinct
-     problems, not its length: the one piece of state that deliberately
-     outlives the sliding window. *)
-  let cache =
-    if share_memo then Some (Analyzer.shared_cache (Analyzer.create_shared ()))
-    else None
+  let cfg_digest =
+    config_digest ~lint ~share_memo:(Option.is_some cache) config ~verify
   in
   let nreplay =
     match journal with
@@ -535,33 +529,35 @@ let run ?(config = Analyzer.default_config) ?(share_memo = false)
         ignore (input_line ic);
         for index = 0 to nreplay - 1 do
           let r = parse_record path ~index (input_line ic) in
-          let it =
-            match source () with
-            | Some it -> it
+          let name, input =
+            match next () with
+            | Some item -> item
             | None ->
               jfail path
                 (Printf.sprintf
                    "has %d records but the corpus ends at item %d" nreplay
                    index)
           in
-          if not (String.equal r.j_name it.name) then
+          if not (String.equal r.j_name name) then
             jfail path
               (Printf.sprintf
                  "record %d is for %S but the corpus has %S here" index
-                 r.j_name it.name);
-          if r.j_key <> "" then begin
-            match it.text () with
-            | text ->
-              if not (String.equal (md5_hex text) r.j_key) then
-                jfail path
-                  (Printf.sprintf
-                     "record %d: %S has changed since the journal was written"
-                     index it.name)
-            | exception _ ->
-              (* The item failed to read back; the journaled verdict
-                 (likely a quarantine) still stands. *)
-              ()
-          end;
+                 r.j_name name);
+          (match input with
+           | Text text when r.j_key <> "" -> (
+             match text () with
+             | text ->
+               if not (String.equal (md5_hex text) r.j_key) then
+                 jfail path
+                   (Printf.sprintf
+                      "record %d: %S has changed since the journal was \
+                       written"
+                      index name)
+             | exception _ ->
+               (* The item failed to read back; the journaled verdict
+                  (likely a quarantine) still stands. *)
+               ())
+           | Text _ | Program _ -> ());
           incr total;
           Dda_obs.Metrics.incr m_replayed;
           (match r.j_stats with
@@ -624,17 +620,17 @@ let run ?(config = Analyzer.default_config) ?(share_memo = false)
             do
               if stop () then interrupted := true
               else
-                match source () with
+                match next () with
                 | None -> exhausted := true
-                | Some it ->
+                | Some (name, input) ->
                 let idx = !next_idx in
                 incr next_idx;
                 Queue.add
                   ( idx,
-                    it.name,
+                    name,
                     Pool.submit pool (fun () ->
                         process ~config ~cache ~verify ~lint ~retries
-                          ~backoff_ms ~item_timeout_ms ~idx it) )
+                          ~backoff_ms ~item_timeout_ms ~idx ~name input) )
                   pending
             done
           in
@@ -682,3 +678,39 @@ let run ?(config = Analyzer.default_config) ?(share_memo = false)
     interrupted = !interrupted;
     merged;
   }
+
+let run ?config ?(share_memo = false) ?verify ?lint ?retries ?backoff_ms
+    ?item_timeout_ms ?journal ?resume ?stop ~jobs ~render ~emit source =
+  (* The live-shared tables are bounded by the corpus's distinct
+     problems, not its length: the one piece of state that deliberately
+     outlives the sliding window. *)
+  let cache =
+    if share_memo then Some (Analyzer.shared_cache (Analyzer.create_shared ()))
+    else None
+  in
+  drive ?config ?cache ?verify ?lint ?retries ?backoff_ms ?item_timeout_ms
+    ?journal ?resume ?stop ~jobs ~render ~emit (fun () ->
+      Option.map (fun it -> (it.name, Text it.text)) (source ()))
+
+let run_programs ?config ?shared ?verify ?lint ?retries ?backoff_ms
+    ?item_timeout_ms ~jobs programs =
+  let rest = ref programs in
+  let outcomes = ref [] in
+  (* Nothing is journaled or emitted: the outcomes themselves are the
+     result. *)
+  let summary =
+    drive ?config
+      ?cache:(Option.map Analyzer.shared_cache shared)
+      ?verify ?lint ?retries ?backoff_ms ?item_timeout_ms ~jobs
+      ~render:(fun o ->
+        outcomes := o :: !outcomes;
+        "")
+      ~emit:ignore
+      (fun () ->
+        match !rest with
+        | [] -> None
+        | (name, program) :: tl ->
+          rest := tl;
+          Some (name, Program program))
+  in
+  (List.rev !outcomes, summary)

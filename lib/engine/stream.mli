@@ -1,22 +1,27 @@
-(** The streaming batch driver: bounded-memory analysis of corpora too
-    large (or too synthetic) to hold in memory, with a write-ahead
-    journal for crash/resume.
+(** The batch driver: bounded-memory analysis of a corpus on a
+    {!Pool} of domains, with a write-ahead journal for crash/resume.
 
-    Where {!Batch} materializes the whole corpus up front, a stream
-    {e pulls} items one at a time from a {!source} — files, whole
+    A run {e pulls} items one at a time from a {!source} — files, whole
     directories, amplified {!Dda_perfect.Programs} suites, or the
     {!Dda_perfect.Fuzz} generator — lexes and parses each on a worker
     domain, and emits its rendered result as soon as every earlier
     item's result has been emitted. At most [2 * jobs] items are in
     flight, so peak memory is a function of [jobs] and the largest
-    single item, never of corpus length.
+    single item, never of corpus length. {!run_programs} drives the
+    same machinery over programs the caller already parsed and
+    collects their outcomes; {!Batch} is built on it.
+
+    {b One front end per item.} Each item is prepared
+    ({!Dda_passes.Pipeline.run}, when the configuration asks for it),
+    extracted ({!Affine.extract}) and paired ({!Analyzer.site_pairs})
+    once; the report, its verification and its lint summary all read
+    those same values.
 
     {b Determinism.} By default items are analyzed independently,
     results are emitted in input order, and the per-item counters are
     per-corpus-item events, so output and metrics are byte-identical
-    whatever [jobs] is, exactly as in {!Batch}'s default mode. With
-    [share_memo] every worker queries one live-shared lock-striped
-    table pair ({!Analyzer.shared}) for the whole run: verdicts and
+    whatever [jobs] is. With [share_memo] every worker queries one
+    live-shared lock-striped table pair ({!Analyzer.shared}) for the whole run: verdicts and
     direction vectors are unchanged at any [jobs], but per-item
     memo-{e hit} counts (and so the JSON renderings and the summary's
     hit totals) depend on cross-domain timing at [jobs > 1], and a
@@ -47,12 +52,15 @@
     with [Failure], never silently repaired: mid-file damage means the
     file is not the journal this corpus wrote.
 
-    {b Fault isolation} matches {!Batch}: a failing item is retried
-    with exponential backoff and then quarantined while the stream
-    keeps going. Parse and lexical errors quarantine immediately (the
-    input is static; retrying cannot help) — unlike the in-memory
-    driver's front end, a malformed corpus item does not abort the
-    run. *)
+    {b Fault isolation.} A worker exception on one item — an analyzer
+    bug, an injected {!Dda_core.Failpoint} failure — never aborts the
+    run: the item is retried with exponential backoff up to [retries]
+    times and then {e quarantined}, its error recorded in its outcome
+    while every other item completes normally. Parse and lexical
+    errors quarantine immediately (the input is static; retrying
+    cannot help). A per-item watchdog ([item_timeout_ms]) arms the
+    budget's cooperative deadline, so a stuck item returns a degraded
+    conservative report instead of hanging the run. *)
 
 open Dda_core
 
@@ -143,9 +151,18 @@ val run :
 (** Drive the corpus through [jobs] worker domains. [render] turns
     each result into the output chunk that is journaled and emitted;
     [emit] receives the chunks in input order (replayed chunks come
-    from the journal, not from [render]). The per-item knobs
-    ([retries], [backoff_ms], [item_timeout_ms], [verify], [lint])
-    mean exactly what they do in {!Batch.run}.
+    from the journal, not from [render]).
+
+    [verify] (default [false]) certificate-checks each item's report
+    ({!Dda_check.Verify.verify_report}) and [lint] (default [false])
+    summarizes its loops' parallelizability
+    ({!Dda_analysis.Lint.of_report}), both on the item's worker
+    domain. [retries] (default [1]) is how many times a failed item is
+    retried before quarantine; [backoff_ms] (default [50]) the first
+    retry's delay, doubled each further retry. [item_timeout_ms]
+    (default none) arms each attempt's cooperative deadline: analysis
+    past it degrades to a flagged conservative verdict rather than
+    being killed.
 
     [journal] names the write-ahead journal; without [resume] it is
     truncated and started fresh. [resume] (default [false]) requires
@@ -165,6 +182,24 @@ val run :
     @raise Dda_core.Failpoint.Injected from the [stream.journal]
     failpoint site (hit before each append — the crash-injection hook
     the chaos suite uses). *)
+
+val run_programs :
+  ?config:Analyzer.config ->
+  ?shared:Analyzer.shared ->
+  ?verify:bool ->
+  ?lint:bool ->
+  ?retries:int ->
+  ?backoff_ms:int ->
+  ?item_timeout_ms:int ->
+  jobs:int ->
+  (string * Dda_lang.Ast.program) list ->
+  outcome list * summary
+(** {!run} over named programs the caller already parsed, so no item
+    is parsed twice; returns every item's outcome, in input order. The
+    items have no source text to digest, so there is no journal. With
+    [shared], every worker queries those live-shared tables, which the
+    caller can inspect afterwards ({!Analyzer.shared_table_stats}).
+    @raise Invalid_argument on bad knob values. *)
 
 (** {1 Journal internals, exposed for tests} *)
 

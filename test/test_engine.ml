@@ -244,17 +244,6 @@ let test_merge_stats () =
 (* Batch driver                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_chunks () =
-  Alcotest.(check (list (pair int int))) "even split" [ (0, 2); (2, 4) ]
-    (Batch.chunks ~jobs:2 4);
-  Alcotest.(check (list (pair int int))) "uneven split" [ (0, 2); (2, 4); (4, 7) ]
-    (Batch.chunks ~jobs:3 7);
-  Alcotest.(check (list (pair int int))) "more jobs than items"
-    [ (0, 0); (0, 1); (1, 1); (1, 2) ]
-    (Batch.chunks ~jobs:4 2);
-  Alcotest.(check (list (pair int int))) "empty corpus" [ (0, 0) ]
-    (Batch.chunks ~jobs:1 0)
-
 let corpus_of_programs programs =
   List.mapi
     (fun i prog -> { Batch.name = Printf.sprintf "p%d" i; program = prog })
@@ -265,20 +254,28 @@ let corpus_of_programs programs =
 let fingerprint (r : Batch.result) =
   String.concat "\n"
     (List.map
-       (fun (a : Batch.analyzed) ->
-          a.Batch.name ^ " " ^ Json_out.to_string (Json_out.report a.Batch.report))
-       r.Batch.items)
-  ^ "\n" ^ Json_out.to_string (Json_out.stats r.Batch.merged)
+       (function
+         | Stream.Analyzed a ->
+           a.name ^ " " ^ Json_out.to_string (Json_out.report a.report)
+         | Stream.Quarantined q -> q.name ^ " quarantined: " ^ q.error)
+       r.Batch.outcomes)
+  ^ "\n" ^ Json_out.to_string (Json_out.stats r.Batch.summary.Stream.merged)
+
+let analyzed_count (r : Batch.result) =
+  List.length
+    (List.filter
+       (function Stream.Analyzed _ -> true | Stream.Quarantined _ -> false)
+       r.Batch.outcomes)
 
 let test_batch_empty_and_small () =
   let r = Batch.run ~jobs:4 [] in
-  Alcotest.(check int) "empty corpus" 0 (List.length r.Batch.items);
-  Alcotest.(check int) "no pairs" 0 r.Batch.merged.Analyzer.pairs;
+  Alcotest.(check int) "empty corpus" 0 (List.length r.Batch.outcomes);
+  Alcotest.(check int) "no pairs" 0 r.Batch.summary.Stream.merged.Analyzer.pairs;
   let one = corpus_of_programs [ parse "for i = 1 to 9 do\n  a[i + 1] = a[i] + 1\nend" ] in
   let r = Batch.run ~jobs:8 one in
-  Alcotest.(check int) "one item, more jobs than items" 1 (List.length r.Batch.items);
+  Alcotest.(check int) "one item, more jobs than items" 1 (analyzed_count r);
   Alcotest.check_raises "jobs must be positive"
-    (Invalid_argument "Batch.run: jobs must be >= 1") (fun () ->
+    (Invalid_argument "Stream.run: jobs must be >= 1") (fun () ->
       ignore (Batch.run ~jobs:0 one))
 
 let arb_corpus =
@@ -287,47 +284,68 @@ let arb_corpus =
       String.concat "\n---\n" (List.map Dda_lang.Pretty.program_to_string progs))
     QCheck.Gen.(list_size (int_range 2 5) (QCheck.gen Test_support.Gen_ast.arb_affine_nest))
 
+(* A loop whose lint summary depends on the optimizer prepass: in the
+   source the counter [k] is carried from one iteration to the next;
+   the prepass rewrites it to the loop variable, leaving a DOALL. *)
+let induction_loop =
+  parse "k = 0\nfor i = 1 to 10 do\n  k = k + 1\n  a[k] = a[k] + 1\nend"
+
 let prop_batch_deterministic =
-  (* The issue's headline property: on random corpora of affine nests,
+  (* The headline property: on random corpora of affine nests,
      batch output (verdicts, direction vectors, merged stats) is
      identical for jobs in {1, 2, 4} and byte-identical to the
-     sequential path. *)
+     sequential path. Each item's verification and lint summary, which
+     the driver derives from the item's one front end, must equal what
+     the stand-alone [Verify.run] and [Lint.run] derive on their own. *)
   QCheck.Test.make ~name:"batch output invariant under the job count" ~count:20
     arb_corpus
     (fun programs ->
-       let corpus = corpus_of_programs programs in
+       let corpus = corpus_of_programs (programs @ [ induction_loop ]) in
        let sequential =
          (* The sequential path, no pool involved. *)
-         let items =
-           List.mapi
-             (fun i (it : Batch.item) ->
-                {
-                  Batch.index = i;
-                  name = it.Batch.name;
-                  report = Analyzer.analyze it.Batch.program;
-                  verification = None;
-                  lint = None;
-                  attempts = 1;
-                })
-             corpus
+         let reports =
+           List.map (fun (it : Batch.item) -> Analyzer.analyze it.program) corpus
          in
          let merged = Analyzer.fresh_stats () in
          List.iter
-           (fun (a : Batch.analyzed) ->
-              Analyzer.merge_stats ~into:merged a.Batch.report.Analyzer.stats)
-           items;
-         fingerprint
-           {
-             Batch.items;
-             quarantined = [];
-             retried = 0;
-             merged;
-             table_stats = None;
-             contended = None;
-           }
+           (fun (r : Analyzer.report) ->
+              Analyzer.merge_stats ~into:merged r.Analyzer.stats)
+           reports;
+         String.concat "\n"
+           (List.map2
+              (fun (it : Batch.item) report ->
+                 it.name ^ " " ^ Json_out.to_string (Json_out.report report))
+              corpus reports)
+         ^ "\n" ^ Json_out.to_string (Json_out.stats merged)
+       in
+       let oracles =
+         List.map
+           (fun (it : Batch.item) ->
+              ( Json_out.to_string
+                  (Dda_check.Verify.to_json ~file:it.name
+                     (Dda_check.Verify.run it.program)),
+                Json_out.to_string
+                  (Dda_analysis.Lint.to_json ~file:it.name
+                     (Dda_analysis.Lint.run it.program)) ))
+           corpus
+       in
+       let checked (r : Batch.result) =
+         List.map
+           (function
+             | Stream.Analyzed
+                 { name; verification = Some v; lint = Some l; _ } ->
+               ( Json_out.to_string (Dda_check.Verify.to_json ~file:name v),
+                 Json_out.to_string (Dda_analysis.Lint.to_json ~file:name l) )
+             | Stream.Analyzed { name; _ } -> (name, "no verification or lint")
+             | Stream.Quarantined q -> (q.name, q.error))
+           r.Batch.outcomes
        in
        List.for_all
-         (fun jobs -> fingerprint (Batch.run ~jobs corpus) = sequential)
+         (fun jobs ->
+            let r = Batch.run ~verify:true ~lint:true ~jobs corpus in
+            fingerprint (Batch.run ~jobs corpus) = sequential
+            && fingerprint r = sequential
+            && checked r = oracles)
          [ 1; 2; 4 ])
 
 let prop_batch_share_memo_verdicts =
@@ -339,9 +357,11 @@ let prop_batch_share_memo_verdicts =
        let corpus = corpus_of_programs programs in
        let pairs_only (r : Batch.result) =
          List.map
-           (fun (a : Batch.analyzed) ->
-              List.map Json_out.pair a.Batch.report.Analyzer.pair_reports)
-           r.Batch.items
+           (function
+             | Stream.Analyzed a ->
+               List.map Json_out.pair a.report.Analyzer.pair_reports
+             | Stream.Quarantined _ -> [])
+           r.Batch.outcomes
        in
        let isolated = pairs_only (Batch.run ~jobs:1 corpus) in
        List.for_all
@@ -350,8 +370,8 @@ let prop_batch_share_memo_verdicts =
          [ 1; 3 ])
 
 let test_batch_share_memo_unique_counts () =
-  (* Two copies of the same program: whatever the chunking, the union
-     of the per-domain tables holds each distinct problem once, and the
+  (* Two copies of the same program: whichever domain analyzes which
+     copy, the shared tables hold each distinct problem once, and the
      merged unique counts must not double-count. *)
   let prog = parse "for i = 1 to 10 do\n  a[i + 2] = a[i] + 1\nend" in
   let corpus = corpus_of_programs [ prog; prog ] in
@@ -359,11 +379,11 @@ let test_batch_share_memo_unique_counts () =
   let r1 = Batch.run ~share_memo:true ~jobs:1 corpus in
   let r2 = Batch.run ~share_memo:true ~jobs:2 corpus in
   Alcotest.(check int) "jobs=1: second copy adds no unique problems"
-    solo.Batch.merged.Analyzer.memo_unique_full
-    r1.Batch.merged.Analyzer.memo_unique_full;
+    solo.Batch.summary.Stream.merged.Analyzer.memo_unique_full
+    r1.Batch.summary.Stream.merged.Analyzer.memo_unique_full;
   Alcotest.(check int) "jobs=2: union across domains deduplicates"
-    solo.Batch.merged.Analyzer.memo_unique_full
-    r2.Batch.merged.Analyzer.memo_unique_full
+    solo.Batch.summary.Stream.merged.Analyzer.memo_unique_full
+    r2.Batch.summary.Stream.merged.Analyzer.memo_unique_full
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -396,7 +416,6 @@ let () =
         ] );
       ( "batch",
         [
-          Alcotest.test_case "chunks" `Quick test_chunks;
           Alcotest.test_case "empty and small corpora" `Quick
             test_batch_empty_and_small;
           Alcotest.test_case "shared-memo unique counts" `Quick

@@ -30,15 +30,18 @@ let configs =
 (* Map loop ids back to variable names in first-occurrence order. *)
 let loop_names sites = Affine.loop_table sites
 
-let classify config (k : Kernels.kernel) =
-  let res = Dda_analysis.Lint.run ~config (Parser.parse_program k.source) in
-  List.map
-    (fun (li : Dda_analysis.Summary.loop_info) ->
-       (li.var, li.verdict = Dda_analysis.Summary.Doall))
-    res.Dda_analysis.Lint.summary.Dda_analysis.Summary.loops
+(* Both checks below read one lint result per kernel and configuration:
+   the [Lint.run] is forced by whichever case runs first. *)
+let lint_run config (k : Kernels.kernel) =
+  lazy (Dda_analysis.Lint.run ~config (Parser.parse_program k.source))
 
-let check_kernel config_name config (k : Kernels.kernel) () =
-  let result = classify config k in
+let check_kernel config_name res (k : Kernels.kernel) () =
+  let result =
+    List.map
+      (fun (li : Dda_analysis.Summary.loop_info) ->
+         (li.var, li.verdict = Dda_analysis.Summary.Doall))
+      (Lazy.force res).Dda_analysis.Lint.summary.Dda_analysis.Summary.loops
+  in
   List.iter
     (fun v ->
        match List.assoc_opt v result with
@@ -66,9 +69,8 @@ let check_kernel config_name config (k : Kernels.kernel) () =
    textbook parallel set, kernel by kernel. Reduction and vectorizable
    verdicts are refinements of "not DOALL", so they must land on the
    serial side — lost parallelism and false parallelism both fail. *)
-let check_lint_doall config_name config (k : Kernels.kernel) () =
-  let prog = Parser.parse_program k.source in
-  let res = Dda_analysis.Lint.run ~config prog in
+let check_lint_doall config_name res (k : Kernels.kernel) () =
+  let res = Lazy.force res in
   let names = loop_names res.Dda_analysis.Lint.sites in
   let doall =
     List.filter_map
@@ -180,29 +182,19 @@ let test_kernels_against_oracle () =
     Kernels.all
 
 let () =
-  let kernel_cases =
+  let runs =
     List.concat_map
       (fun (cname, config) ->
-         List.map
-           (fun (k : Kernels.kernel) ->
-              Alcotest.test_case
-                (Printf.sprintf "%s [%s]" k.name cname)
-                `Quick
-                (check_kernel cname config k))
-           Kernels.all)
+         List.map (fun k -> (cname, lint_run config k, k)) Kernels.all)
       configs
   in
-  let lint_cases =
-    List.concat_map
-      (fun (cname, config) ->
-         List.map
-           (fun (k : Kernels.kernel) ->
-              Alcotest.test_case
-                (Printf.sprintf "%s [%s]" k.name cname)
-                `Quick
-                (check_lint_doall cname config k))
-           Kernels.all)
-      configs
+  let cases check =
+    List.map
+      (fun (cname, res, (k : Kernels.kernel)) ->
+         Alcotest.test_case
+           (Printf.sprintf "%s [%s]" k.name cname)
+           `Quick (check cname res k))
+      runs
   in
   Alcotest.run "kernels"
     [
@@ -211,8 +203,8 @@ let () =
           Alcotest.test_case "well-formed" `Quick test_kernel_sources_wellformed;
           Alcotest.test_case "find" `Quick test_find;
         ] );
-      ("classification", kernel_cases);
-      ("lint doall", lint_cases);
+      ("classification", cases check_kernel);
+      ("lint doall", cases check_lint_doall);
       ( "oracle",
         [ Alcotest.test_case "verdicts match traces" `Quick test_kernels_against_oracle ] );
     ]

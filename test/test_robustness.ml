@@ -236,34 +236,41 @@ let corpus () =
       ("three.dd", "for i = 1 to 10 do\n  c[i] = c[i + 10] + 1\nend");
     ]
 
+(* Each outcome's name and attempt count, in input order. *)
+let attempts (r : Batch.result) =
+  List.map
+    (function
+      | Stream.Analyzed a -> (a.name, a.attempts)
+      | Stream.Quarantined q -> (q.name, q.attempts))
+    r.Batch.outcomes
+
 let test_batch_retry_recovers () =
   with_failpoints "batch.item=raise@1" (fun () ->
       let r = Batch.run ~retries:1 ~backoff_ms:0 ~jobs:1 (corpus ()) in
-      Alcotest.(check int) "all items analyzed" 3 (List.length r.Batch.items);
       Alcotest.(check int) "nothing quarantined" 0
-        (List.length r.Batch.quarantined);
-      Alcotest.(check int) "one retry" 1 r.Batch.retried;
-      match r.Batch.items with
-      | first :: rest ->
-        Alcotest.(check int) "first item took two attempts" 2
-          first.Batch.attempts;
-        List.iter
-          (fun (a : Batch.analyzed) ->
-             Alcotest.(check int) "others clean" 1 a.Batch.attempts)
-          rest
-      | [] -> Alcotest.fail "empty result")
+        r.Batch.summary.Stream.quarantined;
+      Alcotest.(check int) "one retry" 1 r.Batch.summary.Stream.retried;
+      Alcotest.(check (list (pair string int)))
+        "all items analyzed, the first in two attempts, the others in one"
+        [ ("one.dd", 2); ("two.dd", 1); ("three.dd", 1) ]
+        (attempts r);
+      List.iter
+        (function
+          | Stream.Analyzed _ -> ()
+          | Stream.Quarantined q -> Alcotest.failf "%s quarantined" q.name)
+        r.Batch.outcomes)
 
 let test_batch_quarantine () =
   (* The first item fails on every attempt; the rest of the corpus
      still completes, in order, with the failure recorded. *)
   with_failpoints "batch.item=raise@1-2" (fun () ->
       let r = Batch.run ~retries:1 ~backoff_ms:0 ~jobs:1 (corpus ()) in
-      Alcotest.(check int) "two items analyzed" 2 (List.length r.Batch.items);
-      (match r.Batch.quarantined with
-       | [ q ] ->
-         Alcotest.(check string) "the failing item" "one.dd" q.Batch.q_name;
-         Alcotest.(check int) "its index" 0 q.Batch.q_index;
-         Alcotest.(check int) "both attempts used" 2 q.Batch.q_attempts;
+      Alcotest.(check int) "one item quarantined" 1
+        r.Batch.summary.Stream.quarantined;
+      (match r.Batch.outcomes with
+       | Stream.Quarantined q :: rest ->
+         Alcotest.(check string) "the failing item" "one.dd" q.name;
+         Alcotest.(check int) "both attempts used" 2 q.attempts;
          let contains hay needle =
            let nh = String.length hay and nn = String.length needle in
            let rec at i =
@@ -272,22 +279,28 @@ let test_batch_quarantine () =
            at 0
          in
          Alcotest.(check bool) "error names the failpoint" true
-           (contains q.Batch.q_error "batch.item")
-       | l -> Alcotest.failf "expected 1 quarantined, got %d" (List.length l));
-      Alcotest.(check (list string)) "survivors in input order"
-        [ "two.dd"; "three.dd" ]
-        (List.map (fun (a : Batch.analyzed) -> a.Batch.name) r.Batch.items);
+           (contains q.error "batch.item");
+         Alcotest.(check (list string)) "survivors in input order"
+           [ "two.dd"; "three.dd" ]
+           (List.map
+              (function
+                | Stream.Analyzed a -> a.name
+                | Stream.Quarantined q -> "quarantined " ^ q.name)
+              rest)
+       | _ -> Alcotest.fail "expected the first item quarantined");
       (* Merged stats cover survivors only: pairs from 2 programs. *)
       let solo = Batch.run ~jobs:1 (List.tl (corpus ())) in
       Alcotest.(check int) "stats exclude the quarantined item"
-        solo.Batch.merged.Analyzer.pairs r.Batch.merged.Analyzer.pairs)
+        solo.Batch.summary.Stream.merged.Analyzer.pairs
+        r.Batch.summary.Stream.merged.Analyzer.pairs)
 
 let test_batch_timeout_degrades () =
   (* A 0ms deadline: items still come back (degraded where the cascade
      ran), nothing is quarantined, the batch terminates. *)
   let r = Batch.run ~item_timeout_ms:0 ~jobs:2 (corpus ()) in
-  Alcotest.(check int) "all items analyzed" 3 (List.length r.Batch.items);
-  Alcotest.(check int) "nothing quarantined" 0 (List.length r.Batch.quarantined)
+  Alcotest.(check int) "all items analyzed" 3 (List.length r.Batch.outcomes);
+  Alcotest.(check int) "nothing quarantined" 0
+    r.Batch.summary.Stream.quarantined
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

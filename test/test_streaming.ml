@@ -111,7 +111,8 @@ let prop_stream_matches_inmem =
         QCheck.Test.fail_reportf "metric deltas differ: inmem %s, stream %s"
           (String.concat "," (List.map string_of_int (deltas before mid)))
           (String.concat "," (List.map string_of_int (deltas mid after)));
-      if summary.Stream.quarantined > 0 || bres.Batch.quarantined <> [] then
+      if summary.Stream.quarantined > 0 || bres.Batch.summary.Stream.quarantined > 0
+      then
         QCheck.Test.fail_reportf "unexpected quarantine";
       let stream_reports =
         List.rev_map
@@ -124,11 +125,14 @@ let prop_stream_matches_inmem =
       in
       let inmem_reports =
         List.map
-          (fun (a : Batch.analyzed) -> (a.Batch.name, a.Batch.report))
-          bres.Batch.items
+          (function
+            | Stream.Analyzed a -> (a.name, a.report)
+            | Stream.Quarantined q ->
+              QCheck.Test.fail_reportf "quarantined %s: %s" q.name q.error)
+          bres.Batch.outcomes
       in
       stream_reports = inmem_reports
-      && compare summary.Stream.merged bres.Batch.merged = 0)
+      && compare summary.Stream.merged bres.Batch.summary.Stream.merged = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Crash at item k, resume                                             *)
