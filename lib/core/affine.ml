@@ -39,6 +39,7 @@ type walk_state = {
   versions : (string, int) Hashtbl.t;
   mutable next_lid : int;
   mutable sites : site list;
+  mutable renames : bool;  (* the last conversion classified a symbol [`Var] *)
 }
 
 let bump st v =
@@ -47,32 +48,51 @@ let bump st v =
 
 let version st v = match Hashtbl.find_opt st.versions v with Some n -> n | None -> 0
 
-(* [loops] is innermost-first: (ctx, vars assigned in that loop's body). *)
+(* The walk below runs once per item on every program, so it keeps its
+   per-reference work to what it returns: top-level recursions instead
+   of per-call closures and partial applications, and a loop's
+   assigned scalars computed only if a symbol asks whether it is
+   invariant there. *)
+
+(* [loops] is innermost-first: (ctx, scalars assigned in that loop's
+   body). *)
+let rec is_loop_var name = function
+  | [] -> false
+  | ((c : loop_ctx), _) :: rest -> String.equal c.lvar name || is_loop_var name rest
+
+let rec invariant name = function
+  | [] -> true
+  | (_, assigned) :: rest -> (not (List.mem name (Lazy.force assigned))) && invariant name rest
+
 let to_symexpr st loops (e : Ast.expr) =
-  let is_loop_var name = List.exists (fun (c, _) -> String.equal c.lvar name) loops in
-  let invariant name =
-    not (List.exists (fun (_, assigned) -> List.mem name assigned) loops)
-  in
+  st.renames <- false;
   let classify name =
-    if is_loop_var name then `Var
-    else if st.symbolic && invariant name then `Var
+    if is_loop_var name loops then `Var
+    else if st.symbolic && invariant name loops then begin
+      st.renames <- true;
+      `Var
+    end
     else `NonAffine
   in
   match Symexpr.of_ast ~classify e with
-  | None -> None
-  | Some se ->
+  | Some se when st.renames ->
     (* Rename non-loop variables to their versioned symbol. Most
-       subscripts mention only loop variables; skip the map rebuild
-       (and the per-symbol string formatting) when nothing renames. *)
-    if not (Symexpr.exists_var (fun name -> not (is_loop_var name)) se) then Some se
-    else
-      Some
-        (Symexpr.rename
-           (fun name -> if is_loop_var name then name else sym_name name (version st name))
-           se)
+       subscripts mention only loop variables, and then no name is
+       classified a symbol and the conversion is returned as is. *)
+    Some
+      (Symexpr.rename
+         (fun name -> if is_loop_var name loops then name else sym_name name (version st name))
+         se)
+  | r -> r
+
+let rec symexprs st loops = function
+  | [] -> []
+  | e :: rest ->
+    let se = to_symexpr st loops e in
+    se :: symexprs st loops rest
 
 let record st loops role name subs loc ~stmt_loc =
-  let subscripts = List.map (to_symexpr st loops) subs in
+  let subscripts = symexprs st loops subs in
   st.sites <-
     {
       array = name;
@@ -86,36 +106,42 @@ let record st loops role name subs loc ~stmt_loc =
 
 (* Array reads appearing inside an expression (including inside other
    references' subscripts). *)
-let rec scan_reads st loops ~stmt_loc (e : Ast.expr) =
+let rec scan_reads st loops stmt_loc (e : Ast.expr) =
   match e.desc with
   | Ast.Int _ | Ast.Var _ -> ()
-  | Ast.Neg a -> scan_reads st loops ~stmt_loc a
+  | Ast.Neg a -> scan_reads st loops stmt_loc a
   | Ast.Bin (_, a, b) ->
-    scan_reads st loops ~stmt_loc a;
-    scan_reads st loops ~stmt_loc b
+    scan_reads st loops stmt_loc a;
+    scan_reads st loops stmt_loc b
   | Ast.Aref (name, subs) ->
     record st loops `Read name subs e.eloc ~stmt_loc;
-    List.iter (scan_reads st loops ~stmt_loc) subs
+    scan_list st loops stmt_loc subs
+
+and scan_list st loops stmt_loc = function
+  | [] -> ()
+  | e :: rest ->
+    scan_reads st loops stmt_loc e;
+    scan_list st loops stmt_loc rest
 
 let rec walk st loops (s : Ast.stmt) =
   match s.sdesc with
   | Ast.Assign (Ast.Lvar v, e) ->
-    scan_reads st loops ~stmt_loc:s.sloc e;
+    scan_reads st loops s.sloc e;
     bump st v
   | Ast.Assign (Ast.Larr (name, subs), e) ->
     record st loops `Write name subs s.sloc ~stmt_loc:s.sloc;
-    List.iter (scan_reads st loops ~stmt_loc:s.sloc) subs;
-    scan_reads st loops ~stmt_loc:s.sloc e
+    scan_list st loops s.sloc subs;
+    scan_reads st loops s.sloc e
   | Ast.Read v -> bump st v
   | Ast.If (cond, then_, else_) ->
-    scan_reads st loops ~stmt_loc:s.sloc cond.lhs;
-    scan_reads st loops ~stmt_loc:s.sloc cond.rhs;
-    List.iter (walk st loops) then_;
-    List.iter (walk st loops) else_
+    scan_reads st loops s.sloc cond.lhs;
+    scan_reads st loops s.sloc cond.rhs;
+    walk_list st loops then_;
+    walk_list st loops else_
   | Ast.For f ->
-    scan_reads st loops ~stmt_loc:s.sloc f.lo;
-    scan_reads st loops ~stmt_loc:s.sloc f.hi;
-    Option.iter (scan_reads st loops ~stmt_loc:s.sloc) f.step;
+    scan_reads st loops s.sloc f.lo;
+    scan_reads st loops s.sloc f.hi;
+    (match f.step with Some step -> scan_reads st loops s.sloc step | None -> ());
     let lid = st.next_lid in
     st.next_lid <- st.next_lid + 1;
     (* Bounds are classified relative to the loops enclosing this one. *)
@@ -131,15 +157,21 @@ let rec walk st loops (s : Ast.stmt) =
           | Some 1 -> (lb, ub)
           | Some _ | None -> (None, None))
     in
-    let assigned = Dda_passes.Expr_util.assigned_vars f.body in
+    let assigned = lazy (Dda_passes.Expr_util.assigned_vars f.body) in
     let ctx = { lid; lvar = f.var; lb; ub } in
-    List.iter (walk st ((ctx, assigned) :: loops)) f.body
+    walk_list st ((ctx, assigned) :: loops) f.body
+
+and walk_list st loops = function
+  | [] -> ()
+  | s :: rest ->
+    walk st loops s;
+    walk_list st loops rest
 
 let extract ?(symbolic = true) prog =
   let st =
-    { symbolic; versions = Hashtbl.create 16; next_lid = 0; sites = [] }
+    { symbolic; versions = Hashtbl.create 16; next_lid = 0; sites = []; renames = false }
   in
-  List.iter (walk st []) prog;
+  walk_list st [] prog;
   List.rev st.sites
 
 let common_loops s1 s2 =

@@ -1,5 +1,7 @@
 exception Runtime_error of string * Loc.t
 
+module Checked = Dda_numeric.Checked
+
 type access = {
   array : string;
   indices : int list;
@@ -36,20 +38,28 @@ let record env array indices role site =
     :: env.trace;
   env.clock <- env.clock + 1
 
+(* Values live in [Checked]'s range, the native ints less [min_int]:
+   an operation whose exact result leaves it raises rather than wraps,
+   so a traced run never shows an access the program does not make. *)
+let overflow loc = raise (Runtime_error ("integer overflow", loc))
+
 let rec eval env (e : Ast.expr) =
   match e.desc with
   | Ast.Int n -> n
   | Ast.Var v -> (
       match Hashtbl.find_opt env.scalars v with Some n -> n | None -> 0)
-  | Ast.Neg a -> -eval env a
+  | Ast.Neg a ->
+    let x = eval env a in
+    if x = min_int then overflow e.eloc else -x
   | Ast.Bin (op, a, b) -> (
       let x = eval env a and y = eval env b in
       match op with
-      | Ast.Add -> x + y
-      | Ast.Sub -> x - y
-      | Ast.Mul -> x * y
+      | Ast.Add -> if Checked.add_ok x y then x + y else overflow e.eloc
+      | Ast.Sub -> if Checked.sub_ok x y then x - y else overflow e.eloc
+      | Ast.Mul -> if Checked.mul_ok x y then x * y else overflow e.eloc
       | Ast.Div ->
         if y = 0 then raise (Runtime_error ("division by zero", e.eloc))
+        else if x = min_int && y = -1 then overflow e.eloc
         else x / y)
   | Ast.Aref (name, subs) ->
     let indices = List.map (eval env) subs in
@@ -105,10 +115,14 @@ let rec exec env (s : Ast.stmt) =
       List.iter (exec env) body;
       env.loops <- List.tl env.loops
     in
+    (* The trip count, and each next value of the loop variable, in
+       the same range as every other value. *)
+    let span x y = if Checked.sub_ok x y then x - y else overflow s.sloc in
+    let trips d = if Checked.add_ok d 1 then d + 1 else overflow s.sloc in
     let count =
-      if step > 0 then if hi < lo then 0 else ((hi - lo) / step) + 1
+      if step > 0 then if hi < lo then 0 else trips (span hi lo / step)
       else if hi > lo then 0
-      else ((lo - hi) / -step) + 1
+      else trips (span lo hi / -step)
     in
     (match env.reorder s.sloc count with
      | Some perm ->
@@ -117,10 +131,10 @@ let rec exec env (s : Ast.stmt) =
        Array.iter (fun k -> iterate (lo + (k * step))) perm
      | None ->
        (* Sequential fast path: identical to the pre-hook interpreter. *)
-       let v = ref lo in
-       while (if step > 0 then !v <= hi else !v >= hi) do
+       let v = ref lo and more = ref true in
+       while !more && if step > 0 then !v <= hi else !v >= hi do
          iterate !v;
-         v := !v + step
+         if Checked.add_ok !v step then v := !v + step else more := false
        done)
 
 let no_reorder _ _ = None

@@ -22,7 +22,14 @@ val run : ?fuel:int -> ?inputs:(string * int) list -> Ast.program -> access list
     supplies the values produced by [read] statements (a missing input
     defaults to 0). [fuel] bounds the number of statement executions
     (default: unlimited). Returns the access trace in execution order.
-    @raise Runtime_error on division by zero or fuel exhaustion. *)
+
+    Arithmetic is exact or fails: values are the native ints less
+    [min_int] ({!Dda_numeric.Checked}'s range, the one the optimizer
+    prepass folds in), and an operation, trip count or loop-variable
+    step whose exact result leaves that range raises
+    [Runtime_error ("integer overflow", loc)] instead of wrapping.
+    @raise Runtime_error on division by zero, integer overflow or fuel
+    exhaustion. *)
 
 val scalar_value : ?inputs:(string * int) list -> Ast.program -> string -> int option
 (** Runs the program and reports the final value of a scalar, for

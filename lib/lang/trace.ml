@@ -26,22 +26,59 @@ let common_loops (a : Interp.access) (b : Interp.access) =
 
 let sort_uniq_vectors cmp vectors = List.sort_uniq (List.compare cmp) vectors
 
-let observe ?(fuel = -1) ?(inputs = []) prog ~site1 ~site2 =
-  let accesses = Interp.run ~fuel ~inputs prog in
-  let at site = List.filter (fun (a : Interp.access) -> Loc.equal a.site site) accesses in
-  let a1s = at site1 and a2s = at site2 in
-  let self = Loc.equal site1 site2 in
-  let directions = ref [] and distances = ref [] and dependent = ref false in
+(* One execution, indexed for pair queries: each site's accesses by
+   cell, built on the first query that names the site. *)
+type cells = (string * int list, Interp.access list) Hashtbl.t
+
+type run = {
+  by_site : (Loc.t, Interp.access list) Hashtbl.t;  (* execution order *)
+  cells : (Loc.t, cells) Hashtbl.t;
+}
+
+let execute ?(fuel = -1) ?(inputs = []) prog =
+  let by_site = Hashtbl.create 64 in
   List.iter
-    (fun (a1 : Interp.access) ->
+    (fun (a : Interp.access) ->
+       let prev = Option.value ~default:[] (Hashtbl.find_opt by_site a.site) in
+       Hashtbl.replace by_site a.site (a :: prev))
+    (List.rev (Interp.run ~fuel ~inputs prog));
+  { by_site; cells = Hashtbl.create 64 }
+
+let accesses run site = Option.value ~default:[] (Hashtbl.find_opt run.by_site site)
+
+let cells run site =
+  match Hashtbl.find_opt run.cells site with
+  | Some t -> t
+  | None ->
+    let t = Hashtbl.create 64 in
+    List.iter
+      (fun (a : Interp.access) ->
+         let key = (a.array, a.indices) in
+         let prev = Option.value ~default:[] (Hashtbl.find_opt t key) in
+         Hashtbl.replace t key (a :: prev))
+      (accesses run site);
+    Hashtbl.replace run.cells site t;
+    t
+
+let matches run site (a : Interp.access) =
+  Option.value ~default:[] (Hashtbl.find_opt (cells run site) (a.array, a.indices))
+
+(* A site's access is one execution of its statement, so a cell holds
+   two distinct instances of one site exactly when it holds two of its
+   accesses. *)
+let dependent_in run ~site1 ~site2 =
+  if Loc.equal site1 site2 then
+    Hashtbl.fold (fun _ l dep -> dep || List.compare_length_with l 1 > 0) (cells run site1) false
+  else List.exists (fun a2 -> matches run site1 a2 <> []) (accesses run site2)
+
+let observe_in run ~site1 ~site2 =
+  let self = Loc.equal site1 site2 in
+  let directions = Hashtbl.create 8 and distances = Hashtbl.create 8 in
+  List.iter
+    (fun (a2 : Interp.access) ->
        List.iter
-         (fun (a2 : Interp.access) ->
-            let same_cell =
-              String.equal a1.array a2.array && a1.indices = a2.indices
-            in
-            let same_instance = self && a1.time = a2.time in
-            if same_cell && not same_instance then begin
-              dependent := true;
+         (fun (a1 : Interp.access) ->
+            if not (self && a1.time = a2.time) then begin
               let common = common_loops a1 a2 in
               let n = List.length common in
               let vals (a : Interp.access) =
@@ -53,17 +90,20 @@ let observe ?(fuel = -1) ?(inputs = []) prog ~site1 ~site2 =
                   (fun x y -> if x < y then Lt else if x = y then Eq else Gt)
                   v1 v2
               in
-              let dist = List.map2 (fun x y -> y - x) v1 v2 in
-              directions := dir :: !directions;
-              distances := dist :: !distances
+              Hashtbl.replace directions dir ();
+              Hashtbl.replace distances (List.map2 (fun x y -> y - x) v1 v2) ()
             end)
-         a2s)
-    a1s;
+         (matches run site1 a2))
+    (accesses run site2);
+  let keys t = Hashtbl.fold (fun k () acc -> k :: acc) t [] in
   {
-    dependent = !dependent;
-    directions = sort_uniq_vectors compare_direction !directions;
-    distances = sort_uniq_vectors Stdlib.compare !distances;
+    dependent = Hashtbl.length directions > 0;
+    directions = sort_uniq_vectors compare_direction (keys directions);
+    distances = sort_uniq_vectors Stdlib.compare (keys distances);
   }
+
+let observe ?fuel ?inputs prog ~site1 ~site2 =
+  observe_in (execute ?fuel ?inputs prog) ~site1 ~site2
 
 let all_site_pairs prog =
   let refs = Ast.array_refs prog in

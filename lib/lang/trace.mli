@@ -26,6 +26,23 @@ type observation = {
 val common_loops : Interp.access -> Interp.access -> string list
 (** Longest common prefix of the two accesses' loop-variable stacks. *)
 
+type run
+(** One execution of a program, its accesses indexed by reference site
+    and, per site, by the array cell they touch. Pair queries over one
+    [run] cost the two sites' accesses, not their product. *)
+
+val execute : ?fuel:int -> ?inputs:(string * int) list -> Ast.program -> run
+(** Runs the program once ({!Interp.run}, with the same arguments and
+    the same [Runtime_error]s). *)
+
+val observe_in : run -> site1:Loc.t -> site2:Loc.t -> observation
+(** The dependence ground truth between two reference sites of the
+    run, as {!observe} defines it. *)
+
+val dependent_in : run -> site1:Loc.t -> site2:Loc.t -> bool
+(** [(observe_in run ~site1 ~site2).dependent], without building the
+    direction and distance vectors. *)
+
 val observe :
   ?fuel:int ->
   ?inputs:(string * int) list ->
@@ -34,7 +51,7 @@ val observe :
   site2:Loc.t ->
   observation
 (** Runs the program and reports the dependence ground truth between
-    the two reference sites. When [site1 = site2], only pairs of
+    the two reference sites: [observe_in (execute prog)]. When [site1 = site2], only pairs of
     {e distinct} iterations count (a reference trivially overlaps
     itself); for distinct sites identical iterations count too, as in
     the paper's problem statement. *)

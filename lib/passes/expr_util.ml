@@ -3,8 +3,12 @@ open Dda_lang
 (* The pipeline re-runs every pass until a fixpoint, so on most rounds
    most of the tree is already in normal form. Every rewriter here is
    identity-preserving: it returns its argument physically unchanged
-   when no rule fires, so a converged round allocates (almost) nothing
-   and unchanged subtrees stay shared between rounds. *)
+   when no rule fires, and on an argument already in normal form it
+   allocates nothing: no option, no tuple, no closure per node
+   ([map_sharing_with] takes the environment of a list rewrite as an
+   argument rather than a partial application). So a converged round
+   allocates nothing, and unchanged subtrees stay shared between
+   rounds. *)
 
 let rec map_sharing f l =
   match l with
@@ -13,6 +17,15 @@ let rec map_sharing f l =
     let x' = f x in
     let tl' = map_sharing f tl in
     if x' == x && tl' == tl then l else x' :: tl'
+
+(* [map_sharing (f x) l], without allocating the partial application. *)
+let rec map_sharing_with f x l =
+  match l with
+  | [] -> []
+  | y :: tl ->
+    let y' = f x y in
+    let tl' = map_sharing_with f x tl in
+    if y' == y && tl' == tl then l else y' :: tl'
 
 (* Top-level (not a per-call closure): the rewriters below run on every
    node of every program once per pass per round, so even a spare
@@ -26,19 +39,9 @@ let remake_stmt (s : Ast.stmt) sdesc = { s with Ast.sdesc = sdesc }
    exact (Zint) extraction downstream. [min_int] counts as out of range
    too, so every folded constant and collected coefficient can be
    negated. *)
-let add_ok x y =
-  let s = x + y in
-  (x lxor s) land (y lxor s) >= 0 && s <> min_int
-
-let sub_ok x y =
-  let s = x - y in
-  (x lxor y) land (x lxor s) >= 0 && s <> min_int
-
-let mul_ok x y =
-  x = 0
-  ||
-  let p = x * y in
-  p / x = y && p <> min_int
+let add_ok = Dda_numeric.Checked.add_ok
+let sub_ok = Dda_numeric.Checked.sub_ok
+let mul_ok = Dda_numeric.Checked.mul_ok
 
 exception Overflow
 
@@ -160,22 +163,7 @@ let rec ws_next_kept ws i =
    produce from the collected terms and [const]? Pure structural walk,
    no allocation: matching the spine from the outside in (kept terms in
    reverse order) mirrors the builder's left fold exactly. *)
-let rec matches_canonical ws base last_kept const (e : Ast.expr) =
-  let spine =
-    if const = 0 then Some e
-    else
-      match e.desc with
-      | Ast.Bin (Ast.Add, acc, { desc = Ast.Int c; _ }) when const > 0 && c = const ->
-        Some acc
-      | Ast.Bin (Ast.Sub, acc, { desc = Ast.Int c; _ }) when const < 0 && c = -const ->
-        Some acc
-      | _ -> None
-  in
-  match spine with
-  | None -> false
-  | Some spine -> matches_spine ws base last_kept spine
-
-and matches_spine ws base i (e : Ast.expr) =
+let rec matches_spine ws base i (e : Ast.expr) =
   let c = ws.t_coeff.(i) and a = ws.t_atom.(i) in
   let prev = ws_prev_kept ws base i in
   if prev < 0 then
@@ -201,6 +189,16 @@ and matches_spine ws base i (e : Ast.expr) =
         (Ast.Sub, acc, { desc = Ast.Bin (Ast.Mul, { desc = Ast.Int k; _ }, rhs); _ })
       when c < -1 ->
       k = -c && Ast.equal_expr rhs a && matches_spine ws base prev acc
+    | _ -> false
+
+let matches_canonical ws base last_kept const (e : Ast.expr) =
+  if const = 0 then matches_spine ws base last_kept e
+  else
+    match e.desc with
+    | Ast.Bin (Ast.Add, acc, { desc = Ast.Int c; _ }) when const > 0 && c = const ->
+      matches_spine ws base last_kept acc
+    | Ast.Bin (Ast.Sub, acc, { desc = Ast.Int c; _ }) when const < 0 && c = -const ->
+      matches_spine ws base last_kept acc
     | _ -> false
 
 (* Linear canonicalization: fold the expression into
@@ -272,10 +270,10 @@ and lin_go ws base sign const (e : Ast.expr) =
   | Ast.Bin (Ast.Mul, a, b) -> (
       (* Multiplication by a constant distributes exactly over the
          integers; anything else is an opaque atom. *)
-      match (const_value a, const_value b) with
-      | Some k, _ -> lin_go ws base (mul_exn sign k) const b
-      | None, Some k -> lin_go ws base (mul_exn sign k) const a
-      | None, None ->
+      match ((const_fold a).desc, (const_fold b).desc) with
+      | Ast.Int k, _ -> lin_go ws base (mul_exn sign k) const b
+      | _, Ast.Int k -> lin_go ws base (mul_exn sign k) const a
+      | _ ->
         let a' = lin ws a and b' = lin ws b in
         ws_add ws base sign
           (if a' == a && b' == b then e else remake e (Ast.Bin (Ast.Mul, a', b')));
@@ -287,7 +285,7 @@ and lin_go ws base sign const (e : Ast.expr) =
       (if a' == a && b' == b then e else remake e (Ast.Bin (Ast.Div, a', b')));
     const
   | Ast.Aref (name, subs) ->
-    let subs' = map_sharing (lin ws) subs in
+    let subs' = map_sharing_with lin ws subs in
     ws_add ws base sign
       (if subs' == subs then e else remake e (Ast.Aref (name, subs')));
     const
@@ -304,35 +302,39 @@ let rec subst_raw lookup (e : Ast.expr) : Ast.expr =
     let a' = subst_raw lookup a and b' = subst_raw lookup b in
     if a' == a && b' == b then e else remake e (Ast.Bin (op, a', b'))
   | Ast.Aref (name, subs) ->
-    let subs' = map_sharing (subst_raw lookup) subs in
+    let subs' = map_sharing_with subst_raw lookup subs in
     if subs' == subs then e else remake e (Ast.Aref (name, subs'))
 
-let subst lookup e = linearize (const_fold (subst_raw lookup e))
+let canonicalize e = linearize (const_fold e)
+let subst lookup e = canonicalize (subst_raw lookup e)
 
 let is_pure_scalar = no_arrays
+
+let rec iter_assigned f (stmts : Ast.stmt list) =
+  match stmts with
+  | [] -> ()
+  | s :: rest ->
+    (match s.sdesc with
+     | Ast.Assign (Ast.Lvar v, _) | Ast.Read v -> f v
+     | Ast.Assign (Ast.Larr _, _) -> ()
+     | Ast.If (_, t, e) ->
+       iter_assigned f t;
+       iter_assigned f e
+     | Ast.For { var; body; _ } ->
+       f var;
+       iter_assigned f body);
+    iter_assigned f rest
 
 let assigned_vars stmts =
   let seen = Hashtbl.create 8 in
   let out = ref [] in
-  let note v =
-    if not (Hashtbl.mem seen v) then begin
-      Hashtbl.add seen v ();
-      out := v :: !out
-    end
-  in
-  let rec go (s : Ast.stmt) =
-    match s.sdesc with
-    | Ast.Assign (Ast.Lvar v, _) -> note v
-    | Ast.Assign (Ast.Larr _, _) -> ()
-    | Ast.Read v -> note v
-    | Ast.If (_, t, e) ->
-      List.iter go t;
-      List.iter go e
-    | Ast.For { var; body; _ } ->
-      note var;
-      List.iter go body
-  in
-  List.iter go stmts;
+  iter_assigned
+    (fun v ->
+       if not (Hashtbl.mem seen v) then begin
+         Hashtbl.add seen v ();
+         out := v :: !out
+       end)
+    stmts;
   List.rev !out
 
 let rec uses_var v (e : Ast.expr) =

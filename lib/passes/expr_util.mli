@@ -1,4 +1,9 @@
-(** Shared expression utilities for the optimizer passes. *)
+(** Shared expression utilities for the optimizer passes.
+
+    Every rewriter here is identity-preserving: when no rule fires it
+    returns its argument physically unchanged ([==]), and on an
+    argument already in normal form it allocates nothing. A converged
+    round of the pipeline therefore allocates nothing. *)
 
 open Dda_lang
 
@@ -7,6 +12,10 @@ val map_sharing : ('a -> 'a) -> 'a list -> 'a list
     [f] returns every element physically unchanged. All rewriters in
     this module are identity-preserving in the same sense, so a
     fixpoint round of the pipeline allocates (almost) nothing. *)
+
+val map_sharing_with : ('b -> 'a -> 'a) -> 'b -> 'a list -> 'a list
+(** [map_sharing_with f x l = map_sharing (f x) l], without allocating
+    the partial application. *)
 
 val const_fold : Ast.expr -> Ast.expr
 (** Bottom-up constant folding with algebraic identities ([e + 0],
@@ -31,13 +40,23 @@ val linearize : Ast.expr -> Ast.expr
 val const_value : Ast.expr -> int option
 (** [Some n] when the expression folds to the literal [n]. *)
 
+val canonicalize : Ast.expr -> Ast.expr
+(** [linearize (const_fold e)]: the normal form every pass leaves an
+    expression in. *)
+
 val subst : (string -> Ast.expr option) -> Ast.expr -> Ast.expr
 (** Substitute scalar variables; array names are untouched, and
-    substitution descends into subscripts. The result is re-folded. *)
+    substitution descends into subscripts. The result is
+    {!canonicalize}d. *)
 
 val is_pure_scalar : Ast.expr -> bool
 (** True when the expression contains no array reference (its value
     depends only on scalar state). *)
+
+val iter_assigned : (string -> unit) -> Ast.stmt list -> unit
+(** Calls [f] on every scalar assigned (or [read]) anywhere in the
+    statements, loop variables of contained loops included, in program
+    order and with repeats. Allocates nothing itself. *)
 
 val assigned_vars : Ast.stmt list -> string list
 (** Scalars assigned (or [read]) anywhere in the statements, including

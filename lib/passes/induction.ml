@@ -36,36 +36,36 @@ type candidate = {
   base : Ast.expr;  (* entry value of [ivar] *)
 }
 
-let find_candidates env ~loop_var ~body =
-  let assigned_in_body = Expr_util.assigned_vars body in
-  let rec go pos = function
-    | [] -> []
-    | s :: rest -> (
-        match s.Ast.sdesc with
-        | Ast.Assign (Ast.Lvar v, _) -> (
-            match increment_of v s with
-            | Some inc when inc <> 0 && writes_in v body = 1 ->
-              (* Entry value: a known pure definition that stays valid
-                 through the loop, else the (now invariant) variable
-                 itself. *)
-              let base =
-                match Env.find_opt v env with
-                | Some e
-                  when Expr_util.is_pure_scalar e
-                       && (not (Expr_util.uses_var loop_var e))
-                       && not
-                            (List.exists
-                               (fun w -> Expr_util.uses_var w e)
-                               assigned_in_body) -> e
-                | Some _ | None -> Ast.var v
-              in
-              { pos; ivar = v; inc; base } :: go (pos + 1) rest
-            | Some _ | None -> go (pos + 1) rest)
-        | _ -> go (pos + 1) rest)
-  in
-  go 0 body
+(* The increment statements of [body] (from position [pos] of [stmts]
+   on) whose variable it writes nowhere else. A loop with none costs
+   this one scan and no allocation. *)
+let rec find_candidates env ~loop_var ~body pos (stmts : Ast.stmt list) =
+  match stmts with
+  | [] -> []
+  | s :: rest -> (
+      match s.sdesc with
+      | Ast.Assign (Ast.Lvar v, _) -> (
+          match increment_of v s with
+          | Some inc when inc <> 0 && writes_in v body = 1 ->
+            (* Entry value: a known pure definition that stays valid
+               through the loop, else the (now invariant) variable
+               itself. *)
+            let base =
+              match Env.find_opt v env with
+              | Some e
+                when Expr_util.is_pure_scalar e
+                     && (not (Expr_util.uses_var loop_var e))
+                     && not
+                          (List.exists
+                             (fun w -> Expr_util.uses_var w e)
+                             (Expr_util.assigned_vars body)) -> e
+              | Some _ | None -> Ast.var v
+            in
+            { pos; ivar = v; inc; base } :: find_candidates env ~loop_var ~body (pos + 1) rest
+          | Some _ | None -> find_candidates env ~loop_var ~body (pos + 1) rest)
+      | _ -> find_candidates env ~loop_var ~body (pos + 1) rest)
 
-let simplify e = Expr_util.linearize (Expr_util.const_fold e)
+let simplify = Expr_util.canonicalize
 
 let mul_const c e = if c = 1 then e else simplify (Ast.bin Ast.Mul (Ast.int_ c) e)
 let add_ a b = simplify (Ast.bin Ast.Add a b)
@@ -107,98 +107,109 @@ let final_assign cand ~lo ~hi =
     [ Ast.assign (Ast.Lvar cand.ivar) final ]
     []
 
-let rec ind_stmt env (s : Ast.stmt) : Ast.stmt list * Ast.expr Env.t =
+(* The walk's state: the entry-value environment, threaded through in
+   place of an [(stmts, env)] pair per statement, and the guarded final
+   assignments the last loop transformed leaves to follow it. *)
+type state = {
+  mutable env : Ast.expr Env.t;
+  mutable finals : Ast.stmt list;
+}
+
+(* Forget [v] and every fact that mentions it. *)
+let kill v env =
+  if Env.is_empty env then env
+  else Env.filter (fun _ d -> not (Expr_util.uses_var v d)) (Env.remove v env)
+
+let kill_assigned st stmts =
+  if not (Env.is_empty st.env) then
+    Expr_util.iter_assigned (fun v -> st.env <- kill v st.env) stmts
+
+let rec ind_stmt st (s : Ast.stmt) : Ast.stmt =
   match s.sdesc with
   | Ast.Assign (Ast.Lvar v, e) ->
-    let env = Env.filter (fun _ d -> not (Expr_util.uses_var v d)) (Env.remove v env) in
-    let env =
-      if Expr_util.is_pure_scalar e && not (Expr_util.uses_var v e) then
-        Env.add v (Expr_util.const_fold e) env
-      else env
-    in
-    ([ s ], env)
-  | Ast.Assign (Ast.Larr _, _) -> ([ s ], env)
+    st.env <- kill v st.env;
+    if Expr_util.is_pure_scalar e && not (Expr_util.uses_var v e) then
+      st.env <- Env.add v (Expr_util.const_fold e) st.env;
+    s
+  | Ast.Assign (Ast.Larr _, _) -> s
   | Ast.Read v ->
-    ([ s ], Env.filter (fun _ d -> not (Expr_util.uses_var v d)) (Env.remove v env))
+    st.env <- kill v st.env;
+    s
   | Ast.If (cond, then_0, else_0) ->
-    let then_, _ = ind_stmts env then_0 in
-    let else_, _ = ind_stmts env else_0 in
+    let env = st.env in
+    let then_ = ind_stmts st then_0 in
+    st.env <- env;
+    let else_ = ind_stmts st else_0 in
+    st.env <- env;
     (* Conservatively drop facts invalidated by either branch. *)
-    let killed = Expr_util.assigned_vars (then_ @ else_) in
-    let env =
-      List.fold_left
-        (fun m v ->
-           Env.filter (fun _ d -> not (Expr_util.uses_var v d)) (Env.remove v m))
-        env killed
-    in
-    ( (if then_ == then_0 && else_ == else_0 then [ s ]
-       else [ { s with sdesc = Ast.If (cond, then_, else_) } ]),
-      env )
+    kill_assigned st then_;
+    kill_assigned st else_;
+    if then_ == then_0 && else_ == else_0 then s
+    else { s with sdesc = Ast.If (cond, then_, else_) }
   | Ast.For ({ var; lo; hi; step; body = body0; _ } as l) ->
-    let body = body0 in
-    let killed = var :: Expr_util.assigned_vars body in
-    let env_in =
-      List.fold_left
-        (fun m v ->
-           Env.filter (fun _ d -> not (Expr_util.uses_var v d)) (Env.remove v m))
-        env killed
-    in
+    (* [env] (pre-kill) holds entry values. *)
+    let env = st.env in
+    st.env <- kill var st.env;
+    kill_assigned st body0;
+    let env_in = st.env in
     (* Transform nested loops first. *)
-    let body, _ = ind_stmts env_in body in
-    let unit_step =
-      match step with
-      | None -> true
-      | Some e -> Expr_util.const_value e = Some 1
-    in
-    (* The guarded final assignment re-evaluates the bounds after the
-       loop, so they must be pure and loop-invariant. One scan of the
-       transformed body serves every check below. *)
-    let assigned = Expr_util.assigned_vars body in
-    let invariant e =
-      Expr_util.is_pure_scalar e
-      && (not (Expr_util.uses_var var e))
-      && not (List.exists (fun w -> Expr_util.uses_var w e) assigned)
-    in
-    let bounds_pure = invariant lo && invariant hi in
-    (* A body that reassigns (shadows) the loop variable would make the
-       substitution formulas read the clobbered value. *)
-    let var_stable = not (List.mem var assigned) in
-    if not (unit_step && bounds_pure && var_stable) then
-      ( (if body == body0 then [ s ]
-         else [ { s with sdesc = Ast.For { l with body } } ]),
-        env_in )
+    let body = ind_stmts st body0 in
+    st.env <- env_in;
+    let kept = if body == body0 then s else { s with sdesc = Ast.For { l with body } } in
+    if find_candidates env ~loop_var:var ~body 0 body = [] then kept
     else begin
-      (* [env] (pre-kill) holds entry values; candidates whose variable
-         has a stable definition there fold it in. Apply one candidate
-         at a time and re-detect, so statement positions stay honest
-         after the increment statement is removed. *)
-      let rec apply_all body =
-        match find_candidates env ~loop_var:var ~body with
-        | [] -> (body, [])
-        | cand :: _ ->
-          let body' = apply_candidate ~loop_var:var ~lo cand body in
-          let body'', finals = apply_all body' in
-          (body'', final_assign cand ~lo ~hi :: finals)
+      let unit_step =
+        match step with
+        | None -> true
+        | Some e -> (
+            match (Expr_util.const_fold e).desc with Ast.Int 1 -> true | _ -> false)
       in
-      let body, finals = apply_all body in
-      ( (if body == body0 && finals = [] then [ s ]
-         else { s with sdesc = Ast.For { l with body } } :: finals),
-        (* The finals assign induction variables; drop them from env. *)
-        List.fold_left
-          (fun m v ->
-             Env.filter (fun _ d -> not (Expr_util.uses_var v d)) (Env.remove v m))
-          env_in
-          (Expr_util.assigned_vars finals) )
+      (* The guarded final assignment re-evaluates the bounds after the
+         loop, so they must be pure and loop-invariant. One scan of the
+         transformed body serves every check below. *)
+      let assigned = Expr_util.assigned_vars body in
+      let invariant e =
+        Expr_util.is_pure_scalar e
+        && (not (Expr_util.uses_var var e))
+        && not (List.exists (fun w -> Expr_util.uses_var w e) assigned)
+      in
+      let bounds_pure = invariant lo && invariant hi in
+      (* A body that reassigns (shadows) the loop variable would make the
+         substitution formulas read the clobbered value. *)
+      let var_stable = not (List.mem var assigned) in
+      if not (unit_step && bounds_pure && var_stable) then kept
+      else begin
+        (* Candidates whose variable has a stable definition in [env]
+           fold it in. Apply one candidate at a time and re-detect, so
+           statement positions stay honest after the increment
+           statement is removed. *)
+        let rec apply_all body =
+          match find_candidates env ~loop_var:var ~body 0 body with
+          | [] -> (body, [])
+          | cand :: _ ->
+            let body' = apply_candidate ~loop_var:var ~lo cand body in
+            let body'', finals = apply_all body' in
+            (body'', final_assign cand ~lo ~hi :: finals)
+        in
+        let body, finals = apply_all body in
+        if body == body0 && finals = [] then s
+        else begin
+          (* The finals assign induction variables; drop them from env. *)
+          st.finals <- finals;
+          kill_assigned st finals;
+          { s with sdesc = Ast.For { l with body } }
+        end
+      end
     end
 
-and ind_stmts env stmts =
+and ind_stmts st stmts =
   match stmts with
-  | [] -> ([], env)
+  | [] -> stmts
   | s :: rest ->
-    let ss, env = ind_stmt env s in
-    let rest', env = ind_stmts env rest in
-    (match ss with
-     | [ s' ] when s' == s && rest' == rest -> (stmts, env)
-     | _ -> (ss @ rest', env))
+    let s' = ind_stmt st s in
+    let finals = st.finals in
+    st.finals <- [];
+    let rest' = ind_stmts st rest in
+    if s' == s && finals == [] && rest' == rest then stmts else s' :: (finals @ rest')
 
-let run prog = fst (ind_stmts Env.empty prog)
+let run prog = ind_stmts { env = Env.empty; finals = [] } prog

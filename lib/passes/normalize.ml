@@ -69,7 +69,7 @@ let fresh names base =
   in
   try_ 0
 
-let cf e = Expr_util.linearize (Expr_util.const_fold e)
+let cf = Expr_util.canonicalize
 
 let subst_in_stmt v formula s =
   Expr_util.map_program_exprs
@@ -77,88 +77,88 @@ let subst_in_stmt v formula s =
     [ s ]
   |> List.hd
 
-let rec norm_stmt names (s : Ast.stmt) : Ast.stmt list =
+(* Rewrite [for var = lo to hi step stepc] (constant [stepc], not 0 or
+   1, already-normalized [body]) to a unit-step loop from 0, or return
+   [kept] when the rewrite would not be sound. *)
+let normalize_loop names (s : Ast.stmt) ({ var; lo; hi; _ } as l : Ast.for_loop) ~stepc
+    ~body ~kept =
+  let assigned = Expr_util.assigned_vars body in
+  let invariant e =
+    Expr_util.is_pure_scalar e
+    && (not (Expr_util.uses_var var e))
+    && not (List.exists (fun w -> Expr_util.uses_var w e) assigned)
+  in
+  (* A body that reassigns (shadows) the loop variable makes the
+     substituted occurrences read the clobbered value; leave such
+     (ill-formed) loops alone. *)
+  if List.mem var assigned || not (invariant lo && invariant hi) then kept
+  else begin
+    let nvar = fresh (Lazy.force names) var in
+    (* i = lo + stepc * nvar *)
+    let formula =
+      cf (Ast.bin Ast.Add lo (Ast.bin Ast.Mul (Ast.int_ stepc) (Ast.var nvar)))
+    in
+    let body = List.map (subst_in_stmt var formula) body in
+    (* Trip count - 1 = (hi - lo) / stepc. The language only has
+       truncating division, which matches floor division exactly when
+       (hi - lo) and stepc have the same sign — i.e. when the loop runs
+       at all. Guard the whole rewrite with the loop-runs condition so
+       the truncation never lies. *)
+    let last_trip = cf (Ast.bin Ast.Div (Ast.bin Ast.Sub hi lo) (Ast.int_ stepc)) in
+    let new_loop =
+      { s with
+        sdesc =
+          Ast.For
+            { var = nvar;
+              lo = Ast.int_ 0;
+              hi = last_trip;
+              step = None;
+              parallel = l.parallel;
+              body;
+            };
+      }
+    in
+    (* The original variable keeps Fortran semantics: it holds the last
+       executed iteration's value (loops that never run leave it
+       untouched). *)
+    let runs_guard =
+      if stepc > 0 then { Ast.rel = Ast.Rle; lhs = lo; rhs = hi }
+      else { Ast.rel = Ast.Rge; lhs = lo; rhs = hi }
+    in
+    let final_value = cf (Ast.bin Ast.Add lo (Ast.bin Ast.Mul (Ast.int_ stepc) last_trip)) in
+    Ast.if_ runs_guard [ new_loop; Ast.assign (Ast.Lvar var) final_value ] []
+  end
+
+(* Every statement maps to one statement. [names] is forced on the
+   first non-unit-step loop: most programs have none, and then the
+   pass is one walk that allocates nothing. *)
+let rec norm_stmt names (s : Ast.stmt) : Ast.stmt =
   match s.sdesc with
-  | Ast.Assign _ | Ast.Read _ -> [ s ]
+  | Ast.Assign _ | Ast.Read _ -> s
   | Ast.If (cond, then_, else_) ->
     let then_' = norm_stmts names then_ and else_' = norm_stmts names else_ in
-    if then_' == then_ && else_' == else_ then [ s ]
-    else [ { s with sdesc = Ast.If (cond, then_', else_') } ]
-  | Ast.For ({ var; lo; hi; step; body = body0; _ } as l) -> (
+    if then_' == then_ && else_' == else_ then s
+    else { s with sdesc = Ast.If (cond, then_', else_') }
+  | Ast.For ({ step; body = body0; _ } as l) -> (
       let body = norm_stmts names body0 in
-      let kept =
-        if body == body0 then [ s ]
-        else [ { s with sdesc = Ast.For { l with body } } ]
-      in
-      match Option.map Expr_util.const_value step with
-      | None | Some (Some 1) ->
-        (* Unit step already; drop the redundant step annotation. *)
-        if step = None then kept
-        else [ { s with sdesc = Ast.For { l with step = None; body } } ]
-      | Some None | Some (Some 0) -> kept (* non-constant or zero: leave alone *)
-      | Some (Some stepc) ->
-        let assigned = Expr_util.assigned_vars body in
-        let invariant e =
-          Expr_util.is_pure_scalar e
-          && (not (Expr_util.uses_var var e))
-          && not (List.exists (fun w -> Expr_util.uses_var w e) assigned)
-        in
-        (* A body that reassigns (shadows) the loop variable makes the
-           substituted occurrences read the clobbered value; leave such
-           (ill-formed) loops alone. *)
-        if List.mem var assigned || not (invariant lo && invariant hi) then kept
-        else begin
-          let nvar = fresh names var in
-          (* i = lo + stepc * nvar *)
-          let formula =
-            cf (Ast.bin Ast.Add lo (Ast.bin Ast.Mul (Ast.int_ stepc) (Ast.var nvar)))
-          in
-          let body = List.map (subst_in_stmt var formula) body in
-          (* Trip count - 1 = (hi - lo) / stepc. The language only has
-             truncating division, which matches floor division exactly
-             when (hi - lo) and stepc have the same sign — i.e. when
-             the loop runs at all. Guard the whole rewrite with the
-             loop-runs condition so the truncation never lies. *)
-          let last_trip = cf (Ast.bin Ast.Div (Ast.bin Ast.Sub hi lo) (Ast.int_ stepc)) in
-          let new_loop =
-            { s with
-              sdesc =
-                Ast.For
-                  { var = nvar;
-                    lo = Ast.int_ 0;
-                    hi = last_trip;
-                    step = None;
-                    parallel = l.parallel;
-                    body;
-                  };
-            }
-          in
-          (* The original variable keeps Fortran semantics: it holds the
-             last executed iteration's value (loops that never run leave
-             it untouched). *)
-          let runs_guard =
-            if stepc > 0 then { Ast.rel = Ast.Rle; lhs = lo; rhs = hi }
-            else { Ast.rel = Ast.Rge; lhs = lo; rhs = hi }
-          in
-          let final_value =
-            cf (Ast.bin Ast.Add lo (Ast.bin Ast.Mul (Ast.int_ stepc) last_trip))
-          in
-          [ Ast.if_ runs_guard
-              [ new_loop; Ast.assign (Ast.Lvar var) final_value ]
-              [];
-          ]
-        end)
+      let kept = if body == body0 then s else { s with sdesc = Ast.For { l with body } } in
+      match step with
+      | None -> kept
+      | Some st -> (
+          match (Expr_util.const_fold st).desc with
+          | Ast.Int 1 ->
+            (* Unit step already; drop the redundant step annotation. *)
+            { s with sdesc = Ast.For { l with step = None; body } }
+          | Ast.Int 0 -> kept (* zero: leave alone *)
+          | Ast.Int stepc -> normalize_loop names s l ~stepc ~body ~kept
+          | _ -> kept (* non-constant: leave alone *)))
 
 and norm_stmts names stmts =
   match stmts with
-  | [] -> []
+  | [] -> stmts
   | s :: rest ->
-    let ss = norm_stmt names s in
+    let s' = norm_stmt names s in
     let rest' = norm_stmts names rest in
-    (match ss with
-     | [ s' ] when s' == s && rest' == rest -> stmts
-     | _ -> ss @ rest')
+    if s' == s && rest' == rest then stmts else s' :: rest'
 
-let run prog =
-  let names = all_names prog in
-  norm_stmts names prog
+let run prog = norm_stmts (lazy (all_names prog)) prog

@@ -15,7 +15,7 @@ let run ?(max_rounds = 8) prog =
     if round >= max_rounds then prog
     else begin
       let prog' = one_round prog in
-      if Ast.equal_program prog prog' then prog else go (round + 1) prog'
+      if prog' == prog || Ast.equal_program prog prog' then prog else go (round + 1) prog'
     end
   in
   go 0 prog

@@ -11,7 +11,127 @@ let expr = Alcotest.testable Pretty.pp_expr Ast.equal_expr
 (* Lexer                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let toks src = List.map fst (Lexer.tokenize src)
+(* The lexer as it was before it scanned by index: a [char option] per
+   character, a [Loc.t] per loop turn, and the tokens in a list. Kept
+   unchanged as the oracle the index-scanning lexer must agree with,
+   token for token, location for location, and error for error. *)
+module Oracle_lexer = struct
+  exception Error = Lexer.Error
+
+  let keyword = function
+    | "for" -> Some Token.KW_FOR
+    | "parallel" -> Some Token.KW_PARALLEL
+    | "to" -> Some Token.KW_TO
+    | "step" -> Some Token.KW_STEP
+    | "do" -> Some Token.KW_DO
+    (* "end for" / "end if" would be ambiguous with "end" followed by a
+       new loop, so the suffixed closers are single keywords. *)
+    | "end" | "endfor" | "endif" -> Some Token.KW_END
+    | "if" -> Some Token.KW_IF
+    | "then" -> Some Token.KW_THEN
+    | "else" -> Some Token.KW_ELSE
+    | "read" -> Some Token.KW_READ
+    | _ -> None
+
+  let is_digit c = c >= '0' && c <= '9'
+  let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+  let is_alnum c = is_alpha c || is_digit c
+
+  type state = {
+    src : string;
+    mutable pos : int;
+    mutable line : int;
+    mutable col : int;
+  }
+
+  let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+
+  let advance st =
+    (match peek st with
+     | Some '\n' ->
+       st.line <- st.line + 1;
+       st.col <- 1
+     | Some _ -> st.col <- st.col + 1
+     | None -> ());
+    st.pos <- st.pos + 1
+
+  let here st = Loc.make ~line:st.line ~col:st.col
+
+  let lex_number st =
+    let start = st.pos in
+    while (match peek st with Some c -> is_digit c | None -> false) do
+      advance st
+    done;
+    let text = String.sub st.src start (st.pos - start) in
+    match int_of_string_opt text with
+    | Some n -> Token.INT n
+    | None -> raise (Error (Printf.sprintf "integer literal out of range: %s" text, here st))
+
+  let lex_ident st =
+    let start = st.pos in
+    while (match peek st with Some c -> is_alnum c | None -> false) do
+      advance st
+    done;
+    let text = String.sub st.src start (st.pos - start) in
+    match keyword text with Some kw -> kw | None -> Token.IDENT text
+
+  let tokenize src =
+    let st = { src; pos = 0; line = 1; col = 1 } in
+    let toks = ref [] in
+    let emit tok loc = toks := (tok, loc) :: !toks in
+    let rec skip_comment () =
+      match peek st with
+      | Some '\n' | None -> ()
+      | Some _ ->
+        advance st;
+        skip_comment ()
+    in
+    (* Lex an operator that may be followed by '=' (e.g. "<" / "<=").
+       [single_tok = None] means the bare character is not a token. *)
+    let two_char_op loc c1 double_tok single_tok =
+      advance st;
+      match peek st with
+      | Some '=' ->
+        advance st;
+        emit double_tok loc
+      | _ -> (
+          match single_tok with
+          | Some t -> emit t loc
+          | None -> raise (Error (Printf.sprintf "expected '=' after '%c'" c1, loc)))
+    in
+    let continue_lexing = ref true in
+    while !continue_lexing do
+      let loc = here st in
+      match peek st with
+      | None ->
+        emit Token.EOF loc;
+        continue_lexing := false
+      | Some c -> (
+          match c with
+          | ' ' | '\t' | '\r' | '\n' -> advance st
+          | '#' -> skip_comment ()
+          | '0' .. '9' -> emit (lex_number st) loc
+          | c when is_alpha c -> emit (lex_ident st) loc
+          | '+' -> advance st; emit Token.PLUS loc
+          | '-' -> advance st; emit Token.MINUS loc
+          | '*' -> advance st; emit Token.STAR loc
+          | '/' -> advance st; emit Token.SLASH loc
+          | '(' -> advance st; emit Token.LPAREN loc
+          | ')' -> advance st; emit Token.RPAREN loc
+          | '[' -> advance st; emit Token.LBRACKET loc
+          | ']' -> advance st; emit Token.RBRACKET loc
+          | ',' -> advance st; emit Token.COMMA loc
+          | '=' -> two_char_op loc '=' Token.EQ (Some Token.ASSIGN)
+          | '<' -> two_char_op loc '<' Token.LE (Some Token.LT)
+          | '>' -> two_char_op loc '>' Token.GE (Some Token.GT)
+          | '!' -> two_char_op loc '!' Token.NE None
+          | c -> raise (Error (Printf.sprintf "unexpected character '%c'" c, loc)))
+    done;
+    List.rev !toks
+end
+
+let lexed src = Lexer.to_list (Lexer.tokenize src)
+let toks src = List.map fst (lexed src)
 
 let test_lexer_basics () =
   Alcotest.(check int) "eof only" 1 (List.length (toks ""));
@@ -28,7 +148,7 @@ let test_lexer_basics () =
     (toks "a # comment here\nb" = Token.[ IDENT "a"; IDENT "b"; EOF ])
 
 let test_lexer_locations () =
-  let spanned = Lexer.tokenize "a\n  b" in
+  let spanned = lexed "a\n  b" in
   match spanned with
   | [ (Token.IDENT "a", l1); (Token.IDENT "b", l2); (Token.EOF, _) ] ->
     Alcotest.(check int) "a line" 1 l1.Loc.line;
@@ -45,6 +165,94 @@ let test_lexer_errors () =
   Alcotest.(check bool) "lone bang" true (fails "a ! b");
   Alcotest.(check bool) "huge literal" true
     (fails "999999999999999999999999999999")
+
+(* The index-scanning lexer against the oracle: the same tokens at the
+   same locations, or the same error message at the same location. *)
+let lex_outcome tokenize src =
+  match tokenize src with
+  | toks -> Ok toks
+  | exception Lexer.Error (msg, loc) -> Error (msg, loc)
+
+let show_outcome = function
+  | Ok toks -> Printf.sprintf "%d tokens" (List.length toks)
+  | Error (msg, loc) -> Printf.sprintf "error %s at %s" msg (Loc.to_string loc)
+
+let rec first_difference i a b =
+  match (a, b) with
+  | (t1, l1) :: a', (t2, l2) :: b' when Token.equal t1 t2 && Loc.equal l1 l2 ->
+    first_difference (i + 1) a' b'
+  | (t1, l1) :: _, (t2, l2) :: _ ->
+    Some
+      (Printf.sprintf "token %d: %s at %s, oracle %s at %s" i (Token.to_string t1)
+         (Loc.to_string l1) (Token.to_string t2) (Loc.to_string l2))
+  | [], [] -> None
+  | _ -> Some (Printf.sprintf "lengths differ after token %d" i)
+
+let lexers_agree src =
+  let got = lex_outcome lexed src and want = lex_outcome Oracle_lexer.tokenize src in
+  let diff =
+    match (got, want) with
+    | Ok a, Ok b -> first_difference 0 a b
+    | Error (m1, l1), Error (m2, l2) when String.equal m1 m2 && Loc.equal l1 l2 -> None
+    | _ -> Some (Printf.sprintf "%s, oracle %s" (show_outcome got) (show_outcome want))
+  in
+  match diff with
+  | None -> true
+  | Some d ->
+    QCheck.Test.fail_reportf "lexers disagree (%s) on a %d-byte source starting:@.%s" d
+      (String.length src)
+      (String.sub src 0 (min 200 (String.length src)))
+
+(* Edits that reach the lexer's error paths and its line bookkeeping:
+   each inserts at byte [at] (clamped to the source), or rewrites the
+   whole source. *)
+let mutations =
+  let insert text src at =
+    let at = min at (String.length src) in
+    String.sub src 0 at ^ text ^ String.sub src at (String.length src - at)
+  in
+  [ ("none", fun src _ -> src);
+    ("dollar", insert "$");
+    ("lone bang", insert "! ");
+    ("30-digit literal", insert " 123456789012345678901234567890 ");
+    ("comment at end of file", fun src _ -> src ^ "\n# trailing comment");
+    ("crlf line ends", fun src _ -> String.concat "\r\n" (String.split_on_char '\n' src));
+    ("trailing identifier", fun src _ -> src ^ "tail_1") ]
+
+let test_lexer_oracle_perfect () =
+  List.iter
+    (fun spec ->
+       let src = Dda_perfect.Programs.source spec in
+       List.iter
+         (fun (_, mutate) -> ignore (lexers_agree (mutate src (String.length src / 2))))
+         mutations)
+    Dda_perfect.Programs.all
+
+let prop_lexer_oracle =
+  QCheck.Test.make ~name:"lexer agrees with the oracle on mutated fuzz sources" ~count:400
+    QCheck.(
+      make
+        ~print:(fun (profile, seed, index, (name, _), at) ->
+            Printf.sprintf "%s seed %d index %d, %s at %d"
+              (Dda_perfect.Fuzz.profile_name profile) seed index name at)
+        Gen.(
+          map
+            (fun ((profile, seed, index), (mutation, at)) -> (profile, seed, index, mutation, at))
+            (pair
+               (triple (oneofl Dda_perfect.Fuzz.all_profiles) (int_bound 1000) (int_bound 50))
+               (pair (oneofl mutations) (int_bound 4000)))))
+    (fun (profile, seed, index, (_, mutate), at) ->
+       lexers_agree (mutate (Dda_perfect.Fuzz.program profile ~seed ~index) at))
+
+(* The parser lexes the whole input first: a lexical error after a
+   syntax error is the one reported. *)
+let test_lexical_error_wins () =
+  match Parser.parse_program "a = )\nb = 1 $" with
+  | _ -> Alcotest.fail "expected an error"
+  | exception Lexer.Error (msg, loc) ->
+    Alcotest.(check string) "message" "unexpected character '$'" msg;
+    Alcotest.(check string) "location" "2:7" (Loc.to_string loc)
+  | exception Parser.Error (msg, _) -> Alcotest.failf "syntax error won: %s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
@@ -349,6 +557,82 @@ let test_oracle_pair_enumeration () =
      That's 5. *)
   Alcotest.(check int) "pair count" 5 (List.length (Trace.all_site_pairs prog))
 
+(* [Trace.observe] as it was before runs were indexed by cell: the
+   cross product of the two sites' accesses. The indexed queries must
+   agree with it exactly. *)
+let cross_product_observe accesses ~site1 ~site2 =
+  let at site = List.filter (fun (a : Interp.access) -> Loc.equal a.site site) accesses in
+  let a1s = at site1 and a2s = at site2 in
+  let self = Loc.equal site1 site2 in
+  let directions = ref [] and distances = ref [] and dependent = ref false in
+  List.iter
+    (fun (a1 : Interp.access) ->
+       List.iter
+         (fun (a2 : Interp.access) ->
+            let same_cell = String.equal a1.array a2.array && a1.indices = a2.indices in
+            let same_instance = self && a1.time = a2.time in
+            if same_cell && not same_instance then begin
+              dependent := true;
+              let n = List.length (Trace.common_loops a1 a2) in
+              let vals (a : Interp.access) =
+                List.filteri (fun i _ -> i < n) a.iter |> List.map snd
+              in
+              let v1 = vals a1 and v2 = vals a2 in
+              directions :=
+                List.map2
+                  (fun x y -> if x < y then Trace.Lt else if x = y then Trace.Eq else Trace.Gt)
+                  v1 v2
+                :: !directions;
+              distances := List.map2 (fun x y -> y - x) v1 v2 :: !distances
+            end)
+         a2s)
+    a1s;
+  { Trace.dependent = !dependent;
+    directions = List.sort_uniq (List.compare Trace.compare_direction) !directions;
+    distances = List.sort_uniq (List.compare Stdlib.compare) !distances }
+
+let prop_trace_indexed =
+  QCheck.Test.make ~name:"indexed trace queries equal the cross product" ~count:200
+    QCheck.(pair (int_bound 1000) (int_bound 50))
+    (fun (seed, index) ->
+       let prog = Parser.parse_program (Dda_perfect.Fuzz.program Small ~seed ~index) in
+       let accesses = Interp.run prog and run = Trace.execute prog in
+       List.for_all
+         (fun (site1, site2, _) ->
+            let want = cross_product_observe accesses ~site1 ~site2 in
+            Trace.observe_in run ~site1 ~site2 = want
+            && Trace.dependent_in run ~site1 ~site2 = want.dependent)
+         (Trace.all_site_pairs prog))
+
+let test_interp_overflow () =
+  let overflows src =
+    match Interp.run (Parser.parse_program src) with
+    | _ -> false
+    | exception Interp.Runtime_error ("integer overflow", _) -> true
+  in
+  let big = string_of_int max_int in
+  Alcotest.(check bool) "add" true (overflows (Printf.sprintf "t = %s + 1" big));
+  Alcotest.(check bool) "sub" true (overflows (Printf.sprintf "t = -%s - 2" big));
+  Alcotest.(check bool) "mul" true (overflows (Printf.sprintf "t = %s * 2" big));
+  Alcotest.(check bool) "subscript" true
+    (overflows (Printf.sprintf "for i = 1 to 3 do a[i * %s] = 1 end" big));
+  Alcotest.(check bool) "trip count" true
+    (overflows (Printf.sprintf "for i = -%s to %s do a[1] = 1 end" big big));
+  Alcotest.(check bool) "in range" false (overflows (Printf.sprintf "t = %s - 1 + 1" big));
+  Alcotest.(check int) "last iteration at max_int" 2
+    (List.length
+       (Interp.run (Parser.parse_program (Printf.sprintf "for i = %s - 1 to %s do a[i] = 1 end" big big))));
+  let neg_min = Parser.parse_program "read(n)\nt = -n" in
+  Alcotest.(check bool) "negating min_int" true
+    (match Interp.run ~inputs:[ ("n", min_int) ] neg_min with
+     | _ -> false
+     | exception Interp.Runtime_error ("integer overflow", _) -> true);
+  let div_min = Parser.parse_program "read(n)\nt = n / -1" in
+  Alcotest.(check bool) "min_int / -1" true
+    (match Interp.run ~inputs:[ ("n", min_int) ] div_min with
+     | _ -> false
+     | exception Interp.Runtime_error ("integer overflow", _) -> true)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "lang"
@@ -358,6 +642,9 @@ let () =
           Alcotest.test_case "basics" `Quick test_lexer_basics;
           Alcotest.test_case "locations" `Quick test_lexer_locations;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
+          Alcotest.test_case "oracle on PERFECT" `Quick test_lexer_oracle_perfect;
+          Alcotest.test_case "lexical error wins" `Quick test_lexical_error_wins;
+          qt prop_lexer_oracle;
         ] );
       ( "parser",
         [
@@ -388,6 +675,7 @@ let () =
           Alcotest.test_case "trace" `Quick test_interp_trace;
           Alcotest.test_case "fuel" `Quick test_interp_fuel;
           Alcotest.test_case "division by zero" `Quick test_interp_div_by_zero;
+          Alcotest.test_case "integer overflow" `Quick test_interp_overflow;
         ] );
       ( "oracle",
         [
@@ -396,5 +684,6 @@ let () =
           Alcotest.test_case "self pair" `Quick test_oracle_self_pair;
           Alcotest.test_case "multiple vectors" `Quick test_oracle_multi_vector;
           Alcotest.test_case "pair enumeration" `Quick test_oracle_pair_enumeration;
+          qt prop_trace_indexed;
         ] );
     ]
