@@ -999,7 +999,7 @@ let graph_cmd =
 let depgraph_cmd =
   let run file config =
     let prog = load file in
-    print_string (Depgraph.to_dot (Analyzer.analyze ~config prog))
+    print_string (Dda_analysis.Depgraph.to_dot (Analyzer.analyze ~config prog))
   in
   Cmd.v
     (Cmd.info "depgraph" ~doc:"Print the dependence graph in Graphviz format")
@@ -1033,21 +1033,21 @@ let transform_cmd =
     List.iter
       (fun lid ->
          Format.printf "loop %s: %s@." (name lid)
-           (if Transforms.reversal_legal report ~lid then "reversible"
+           (if Dda_analysis.Transforms.reversal_legal report ~lid then "reversible"
             else "NOT reversible"))
       loops;
     (* Pairwise interchange of loops that are directly nested. *)
     let rec pairs = function
       | a :: (b :: _ as rest) ->
         Format.printf "interchange %s <-> %s: %s@." (name a) (name b)
-          (if Transforms.interchange_legal report ~lid_a:a ~lid_b:b then "legal"
+          (if Dda_analysis.Transforms.interchange_legal report ~lid_a:a ~lid_b:b then "legal"
            else "ILLEGAL");
         pairs rest
       | _ -> []
     in
     ignore (pairs loops);
     if List.length loops >= 2 && List.length loops <= 4 then begin
-      let perms = Transforms.legal_permutations report loops in
+      let perms = Dda_analysis.Transforms.legal_permutations report loops in
       Format.printf "legal loop orders:";
       List.iter
         (fun perm ->
@@ -1055,7 +1055,7 @@ let transform_cmd =
         perms;
       Format.printf "@.";
       Format.printf "band fully permutable (tilable): %s@."
-        (if Transforms.fully_permutable report loops then "yes" else "no")
+        (if Dda_analysis.Transforms.fully_permutable report loops then "yes" else "no")
     end
   in
   Cmd.v
@@ -1410,7 +1410,7 @@ let distribute_cmd =
         run_pipeline = false;
       }
     in
-    match Distribute.body_stmts prog ~lid with
+    match Dda_analysis.Distribute.body_stmts prog ~lid with
     | None ->
       Format.eprintf
         "loop %d not found, or its body is not a sequence of array assignments@."
@@ -1418,15 +1418,15 @@ let distribute_cmd =
       exit 1
     | Some stmts ->
       let report = Analyzer.analyze ~config prog in
-      let plan = Distribute.plan_loop report ~lid ~stmts in
+      let plan = Dda_analysis.Distribute.plan_loop report ~lid ~stmts in
       List.iteri
-        (fun k (g : Distribute.group) ->
+        (fun k (g : Dda_analysis.Distribute.group) ->
            Format.printf "group %d (%s):" k
              (if g.parallel then "parallel" else "serial");
            List.iter (fun l -> Format.printf " %a" Loc.pp l) g.stmts;
            Format.printf "@.")
         plan.groups;
-      (match Distribute.apply prog plan with
+      (match Dda_analysis.Distribute.apply prog plan with
        | Some distributed ->
          Format.printf "@.-- distributed program --@.%s"
            (Pretty.program_to_string distributed)

@@ -53,12 +53,12 @@ let () =
        List.iter
          (fun lid ->
             Format.printf "  reverse %s: %s@." (name lid)
-              (if Transforms.reversal_legal report ~lid then "legal" else "illegal"))
+              (if Dda_analysis.Transforms.reversal_legal report ~lid then "legal" else "illegal"))
          loops;
        (match loops with
         | a :: b :: _ ->
           Format.printf "  interchange %s<->%s: %s@." (name a) (name b)
-            (if Transforms.interchange_legal report ~lid_a:a ~lid_b:b then "legal"
+            (if Dda_analysis.Transforms.interchange_legal report ~lid_a:a ~lid_b:b then "legal"
              else "illegal")
         | _ -> ());
        if List.length loops <= 3 then begin
@@ -66,7 +66,7 @@ let () =
          List.iter
            (fun perm ->
               Format.printf " (%s)" (String.concat "," (List.map name perm)))
-           (Transforms.legal_permutations report loops);
+           (Dda_analysis.Transforms.legal_permutations report loops);
          Format.printf "@."
        end;
        Format.printf "@.")
@@ -74,4 +74,4 @@ let () =
   (* The dependence graph of the skewed stencil, as DOT. *)
   let prog = Parser.parse_program (snd (List.nth nests 1)) in
   print_endline "-- dependence graph (Graphviz) of the skewed stencil --";
-  print_string (Depgraph.to_dot (Analyzer.analyze ~config prog))
+  print_string (Dda_analysis.Depgraph.to_dot (Analyzer.analyze ~config prog))

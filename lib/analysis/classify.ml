@@ -9,8 +9,6 @@ type edge = {
   exact : bool;
 }
 
-let kind_name = Analyzer.dep_kind_name
-
 (* A conservative verdict has no instance ordering; classify by
    textual order, as {!Analyzer.vector_kind} does for an ambiguous
    leading "*". *)
@@ -31,10 +29,16 @@ let conservative_edge (r : Analyzer.pair_report) =
     exact = false;
   }
 
+(* Level [k] may carry [v]: it admits a difference there, and every
+   outer level admits "=". *)
+let carries_at v k =
+  let outer_may_eq j = match v.(j) with Direction.Deq | Direction.Dany -> true | Direction.Dlt | Direction.Dgt -> false in
+  let rec outers j = j >= k || (outer_may_eq j && outers (j + 1)) in
+  (match v.(k) with Direction.Deq -> false | Direction.Dlt | Direction.Dgt | Direction.Dany -> true)
+  && outers 0
+
 let vector_edge (r : Analyzer.pair_report) ~exact v =
-  let carried_lids =
-    List.filteri (fun k _ -> Analyzer.vector_carries_at v k) r.common_ids
-  in
+  let carried_lids = List.filteri (fun k _ -> carries_at v k) r.common_ids in
   let loop_independent =
     Array.for_all
       (function Direction.Deq | Direction.Dany -> true
@@ -58,3 +62,21 @@ let pair_edges (r : Analyzer.pair_report) =
 
 let edges (report : Analyzer.report) =
   List.concat_map pair_edges report.pair_reports
+
+type reading = {
+  forward : bool;
+  dirs : Direction.dir array;
+}
+
+let readings e =
+  let v =
+    match e.vector with
+    | Some v -> v
+    | None -> Array.make e.pair.ncommon Direction.Dany
+  in
+  let forward = { forward = true; dirs = v } in
+  let backward () = { forward = false; dirs = Array.map Direction.flip v } in
+  match Direction.lead v with
+  | Direction.Dlt | Direction.Deq -> [ forward ]
+  | Direction.Dgt -> [ backward () ]
+  | Direction.Dany -> [ forward; backward () ]

@@ -1,8 +1,19 @@
-(** Dependence-edge classification: every {!Dda_core.Analyzer} pair
-    verdict flattened into edges tagged flow/anti/output/input, with
-    the set of loops that may carry each edge extracted from its
-    direction-vector set. This is the form the per-loop parallelism
-    summary ({!Summary}) consumes. *)
+(** Dependence edges: the one place a {!Dda_core.Analyzer} pair verdict
+    becomes dependence edges. Every client reads the dependence graph
+    from here — the per-loop parallelism summary ({!Summary}) and the
+    linter, loop-transformation legality ({!Transforms}), loop
+    distribution ({!Distribute}) and the Graphviz export
+    ({!Depgraph}).
+
+    Each edge is tagged flow/anti/output/input, with the set of loops
+    that may carry it extracted from its direction vector.
+
+    Orientation rule ({!readings}): the leading non-[=] direction of a
+    vector ({!Direction.lead}) names the source — [<] the pair's first
+    reference, [>] its second; an all-[=] (loop-independent) vector
+    runs in textual order, first to second; a leading ["*"] could be
+    either, so it is read both ways. A conservative edge is an
+    all-["*"] vector over the pair's common loops, read both ways. *)
 
 open Dda_core
 
@@ -37,5 +48,19 @@ val edges : Analyzer.report -> edge list
     pairs are never enumerated by the analyzer, so [Input] edges do not
     occur in practice; the classification is total anyway. *)
 
-val kind_name : Analyzer.dep_kind -> string
-(** ["flow" | "anti" | "output" | "input"]. *)
+type reading = {
+  forward : bool;
+      (** the dependence runs from the pair's first reference to its
+          second *)
+  dirs : Direction.dir array;
+      (** the edge's vector seen from the source: flipped
+          ({!Direction.flip}) when the second reference is the
+          source *)
+}
+
+val readings : edge -> reading list
+(** The edge read source to sink, by the orientation rule above: one
+    reading, or — for a leading ["*"] and for a conservative edge with
+    a common loop — a forward reading then a backward one. No
+    reading's leading direction is [>]: a source-to-sink vector is
+    lexicographically non-negative unless a ["*"] hides a [>]. *)

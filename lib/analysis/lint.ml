@@ -74,7 +74,7 @@ let edge_evidence (b : Summary.blocking) =
     | None -> ""
   in
   Printf.sprintf "carried %s dependence on array '%s'%s%s"
-    (Classify.kind_name e.kind) e.pair.array_name vec wit
+    (Analyzer.dep_kind_name e.kind) e.pair.array_name vec wit
 
 (* One finding per annotated non-DOALL loop: an error when some exact
    evidence establishes a race, else a warning that the annotation is
@@ -275,7 +275,7 @@ let write_blocking witnesses buf (b : Summary.blocking) =
   add buf "{\"array\":";
   Json_out.write_string buf e.pair.array_name;
   add buf ",\"kind\":\"";
-  add buf (Classify.kind_name e.kind);
+  add buf (Analyzer.dep_kind_name e.kind);
   add buf "\",\"exact\":";
   Json_out.write_bool buf e.exact;
   (match e.vector with

@@ -48,11 +48,9 @@ let doall_loops t =
 
 type loop_meta = {
   m_lid : int;
-  m_var : string;
   m_loc : Loc.t;
   m_depth : int;
-  m_parallel : bool;
-  m_body : Ast.stmt list;
+  m_for : Ast.for_loop;
 }
 
 let loop_metas prog =
@@ -67,8 +65,7 @@ let loop_metas prog =
       let lid = !next in
       incr next;
       out :=
-        { m_lid = lid; m_var = f.var; m_loc = s.sloc; m_depth = depth;
-          m_parallel = f.parallel; m_body = f.body }
+        { m_lid = lid; m_loc = s.sloc; m_depth = depth; m_for = f }
         :: !out;
       List.iter (walk (depth + 1)) f.body
   in
@@ -411,8 +408,8 @@ let compute ?(config = Analyzer.default_config) ?cancel ~prepared ~pairs
       (fun m ->
          let blocking = List.rev buckets.(m.m_lid) in
          let blockers = List.map (fun b -> b.edge) blocking in
-         let scalar_blockers = scalar_blockers_of ~loop_var:m.m_var m.m_body in
-         let red_slocs, scalar_red_ok = reductions_of m.m_body in
+         let scalar_blockers = scalar_blockers_of ~loop_var:m.m_for.var m.m_for.body in
+         let red_slocs, scalar_red_ok = reductions_of m.m_for.body in
          let reduction_ok =
            List.for_all
              (fun (e : Classify.edge) ->
@@ -437,8 +434,8 @@ let compute ?(config = Analyzer.default_config) ?cancel ~prepared ~pairs
          let degraded =
            List.exists (fun (e : Classify.edge) -> not e.exact) blockers
          in
-         { lid = m.m_lid; var = m.m_var; loc = m.m_loc; depth = m.m_depth;
-           parallel_annot = m.m_parallel; verdict; blocking; scalar_blockers;
+         { lid = m.m_lid; var = m.m_for.var; loc = m.m_loc; depth = m.m_depth;
+           parallel_annot = m.m_for.parallel; verdict; blocking; scalar_blockers;
            degraded })
       metas
   in

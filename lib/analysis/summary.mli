@@ -67,6 +67,17 @@ type t = {
   edges : Classify.edge list;
 }
 
+type loop_meta = {
+  m_lid : int;  (** pre-order id, as {!Affine} assigns them *)
+  m_loc : Loc.t;  (** the [for] statement *)
+  m_depth : int;  (** 0 = outermost *)
+  m_for : Ast.for_loop;
+}
+
+val loop_metas : Ast.program -> loop_meta list
+(** Every loop of the program in pre-order — the one walk that numbers
+    loops as {!Affine.extract} does. *)
+
 val doall_loops : t -> (int * bool) list
 (** [(lid, is_doall)] per loop, sorted by id: the one parallelism
     decider, behind [ddtest parallel], [annotate] and the C back end's

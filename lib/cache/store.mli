@@ -116,3 +116,7 @@ val compact :
     @raise Failure when the file is missing or unreadable, or its
     header does not match [config] — the file is left untouched
     (unlike {!open_store}, which quarantines and starts cold). *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write the whole string with raw [Unix.write], looping over short
+    writes. Exceptions from [Unix.write] propagate. *)

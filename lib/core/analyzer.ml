@@ -77,20 +77,13 @@ let dep_kind_name = function
 let pp_dep_kind fmt k = Format.pp_print_string fmt (dep_kind_name k)
 
 let vector_kind report v =
-  (* The leading non-"=" direction says which reference's instance runs
-     first; all-"=" is loop-independent, so textual order decides. *)
-  let rec source k =
-    if k >= Array.length v then `First
-    else
-      match v.(k) with
-      | Direction.Deq -> source (k + 1)
-      | Direction.Dlt | Direction.Dany -> `First
-      | Direction.Dgt -> `Second
-  in
+  (* The leading direction says which reference's instance runs first;
+     an all-"=" vector (loop-independent) and a leading "*" (either)
+     take the textual order. *)
   let src_role, dst_role =
-    match source 0 with
-    | `First -> (report.role1, report.role2)
-    | `Second -> (report.role2, report.role1)
+    match Direction.lead v with
+    | Direction.Dlt | Direction.Deq | Direction.Dany -> (report.role1, report.role2)
+    | Direction.Dgt -> (report.role2, report.role1)
   in
   match (src_role, dst_role) with
   | `Write, `Read -> Flow
@@ -427,15 +420,10 @@ let reinsert_outcome info = function
    question: flip every direction and negate distances. *)
 let mirror_outcome = function
   | Tested t ->
-    let mirror_dir = function
-      | Direction.Dlt -> Direction.Dgt
-      | Direction.Dgt -> Direction.Dlt
-      | (Direction.Deq | Direction.Dany) as d -> d
-    in
     Tested
       {
         t with
-        directions = List.map (Array.map mirror_dir) t.directions;
+        directions = List.map (Array.map Direction.flip) t.directions;
         distance = Option.map (Array.map Zint.neg) t.distance;
       }
   | (Constant _ | Assumed_dependent | Gcd_independent) as o -> o
@@ -669,22 +657,3 @@ let analyze ?(config = default_config) ?cancel ?cache program =
    Version 3: memo keys became [int array] and entries store their
    hash, changing the marshaled layout. *)
 let memo_format_version = 3
-
-(* ------------------------------------------------------------------ *)
-(* Carried-dependence helpers                                          *)
-(* ------------------------------------------------------------------ *)
-
-let vector_carries_at v k =
-  let outer_may_eq j = match v.(j) with Direction.Deq | Direction.Dany -> true | Direction.Dlt | Direction.Dgt -> false in
-  let rec outers j = j >= k || (outer_may_eq j && outers (j + 1)) in
-  (match v.(k) with Direction.Deq -> false | Direction.Dlt | Direction.Dgt | Direction.Dany -> true)
-  && outers 0
-
-let vector_carrier v =
-  let n = Array.length v in
-  let rec go k =
-    if k >= n then None
-    else if vector_carries_at v k then Some k
-    else go (k + 1)
-  in
-  go 0

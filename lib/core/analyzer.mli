@@ -95,21 +95,11 @@ val pp_dep_kind : Format.formatter -> dep_kind -> unit
 
 val vector_kind : pair_report -> Direction.dir array -> dep_kind
 (** Classify one direction vector of a dependent pair: the source is
-    the reference whose instance executes first (the leading non-[=]
-    direction decides; an all-[=] vector is loop-independent and the
-    textually earlier reference — the first — is the source). A leading
-    ["*"] is ambiguous and classified as if the first reference were
-    the source. *)
-
-val vector_carries_at : Direction.dir array -> int -> bool
-(** [vector_carries_at v k]: whether direction vector [v] admits an
-    instance pair carried at common-loop index [k] (0 = outermost) —
-    [v.(k)] is [<], [>] or [*], and every outer level admits [=]
-    (is [=] or [*]). *)
-
-val vector_carrier : Direction.dir array -> int option
-(** The outermost common-loop index at which the vector can be
-    carried, or [None] for a loop-independent (all-[=]) vector. *)
+    the reference whose instance executes first ({!Direction.lead}
+    decides; an all-[=] vector is loop-independent and the textually
+    earlier reference — the first — is the source). A leading ["*"] is
+    ambiguous and classified as if the first reference were the
+    source. *)
 
 type stats = {
   mutable pairs : int;

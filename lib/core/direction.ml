@@ -22,6 +22,17 @@ let vector_to_string v =
 
 let pp_vector fmt v = Format.pp_print_string fmt (vector_to_string v)
 
+let flip = function
+  | Dlt -> Dgt
+  | Dgt -> Dlt
+  | (Deq | Dany) as d -> d
+
+let rec lead_from v k =
+  if k >= Array.length v then Deq
+  else match v.(k) with Deq -> lead_from v (k + 1) | (Dlt | Dgt | Dany) as d -> d
+
+let lead v = lead_from v 0
+
 type prune = {
   unused : bool;
   distance : bool;

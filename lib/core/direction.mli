@@ -35,6 +35,17 @@ val pp_vector : Format.formatter -> dir array -> unit
 val vector_to_string : dir array -> string
 (** What {!pp_vector} prints, e.g. ["(<,=,*)"]. *)
 
+val flip : dir -> dir
+(** The same level seen from the other reference: [<] and [>] trade
+    places, [=] and [*] stay. [Array.map flip] reads a vector the
+    other way round. *)
+
+val lead : dir array -> dir
+(** The leading non-[=] direction of a vector, which says whose
+    instance runs first: [<] the first reference's, [>] the second's,
+    [*] either. [Deq] when every level is [=] (a loop-independent
+    vector, ordered by the program text). *)
+
 type prune = {
   unused : bool;
   distance : bool;

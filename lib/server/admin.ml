@@ -50,14 +50,6 @@ let status_text = function
   | 503 -> "Service Unavailable"
   | _ -> "Internal Server Error"
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
-
 let send fd (r : response) =
   let head =
     Printf.sprintf
@@ -65,7 +57,7 @@ let send fd (r : response) =
        Connection: close\r\n\r\n"
       r.status (status_text r.status) r.content_type (String.length r.body)
   in
-  write_all fd (head ^ r.body)
+  Dda_cache.Store.write_all fd (head ^ r.body)
 
 (* Read up to the end of the request head (we ignore the body — every
    endpoint is a GET). Bounded: a peer that never finishes its head is

@@ -185,21 +185,13 @@ let drain t =
 (* Responses                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
-
 (* A failed write means the peer is gone: mark the connection for
    reaping, never kill the server. *)
 let respond conn json =
   let line = Json_out.to_string json ^ "\n" in
   Mutex.lock conn.wlock;
   (try
-     write_all conn.fd line;
+     Dda_cache.Store.write_all conn.fd line;
      Metrics.incr m_responses
    with Unix.Unix_error _ | Sys_error _ -> conn.eof <- true);
   Mutex.unlock conn.wlock

@@ -5,6 +5,7 @@
 
 open Dda_lang
 open Dda_core
+open Dda_analysis
 
 let parse = Parser.parse_program
 

@@ -28,7 +28,7 @@ let blocking_json (b : Summary.blocking) =
   Obj
     ([
        ("array", Str e.pair.array_name);
-       ("kind", Str (Classify.kind_name e.kind));
+       ("kind", Str (Analyzer.dep_kind_name e.kind));
        ("exact", Bool e.exact);
      ]
      @ (match e.vector with

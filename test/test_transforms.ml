@@ -1,4 +1,5 @@
-(* Loop-transformation legality and the dependence-graph export.
+(* Loop-transformation legality, the dependence-graph export, and the
+   one edge model they read, against the derivations it replaced.
 
    The heavyweight check: on random affine nests, whenever the analyzer
    declares an interchange or reversal legal, actually performing the
@@ -7,6 +8,7 @@
 
 open Dda_lang
 open Dda_core
+open Dda_analysis
 
 let parse = Parser.parse_program
 
@@ -217,6 +219,279 @@ let test_depgraph_conservative_edges () =
     (contains "assumed (not affine)" dot && contains "style=dashed" dot)
 
 (* ------------------------------------------------------------------ *)
+(* One edge model against the derivations it replaced                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Before {!Classify.readings}, three clients each turned a pair's
+   outcome into oriented dependences. Their derivations are kept here
+   unchanged as the oracle. *)
+module Oracle = struct
+  let flip = function
+    | Direction.Dlt -> Direction.Dgt
+    | Direction.Dgt -> Direction.Dlt
+    | (Direction.Deq | Direction.Dany) as d -> d
+
+  (* Transforms.normalize / pair_vectors *)
+  let normalize v =
+    let rec lead k =
+      if k >= Array.length v then `Eq
+      else
+        match v.(k) with
+        | Direction.Deq -> lead (k + 1)
+        | Direction.Dlt -> `Forward
+        | Direction.Dgt -> `Backward
+        | Direction.Dany -> `Ambiguous
+    in
+    match lead 0 with
+    | `Eq | `Forward -> [ v ]
+    | `Backward -> [ Array.map flip v ]
+    | `Ambiguous -> [ v; Array.map flip v ]
+
+  let pair_vectors (r : Analyzer.pair_report) =
+    let all_star = Array.make r.ncommon Direction.Dany in
+    match r.outcome with
+    | Analyzer.Constant false | Analyzer.Gcd_independent -> []
+    | Analyzer.Constant true | Analyzer.Assumed_dependent -> [ all_star ]
+    | Analyzer.Tested t when not t.dependent -> []
+    | Analyzer.Tested t ->
+      if t.directions = [] then [ all_star ]
+      else List.concat_map normalize t.directions
+
+  (* Distribute.edges_of_vector / pair_edges *)
+  let edges_of_vector (r : Analyzer.pair_report) pos v =
+    let relevant v =
+      let rec outer j = j >= pos || (v.(j) <> Direction.Dlt && v.(j) <> Direction.Dgt && outer (j + 1)) in
+      outer 0
+    in
+    let carried v = pos < Array.length v && v.(pos) <> Direction.Deq in
+    let one_way src dst v =
+      if relevant v then [ (src, dst, carried v) ] else []
+    in
+    let rec lead k =
+      if k >= Array.length v then `Eq
+      else
+        match v.(k) with
+        | Direction.Deq -> lead (k + 1)
+        | Direction.Dlt -> `Fwd
+        | Direction.Dgt -> `Bwd
+        | Direction.Dany -> `Ambiguous
+    in
+    match lead 0 with
+    | `Fwd -> one_way r.stmt1 r.stmt2 v
+    | `Bwd -> one_way r.stmt2 r.stmt1 (Array.map flip v)
+    | `Eq ->
+      if Loc.equal r.stmt1 r.stmt2 then []
+      else if Loc.compare r.stmt1 r.stmt2 <= 0 then one_way r.stmt1 r.stmt2 v
+      else one_way r.stmt2 r.stmt1 v
+    | `Ambiguous ->
+      one_way r.stmt1 r.stmt2 v @ one_way r.stmt2 r.stmt1 (Array.map flip v)
+
+  let pair_edges lid (r : Analyzer.pair_report) =
+    let rec index_of k = function
+      | [] -> None
+      | id :: _ when id = lid -> Some k
+      | _ :: rest -> index_of (k + 1) rest
+    in
+    match index_of 0 r.common_ids with
+    | None -> []
+    | Some pos -> (
+        let all_star = Array.make r.ncommon Direction.Dany in
+        match r.outcome with
+        | Analyzer.Constant false | Analyzer.Gcd_independent -> []
+        | Analyzer.Constant true | Analyzer.Assumed_dependent ->
+          edges_of_vector r pos all_star
+        | Analyzer.Tested t when not t.dependent -> []
+        | Analyzer.Tested t ->
+          if t.directions = [] then edges_of_vector r pos all_star
+          else List.concat_map (edges_of_vector r pos) t.directions)
+
+  (* Depgraph.source_of *)
+  let source_of v =
+    let rec go k =
+      if k >= Array.length v then `First
+      else
+        match v.(k) with
+        | Direction.Deq -> go (k + 1)
+        | Direction.Dlt -> `First
+        | Direction.Dgt -> `Second
+        | Direction.Dany -> `Ambiguous
+    in
+    go 0
+end
+
+(* The first pair of [report] on which the edge model and the oracle
+   disagree. Per edge, the readings must be the oracle's orientation
+   ([source_of]) zipped with its source-to-sink vectors ([normalize]),
+   a conservative edge standing for the all-"*" vector; per pair, the
+   legality clients' vector set ([pair_vectors], which reads a
+   conservative edge once) and the statement edges at every common
+   loop ([pair_edges]) must match. *)
+let edge_model_mismatch (report : Analyzer.report) =
+  let vec = Direction.vector_to_string in
+  let show_readings rs =
+    String.concat " "
+      (List.map (fun (fwd, v) -> (if fwd then "->" else "<-") ^ vec v) rs)
+  in
+  let show_stmt_edges es =
+    String.concat " "
+      (List.map
+         (fun (s, d, c) ->
+            Printf.sprintf "%s->%s%s" (Loc.to_string s) (Loc.to_string d)
+              (if c then "(c)" else ""))
+         es)
+  in
+  List.find_map
+    (fun (r : Analyzer.pair_report) ->
+       let edges = Classify.pair_edges r in
+       let where = Printf.sprintf "%s %s/%s" r.array_name (Loc.to_string r.loc1) (Loc.to_string r.loc2) in
+       let reading_mismatch =
+         List.find_map
+           (fun (e : Classify.edge) ->
+              let v =
+                Option.value e.vector ~default:(Array.make r.ncommon Direction.Dany)
+              in
+              let orientation =
+                match Oracle.source_of v with
+                | `First -> [ true ]
+                | `Second -> [ false ]
+                | `Ambiguous -> [ true; false ]
+              in
+              let expected = List.combine orientation (Oracle.normalize v) in
+              let got =
+                List.map (fun (rd : Classify.reading) -> (rd.forward, rd.dirs)) (Classify.readings e)
+              in
+              if got = expected then None
+              else
+                Some
+                  (Printf.sprintf "%s: readings of %s: %s, oracle %s" where (vec v)
+                     (show_readings got) (show_readings expected)))
+           edges
+       in
+       let vectors_mismatch () =
+         let got =
+           List.concat_map
+             (fun e -> List.map (fun (rd : Classify.reading) -> rd.dirs) (Classify.readings e))
+             edges
+         in
+         let expected = Oracle.pair_vectors r in
+         if List.sort_uniq compare got = List.sort_uniq compare expected then None
+         else
+           Some
+             (Printf.sprintf "%s: vectors %s, oracle %s" where
+                (String.concat " " (List.map vec got))
+                (String.concat " " (List.map vec expected)))
+       in
+       let stmt_edges_mismatch () =
+         List.find_map
+           (fun lid ->
+              let got =
+                List.concat_map (Distribute.stmt_edges ~lid) edges
+                |> List.map (fun (d : Distribute.edge) -> (d.src, d.dst, d.carried))
+              in
+              let expected = Oracle.pair_edges lid r in
+              if got = expected then None
+              else
+                Some
+                  (Printf.sprintf "%s: statement edges at L%d: %s, oracle %s" where lid
+                     (show_stmt_edges got) (show_stmt_edges expected)))
+           r.common_ids
+       in
+       match reading_mismatch with
+       | Some _ as m -> m
+       | None -> (
+           match vectors_mismatch () with
+           | Some _ as m -> m
+           | None -> stmt_edges_mismatch ()))
+    report.pair_reports
+
+(* Default analysis; a one-step budget (verdicts degraded before any
+   vector exists); a three-step budget (degraded vectors keeping
+   unrefined "*" cells); and no direction vectors at all (every
+   dependent pair conservative). *)
+let edge_model_configs =
+  [
+    ("default", Analyzer.default_config);
+    ( "max_steps=1",
+      {
+        Analyzer.default_config with
+        Analyzer.limits = { Budget.default_limits with max_steps = Some 1 };
+      } );
+    ( "max_steps=3",
+      {
+        Analyzer.default_config with
+        Analyzer.limits = { Budget.default_limits with max_steps = Some 3 };
+      } );
+    ("directions=false", { Analyzer.default_config with Analyzer.directions = false });
+  ]
+
+let edge_model_agrees prog =
+  List.for_all
+    (fun (name, config) ->
+       match edge_model_mismatch (Analyzer.analyze ~config prog) with
+       | None -> true
+       | Some msg -> QCheck.Test.fail_reportf "%s: %s" name msg)
+    edge_model_configs
+
+let arb_edge_model_input =
+  let open QCheck in
+  let fuzzed profile =
+    Gen.map
+      (fun (seed, index) ->
+         Parser.parse_program (Dda_perfect.Fuzz.program profile ~seed ~index))
+      Gen.(pair (int_bound 100_000) (int_bound 5_000))
+  in
+  make ~print:Pretty.program_to_string
+    (Gen.oneof
+       [
+         Test_support.Gen_ast.gen_affine_nest;
+         fuzzed Dda_perfect.Fuzz.Mixed;
+         fuzzed Dda_perfect.Fuzz.Small;
+       ])
+
+let prop_edge_model_matches_oracle =
+  QCheck.Test.make ~name:"edge readings equal the replaced derivations" ~count:200
+    arb_edge_model_input edge_model_agrees
+
+(* Which kinds of edge the fixture met: the oracle comparison only
+   means something if every reading rule was exercised. *)
+let edge_shape (e : Classify.edge) =
+  match (e.vector, e.pair.outcome) with
+  | None, Analyzer.Tested { degraded = Some _; _ } -> "degraded, no vectors"
+  | None, Analyzer.Tested { degraded = None; _ } -> "vector-less dependent"
+  | None, (Analyzer.Constant _ | Analyzer.Assumed_dependent | Analyzer.Gcd_independent) ->
+    "constant or non-affine"
+  | Some v, _ -> (
+      let degraded = if e.exact then "" else "degraded " in
+      match Direction.lead v with
+      | Direction.Dlt -> degraded ^ "leading <"
+      | Direction.Dgt -> degraded ^ "leading >"
+      | Direction.Dany -> degraded ^ "leading *"
+      | Direction.Deq -> degraded ^ "loop-independent")
+
+let test_edge_model_perfect () =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (spec : Dda_perfect.Programs.spec) ->
+       let prog = Parser.parse_program (Dda_perfect.Programs.source spec) in
+       List.iter
+         (fun (name, config) ->
+            let report = Analyzer.analyze ~config prog in
+            List.iter
+              (fun e -> Hashtbl.replace seen (edge_shape e) ())
+              (Classify.edges report);
+            match edge_model_mismatch report with
+            | None -> ()
+            | Some msg -> Alcotest.failf "%s, %s: %s" spec.name name msg)
+         edge_model_configs)
+    Dda_perfect.Programs.all;
+  List.iter
+    (fun shape -> Alcotest.(check bool) ("met: " ^ shape) true (Hashtbl.mem seen shape))
+    [
+      "vector-less dependent"; "constant or non-affine"; "leading <"; "leading >";
+      "leading *"; "loop-independent"; "degraded, no vectors"; "degraded leading *";
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Execution-validated legality                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -308,6 +583,12 @@ let () =
         [
           Alcotest.test_case "dot output" `Quick test_depgraph_dot;
           Alcotest.test_case "conservative edges" `Quick test_depgraph_conservative_edges;
+        ] );
+      ( "edge-model",
+        [
+          Alcotest.test_case "PERFECT programs match the oracle" `Quick
+            test_edge_model_perfect;
+          qt prop_edge_model_matches_oracle;
         ] );
       ( "execution-validated",
         [
