@@ -229,19 +229,9 @@ let to_text ~file res =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The whole object is written straight into one buffer. Blocking
-   entries share witness records (the replay memo hands one record to
-   every pair with the same problem), so each record's text is
-   rendered once per call and copied for every entry that holds it.
-   Edge prefixes are written each time: nearly every entry has an
-   edge of its own, so a table of them costs more than it saves. *)
-
-module Witness_text = Hashtbl.Make (struct
-    type t = Summary.witness
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
+(* The whole object is written straight into the render buffer
+   ({!Json_out.render}), numbers and direction vectors included, so
+   the returned string is its only sizeable allocation. *)
 
 let add = Buffer.add_string
 
@@ -252,25 +242,22 @@ let write_line_col buf ~second (l : Loc.t) =
   add buf (if second then ",\"2col\":" else ",\"col\":");
   Json_out.write_int buf l.Loc.col
 
-let witness_text (w : Summary.witness) =
-  let buf = Buffer.create 64 in
-  let coords a =
-    Buffer.add_char buf '[';
-    Array.iteri
-      (fun i z ->
-         if i > 0 then Buffer.add_char buf ',';
-         Json_out.write_string buf (Dda_numeric.Zint.to_string z))
-      a;
-    Buffer.add_char buf ']'
-  in
-  add buf "{\"iter1\":";
-  coords w.iter1;
-  add buf ",\"iter2\":";
-  coords w.iter2;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+(* Witness coordinates are JSON strings of their digits. *)
+let write_coords buf a =
+  Buffer.add_char buf '[';
+  for i = 0 to Array.length a - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    let z = a.(i) in
+    if Dda_numeric.Zint.is_small z then begin
+      Buffer.add_char buf '"';
+      Json_out.write_int buf (Dda_numeric.Zint.to_int_exn z);
+      Buffer.add_char buf '"'
+    end
+    else Json_out.write_string buf (Dda_numeric.Zint.to_string z)
+  done;
+  Buffer.add_char buf ']'
 
-let write_blocking witnesses buf (b : Summary.blocking) =
+let write_blocking buf (b : Summary.blocking) =
   let e = b.edge in
   add buf "{\"array\":";
   Json_out.write_string buf e.pair.array_name;
@@ -281,25 +268,22 @@ let write_blocking witnesses buf (b : Summary.blocking) =
   (match e.vector with
    | Some v ->
      add buf ",\"vector\":\"";
-     add buf (Direction.vector_to_string v);
+     Direction.add_vector buf v;
      Buffer.add_char buf '"'
    | None -> ());
   write_line_col buf ~second:false e.pair.loc1;
   write_line_col buf ~second:true e.pair.loc2;
   (match b.witness with
-   | Some w ->
-     add buf ",\"witness\":";
-     add buf
-       (match Witness_text.find_opt witnesses w with
-        | Some text -> text
-        | None ->
-          let text = witness_text w in
-          Witness_text.add witnesses w text;
-          text)
+   | Some (w : Summary.witness) ->
+     add buf ",\"witness\":{\"iter1\":";
+     write_coords buf w.iter1;
+     add buf ",\"iter2\":";
+     write_coords buf w.iter2;
+     Buffer.add_char buf '}'
    | None -> ());
   Buffer.add_char buf '}'
 
-let write_loop witnesses buf (li : Summary.loop_info) =
+let write_loop buf (li : Summary.loop_info) =
   add buf "{\"lid\":";
   Json_out.write_int buf li.lid;
   add buf ",\"var\":";
@@ -314,14 +298,14 @@ let write_loop witnesses buf (li : Summary.loop_info) =
   add buf "\",\"degraded\":";
   Json_out.write_bool buf li.degraded;
   add buf ",\"blocking\":";
-  Json_out.write_list buf (write_blocking witnesses) li.blocking;
+  Json_out.write_list buf write_blocking li.blocking;
   add buf ",\"scalar_blockers\":";
   Json_out.write_list buf Json_out.write_string li.scalar_blockers;
   Buffer.add_char buf '}'
 
 let edge_counts (edges : Classify.edge list) =
   let count k =
-    List.length (List.filter (fun (e : Classify.edge) -> e.kind = k) edges)
+    List.fold_left (fun n (e : Classify.edge) -> if e.kind = k then n + 1 else n) 0 edges
   in
   Json_out.Obj
     [
@@ -333,31 +317,32 @@ let edge_counts (edges : Classify.edge list) =
 
 let to_json ~file res =
   let d, v, r, s = counts res.summary in
-  let buf = Buffer.create 4096 and witnesses = Witness_text.create 64 in
-  add buf "{\"file\":";
-  Json_out.write_string buf file;
-  add buf ",\"loops\":";
-  Json_out.write_list buf (write_loop witnesses) res.summary.Summary.loops;
-  add buf ",\"edges\":";
-  Json_out.write buf (edge_counts res.summary.Summary.edges);
-  add buf ",\"verdicts\":";
-  Json_out.write buf
-    (Json_out.Obj
-       [
-         ("doall", Json_out.Int d);
-         ("vectorizable", Json_out.Int v);
-         ("reduction", Json_out.Int r);
-         ("serial", Json_out.Int s);
-       ]);
-  add buf ",\"findings\":";
-  Json_out.write buf
-    (Json_out.List (List.map Verify.diagnostic_json res.findings));
-  add buf ",\"errors\":";
-  Json_out.write_int buf res.errors;
-  add buf ",\"warnings\":";
-  Json_out.write_int buf res.warnings;
-  Buffer.add_char buf '}';
-  Json_out.Raw (Buffer.contents buf)
+  let write_summary buf =
+    add buf "{\"file\":";
+    Json_out.write_string buf file;
+    add buf ",\"loops\":";
+    Json_out.write_list buf write_loop res.summary.Summary.loops;
+    add buf ",\"edges\":";
+    Json_out.write buf (edge_counts res.summary.Summary.edges);
+    add buf ",\"verdicts\":";
+    Json_out.write buf
+      (Json_out.Obj
+         [
+           ("doall", Json_out.Int d);
+           ("vectorizable", Json_out.Int v);
+           ("reduction", Json_out.Int r);
+           ("serial", Json_out.Int s);
+         ]);
+    add buf ",\"findings\":";
+    Json_out.write buf
+      (Json_out.List (List.map Verify.diagnostic_json res.findings));
+    add buf ",\"errors\":";
+    Json_out.write_int buf res.errors;
+    add buf ",\"warnings\":";
+    Json_out.write_int buf res.warnings;
+    Buffer.add_char buf '}'
+  in
+  Json_out.Raw (Json_out.render write_summary)
 
 (* ------------------------------------------------------------------ *)
 (* SARIF                                                               *)

@@ -87,10 +87,13 @@ let loop_metas prog =
 let scalar_blockers_of ~loop_var body =
   let written = ref SS.empty in
   let exposed = ref SS.empty in
+  (* The definite writes in force at the expression being read. *)
+  let defn_now = ref SS.empty in
+  let read v = if not (SS.mem v !defn_now) then exposed := SS.add v !exposed in
+  let read_expr e = Ast.iter_vars read e in
   let expr_reads defn e =
-    List.iter
-      (fun v -> if not (SS.mem v defn) then exposed := SS.add v !exposed)
-      (Ast.expr_vars e)
+    defn_now := defn;
+    read_expr e
   in
   let rec walk_stmts defn stmts = List.fold_left walk_stmt defn stmts
   and walk_stmt defn (s : Ast.stmt) =
@@ -100,8 +103,9 @@ let scalar_blockers_of ~loop_var body =
       written := SS.add v !written;
       SS.add v defn
     | Ast.Assign (Ast.Larr (_, subs), e) ->
-      List.iter (expr_reads defn) subs;
-      expr_reads defn e;
+      defn_now := defn;
+      List.iter read_expr subs;
+      read_expr e;
       defn
     | Ast.Read v ->
       written := SS.add v !written;
@@ -112,9 +116,10 @@ let scalar_blockers_of ~loop_var body =
       let dt = walk_stmts defn t and de = walk_stmts defn e in
       SS.union defn (SS.inter dt de)
     | Ast.For f ->
-      expr_reads defn f.lo;
-      expr_reads defn f.hi;
-      Option.iter (expr_reads defn) f.step;
+      defn_now := defn;
+      read_expr f.lo;
+      read_expr f.hi;
+      Option.iter read_expr f.step;
       written := SS.add f.var !written;
       ignore (walk_stmts (SS.add f.var defn) f.body);
       defn
@@ -158,12 +163,8 @@ let reductions_of body =
     let prev = Option.value (Hashtbl.find_opt scalar_writes v) ~default:true in
     Hashtbl.replace scalar_writes v (prev && is_red)
   in
-  let note_reads ?own e =
-    List.iter
-      (fun v ->
-         if own <> Some v then Hashtbl.replace read_elsewhere v ())
-      (Ast.expr_vars e)
-  in
+  let note_read v = Hashtbl.replace read_elsewhere v () in
+  let note_reads e = Ast.iter_vars note_read e in
   let classify (s : Ast.stmt) =
     match s.sdesc with
     | Ast.Assign (Ast.Larr (a, subs), e) -> (
@@ -189,7 +190,7 @@ let reductions_of body =
       let matches cell other =
         match cell.Ast.desc with
         | Ast.Var v' when String.equal v' v ->
-          not (List.mem v (Ast.expr_vars other))
+          not (Ast.mentions v other)
         | _ -> false
       in
       let is_red =
@@ -197,7 +198,7 @@ let reductions_of body =
       in
       if is_red then begin
         slocs := s.sloc :: !slocs;
-        note_reads ~own:v e
+        Ast.iter_vars (fun v' -> if not (String.equal v' v) then note_read v') e
       end
       else note_reads e;
       note_scalar v is_red
@@ -233,71 +234,61 @@ type replay_entry = {
   mutable answers : ((int * Direction.dir) * witness option) list;
 }
 
-(* The replay memo of one [compute] call, keyed by the problem exactly
-   as written: the layout ([n1], [n2], [nsym], [ncommon], row counts)
-   and every equality and inequality row's coefficients and rhs, plus
-   each bound's [subject]. Signs are kept as they are —
-   [Problem.to_key] makes every equality's leading coefficient
+(* The replay memo of one [compute] call, keyed by the problem itself,
+   read in place: the layout ([n1], [n2], [nsym], [ncommon]) and every
+   equality and inequality row's coefficients and rhs as written, plus
+   each bound's [subject]; names are ignored. Signs are kept as they
+   are — [Problem.to_key] makes every equality's leading coefficient
    positive, but a negated row can reduce to a different particular
-   solution and so to different witness iterations. *)
+   solution and so to different witness iterations. [Zint] equality
+   and hashing cover coefficients past the native int range. *)
 module Replay_memo = Hashtbl.Make (struct
-  type t = int array
+  type t = Problem.t
 
-  let equal (a : t) b = a = b
+  (* Rows of one problem layout have one width. *)
+  let equal_row (a : Consys.row) (b : Consys.row) =
+    let n = Array.length a.coeffs in
+    let rec go i = i >= n || (Zint.equal a.coeffs.(i) b.coeffs.(i) && go (i + 1)) in
+    Array.length b.coeffs = n && Zint.equal a.rhs b.rhs && go 0
 
-  let hash (a : t) =
-    Array.fold_left (fun h x -> (h * 65599) + x) (Array.length a) a
+  let equal_bound (a : Problem.bound) (b : Problem.bound) =
+    a.subject = b.subject && equal_row a.row b.row
+
+  let equal (a : t) (b : t) =
+    a.n1 = b.n1 && a.n2 = b.n2 && a.nsym = b.nsym && a.ncommon = b.ncommon
+    && List.equal equal_row a.eqs b.eqs
+    && List.equal equal_bound a.ineqs b.ineqs
+
+  let mix h x = (h * 65599) + x
+
+  let hash_row h (r : Consys.row) =
+    let h = ref (mix h (Zint.hash r.rhs)) in
+    for i = 0 to Array.length r.coeffs - 1 do
+      h := mix !h (Zint.hash r.coeffs.(i))
+    done;
+    !h
+
+  let hash (p : t) =
+    let h = mix (mix (mix (mix 0 p.n1) p.n2) p.nsym) p.ncommon in
+    let h = List.fold_left hash_row h p.eqs in
+    List.fold_left
+      (fun h (b : Problem.bound) -> hash_row (mix h b.subject) b.row)
+      h p.ineqs
     land max_int
 end)
 
-exception Key_overflow
-
-let replay_key (p : Problem.t) =
-  let w = Problem.nvars p + 1 in
-  let neqs = List.length p.eqs and nineqs = List.length p.ineqs in
-  let key = Array.make (6 + (w * neqs) + ((w + 1) * nineqs)) 0 in
-  key.(0) <- p.n1;
-  key.(1) <- p.n2;
-  key.(2) <- p.nsym;
-  key.(3) <- p.ncommon;
-  key.(4) <- neqs;
-  key.(5) <- nineqs;
-  let int_of z =
-    match Zint.to_int z with Some n -> n | None -> raise Key_overflow
-  in
-  let write_row off (r : Consys.row) =
-    Array.iteri (fun i c -> key.(off + i) <- int_of c) r.coeffs;
-    key.(off + w - 1) <- int_of r.rhs;
-    off + w
-  in
-  let off = List.fold_left write_row 6 p.eqs in
-  ignore
-    (List.fold_left
-       (fun off (b : Problem.bound) ->
-          let off = write_row off b.row in
-          key.(off) <- b.subject;
-          off + 1)
-       off p.ineqs);
-  key
-
-let new_entry p =
-  match Gcd_test.run p with
-  | Gcd_test.Independent _ -> { reduced = None; answers = [] }
-  | Gcd_test.Reduced red -> { reduced = Some (p, red); answers = [] }
-
-(* The entry for [p]: found, or reduced and added. A problem whose
-   coefficients do not fit a native int gets a fresh entry outside the
-   memo, shared only by its own pair's queries. *)
+(* The entry for [p]: found, or reduced and added. *)
 let find_entry memo p =
-  match replay_key p with
-  | exception Key_overflow -> new_entry p
-  | key -> (
-      match Replay_memo.find_opt memo key with
-      | Some e -> e
-      | None ->
-        let e = new_entry p in
-        Replay_memo.add memo key e;
-        e)
+  match Replay_memo.find_opt memo p with
+  | Some e -> e
+  | None ->
+    let e =
+      match Gcd_test.run p with
+      | Gcd_test.Independent _ -> { reduced = None; answers = [] }
+      | Gcd_test.Reduced red -> { reduced = Some (p, red); answers = [] }
+    in
+    Replay_memo.add memo p e;
+    e
 
 (* One witness query: levels before [k] constrained equal, level [k]
    strict in direction [sign], and the cascade asked for a witness.
@@ -407,33 +398,31 @@ let compute ?(config = Analyzer.default_config) ?cancel ~prepared ~pairs
     List.map
       (fun m ->
          let blocking = List.rev buckets.(m.m_lid) in
-         let blockers = List.map (fun b -> b.edge) blocking in
          let scalar_blockers = scalar_blockers_of ~loop_var:m.m_for.var m.m_for.body in
-         let red_slocs, scalar_red_ok = reductions_of m.m_for.body in
-         let reduction_ok =
-           List.for_all
-             (fun (e : Classify.edge) ->
-                List.exists (Loc.equal e.pair.stmt1) red_slocs
-                && List.exists (Loc.equal e.pair.stmt2) red_slocs)
-             blockers
-           && List.for_all scalar_red_ok scalar_blockers
-         in
-         let vectorizable_ok =
-           scalar_blockers = []
-           && List.for_all
-                (fun (e : Classify.edge) ->
-                   e.exact && e.kind = Analyzer.Anti)
-                blockers
-         in
          let verdict =
-           if blockers = [] && scalar_blockers = [] then Doall
-           else if reduction_ok then Reduction
-           else if vectorizable_ok then Vectorizable
-           else Serial
+           if blocking = [] && scalar_blockers = [] then Doall
+           else begin
+             let red_slocs, scalar_red_ok = reductions_of m.m_for.body in
+             let reduction_ok =
+               List.for_all
+                 (fun { edge = e; _ } ->
+                    List.exists (Loc.equal e.Classify.pair.stmt1) red_slocs
+                    && List.exists (Loc.equal e.pair.stmt2) red_slocs)
+                 blocking
+               && List.for_all scalar_red_ok scalar_blockers
+             in
+             let vectorizable_ok =
+               scalar_blockers = []
+               && List.for_all
+                    (fun { edge = e; _ } -> e.Classify.exact && e.kind = Analyzer.Anti)
+                    blocking
+             in
+             if reduction_ok then Reduction
+             else if vectorizable_ok then Vectorizable
+             else Serial
+           end
          in
-         let degraded =
-           List.exists (fun (e : Classify.edge) -> not e.exact) blockers
-         in
+         let degraded = List.exists (fun { edge; _ } -> not edge.Classify.exact) blocking in
          { lid = m.m_lid; var = m.m_for.var; loc = m.m_loc; depth = m.m_depth;
            parallel_annot = m.m_for.parallel; verdict; blocking; scalar_blockers;
            degraded })

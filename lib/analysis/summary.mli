@@ -100,14 +100,16 @@ val compute :
     edges are pushed onto the buckets of the loops they may carry, in
     edge order. Witness replay runs under [config]'s budget and is
     memoized for the duration of this call: a pair's problem is built,
-    then looked up by an exact key ([n1], [n2], [nsym], [ncommon] and
-    every equality and inequality row as written, bound [subject]
-    included), so pairs with identical problems share one gcd
-    reduction and one cascade query per distinct (level, direction).
-    The key keeps row signs: {!Problem.to_key} is not used, since a
-    negated equality can reduce to a different particular solution and
-    so to different witness iterations. A problem with a coefficient
-    past the native int range is replayed outside the memo. An
+    then looked up as the key itself — the table hashes and compares
+    the {!Problem.t} in place ([n1], [n2], [nsym], [ncommon] and every
+    equality and inequality row as written, bound [subject] included;
+    names ignored), so no key is built, and pairs with identical
+    problems share one gcd reduction and one cascade query per
+    distinct (level, direction). Coefficients past the native int
+    range are compared and hashed as {!Dda_numeric.Zint}s and memoized
+    like any other. The key keeps row signs: {!Problem.to_key} is not
+    used, since a negated equality can reduce to a different
+    particular solution and so to different witness iterations. An
     exhausted query is not cached; it leaves the witness [None] and
     never changes a verdict. Witness records are shared between
     blocking entries (of one loop or several): treat them as

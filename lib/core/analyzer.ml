@@ -583,51 +583,86 @@ let fresh_state ?(cancel = fun () -> false) ?cache cfg =
     cancel;
   }
 
-(* The sites of one array not yet enumerated as a pair's first member,
-   in textual order: all of them, and the writes alone. *)
+(* The id of a site's outermost loop; -1 outside every loop. *)
+let nest_of (s : Affine.site) =
+  match s.loops with c :: _ -> c.Affine.lid | [] -> -1
+
+(* Whether each top-level nest's sites are contiguous, nests in
+   increasing id order: the textual order {!Affine.extract} emits. *)
+let nests_in_order sites =
+  let rec go last cur = function
+    | [] -> true
+    | s :: rest ->
+      let n = nest_of s in
+      if n >= 0 && n = cur then go last cur rest
+      else
+        let last = max last cur in
+        (n < 0 || n > last) && go last n rest
+  in
+  go (-1) (-1) sites
+
+(* The sites of one array met so far in the backward walk, in textual
+   order: all of them, and the writes alone; [nest] says which run of
+   sites they belong to. *)
 type site_group = {
+  mutable nest : int;
   mutable later : Affine.site list;
   mutable later_writes : Affine.site list;
 }
 
-(* Sites are grouped by array once; each site then meets only the later
-   sites of its own array — all of them for a write (itself first, as
-   a self pair), only the writes for a read, since a read-read pair
-   never qualifies. The output keeps the textual (first, second) order
-   of an all-pairs scan. *)
+(* [(s1, s2)] for every [s2] of [later], in order, in front of [acc]. *)
+let rec prepend_pairs ~filter s1 later acc =
+  match later with
+  | [] -> acc
+  | s2 :: rest ->
+    let acc = prepend_pairs ~filter s1 rest acc in
+    if (not filter) || Affine.common_loops s1 s2 >= 1 then (s1, s2) :: acc
+    else acc
+
+(* Sites are walked last to first and grouped by array; each site meets
+   only the later sites of its own array — all of them for a write
+   (itself first, as a self pair), only the writes for a read, since a
+   read-read pair never qualifies — and its pairs go in front of the
+   later sites', which keeps the textual (first, second) order of an
+   all-pairs scan. Under [within_nest_only] only sites of one top-level
+   nest can share a loop, so the groups start afresh at each nest and a
+   site outside every loop meets only itself. *)
 let site_pairs cfg sites =
+  let split = cfg.within_nest_only && nests_in_order sites in
+  let filter = cfg.within_nest_only && not split in
   let groups = Hashtbl.create 16 in
-  List.iter
-    (fun (s : Affine.site) ->
-       let g =
-         match Hashtbl.find_opt groups s.array with
-         | Some g -> g
-         | None ->
-           let g = { later = []; later_writes = [] } in
-           Hashtbl.add groups s.array g;
-           g
-       in
-       g.later <- s :: g.later;
-       if s.role = `Write then g.later_writes <- s :: g.later_writes)
-    (List.rev sites);
   let out = ref [] in
-  let pair_with s1 s2 =
-    if (not cfg.within_nest_only) || Affine.common_loops s1 s2 >= 1 then
-      out := (s1, s2) :: !out
-  in
   List.iter
     (fun (s1 : Affine.site) ->
-       let g = Hashtbl.find groups s1.array in
-       g.later <- List.tl g.later;
-       match s1.role with
-       | `Write ->
-         g.later_writes <- List.tl g.later_writes;
-         (* self pairs need direction machinery; skip in plain mode *)
-         if cfg.directions then out := (s1, s1) :: !out;
-         List.iter (pair_with s1) g.later
-       | `Read -> List.iter (pair_with s1) g.later_writes)
-    sites;
-  List.rev !out
+       let nest = if split then nest_of s1 else 0 in
+       (* self pairs need direction machinery; skip in plain mode *)
+       let self = cfg.directions && s1.role = `Write in
+       if nest < 0 then (if self then out := (s1, s1) :: !out)
+       else begin
+         let g =
+           match Hashtbl.find groups s1.array with
+           | g ->
+             if g.nest <> nest then begin
+               g.nest <- nest;
+               g.later <- [];
+               g.later_writes <- []
+             end;
+             g
+           | exception Not_found ->
+             let g = { nest; later = []; later_writes = [] } in
+             Hashtbl.add groups s1.array g;
+             g
+         in
+         (match s1.role with
+          | `Write ->
+            out := prepend_pairs ~filter s1 g.later !out;
+            if self then out := (s1, s1) :: !out;
+            g.later_writes <- s1 :: g.later_writes
+          | `Read -> out := prepend_pairs ~filter s1 g.later_writes !out);
+         g.later <- s1 :: g.later
+       end)
+    (List.rev sites);
+  !out
 
 let analyze_sites ?(config = default_config) ?cancel ?cache pairs =
   let st = fresh_state ?cancel ?cache config in

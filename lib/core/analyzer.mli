@@ -261,8 +261,13 @@ val site_pairs :
     write (self pairs only for writes, and only when [directions] is
     on), filtered by [within_nest_only], in textual (first, second)
     order. Sites are grouped by array, so the cost is linear in sites
-    plus pairs considered, not quadratic in sites. Exposed so the
-    verification layer can replay the analyzer's work pair by pair. *)
+    plus pairs considered, not quadratic in sites. Under
+    [within_nest_only] each top-level nest is grouped on its own
+    (sites as {!Affine.extract} orders them: one nest's sites
+    contiguous, nests in id order; any other order falls back to one
+    program-wide grouping, same output), so only pairs inside one nest
+    are ever considered. Exposed so the verification layer can replay
+    the analyzer's work pair by pair. *)
 
 val analyze_sites :
   ?config:config ->

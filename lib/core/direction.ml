@@ -20,6 +20,14 @@ let vector_to_string v =
         else if i land 1 = 1 then dir_char v.(i / 2)
         else ',')
 
+let add_vector buf v =
+  Buffer.add_char buf '(';
+  for i = 0 to Array.length v - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    Buffer.add_char buf (dir_char v.(i))
+  done;
+  Buffer.add_char buf ')'
+
 let pp_vector fmt v = Format.pp_print_string fmt (vector_to_string v)
 
 let flip = function
@@ -288,6 +296,12 @@ let refine ?budget ?(prune = full_pruning) ?(fm_tighten = false) ?counts
   | Cascade.Independent _ ->
     { dependent = false; vectors = []; distance = None; implicit_bb = false;
       degraded = !degraded }
+  | Cascade.Exhausted _ when exclude_all_eq && all_eq root_vector ->
+    (* Pruning fixed every level to "=": the one instance left is the
+       identity, excluded whatever the budget — the answer a full
+       budget gives, so nothing is degraded. *)
+    { dependent = false; vectors = []; distance = None; implicit_bb = false;
+      degraded = None }
   | Cascade.Exhausted _ ->
     (* No resources even for the root query: the whole pruned space is
        one conservative cell. *)

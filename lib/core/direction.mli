@@ -35,6 +35,10 @@ val pp_vector : Format.formatter -> dir array -> unit
 val vector_to_string : dir array -> string
 (** What {!pp_vector} prints, e.g. ["(<,=,*)"]. *)
 
+val add_vector : Buffer.t -> dir array -> unit
+(** {!vector_to_string}, appended to a buffer without building the
+    string. *)
+
 val flip : dir -> dir
 (** The same level seen from the other reference: [<] and [>] trade
     places, [=] and [*] stay. [Array.map flip] reads a vector the

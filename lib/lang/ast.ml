@@ -102,25 +102,33 @@ let fold_exprs f acc prog =
   iter_stmts (fun s -> List.iter (fun e -> acc := f !acc e) (stmt_exprs s)) prog;
   !acc
 
-let expr_vars e =
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
-  let rec go e =
-    match e.desc with
-    | Int _ -> ()
-    | Var v ->
-      if not (Hashtbl.mem seen v) then begin
-        Hashtbl.add seen v ();
-        out := v :: !out
-      end
-    | Bin (_, a, b) ->
-      go a;
-      go b
-    | Neg a -> go a
-    | Aref (_, subs) -> List.iter go subs
-  in
-  go e;
-  List.rev !out
+let rec iter_vars f e =
+  match e.desc with
+  | Int _ -> ()
+  | Var v -> f v
+  | Bin (_, a, b) ->
+    iter_vars f a;
+    iter_vars f b
+  | Neg a -> iter_vars f a
+  | Aref (_, subs) -> iter_vars_list f subs
+
+and iter_vars_list f = function
+  | [] -> ()
+  | e :: es ->
+    iter_vars f e;
+    iter_vars_list f es
+
+let rec mentions v e =
+  match e.desc with
+  | Int _ -> false
+  | Var v' -> String.equal v v'
+  | Bin (_, a, b) -> mentions v a || mentions v b
+  | Neg a -> mentions v a
+  | Aref (_, subs) -> mentions_list v subs
+
+and mentions_list v = function
+  | [] -> false
+  | e :: es -> mentions v e || mentions_list v es
 
 let array_refs prog =
   let out = ref [] in

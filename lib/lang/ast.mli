@@ -95,9 +95,14 @@ val fold_exprs : ('a -> expr -> 'a) -> 'a -> program -> 'a
 val iter_stmts : (stmt -> unit) -> program -> unit
 (** Visits every statement, outermost first. *)
 
-val expr_vars : expr -> string list
-(** Free scalar variables of an expression (array names excluded),
-    without duplicates, in first-occurrence order. *)
+val iter_vars : (string -> unit) -> expr -> unit
+(** [iter_vars f e] calls [f] on every occurrence of a scalar variable
+    in [e] (array names excluded), repeats included, in pre-order.
+    Allocates nothing of its own. *)
+
+val mentions : string -> expr -> bool
+(** [mentions v e]: the scalar [v] occurs in [e] (an array named [v]
+    does not count). *)
 
 val array_refs : program -> (string * expr list * [ `Read | `Write ] * Loc.t) list
 (** Every array reference site in the program: name, subscripts,

@@ -498,10 +498,12 @@ let to_int = function
       else None
     end
 
-let to_int_exn z =
-  match to_int z with
-  | Some n -> n
-  | None -> failwith "Zint.to_int_exn: value does not fit in an int"
+let to_int_exn = function
+  | Small v -> v
+  | z -> (
+      match to_int z with
+      | Some n -> n
+      | None -> failwith "Zint.to_int_exn: value does not fit in an int")
 
 let to_string = function
   | Small v -> string_of_int v

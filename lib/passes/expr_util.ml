@@ -183,7 +183,8 @@ let rec matches_spine ws base i (e : Ast.expr) =
       Ast.equal_expr rhs a && matches_spine ws base prev acc
     | Ast.Bin
         (Ast.Add, acc, { desc = Ast.Bin (Ast.Mul, { desc = Ast.Int k; _ }, rhs); _ })
-      when c > 1 ->
+      when c = 0 || c > 1 ->
+      (* [c = 0]: an array atom, kept with coefficient 0 *)
       k = c && Ast.equal_expr rhs a && matches_spine ws base prev acc
     | Ast.Bin
         (Ast.Sub, acc, { desc = Ast.Bin (Ast.Mul, { desc = Ast.Int k; _ }, rhs); _ })
@@ -273,17 +274,30 @@ and lin_go ws base sign const (e : Ast.expr) =
       match ((const_fold a).desc, (const_fold b).desc) with
       | Ast.Int k, _ -> lin_go ws base (mul_exn sign k) const b
       | _, Ast.Int k -> lin_go ws base (mul_exn sign k) const a
+      | _ -> (
+          (* A factor only linearization reduces to a constant
+             ([t - t]) distributes too, so that the result is already
+             canonical. *)
+          let a' = lin ws a and b' = lin ws b in
+          match (a'.desc, b'.desc) with
+          | Ast.Int k, _ -> lin_go ws base (mul_exn sign k) const b'
+          | _, Ast.Int k -> lin_go ws base (mul_exn sign k) const a'
+          | _ ->
+            ws_add ws base sign
+              (if a' == a && b' == b then e else remake e (Ast.Bin (Ast.Mul, a', b')));
+            const))
+  | Ast.Bin (Ast.Div, a, b) -> (
+      (* Truncating division does not distribute; linearize inside, and
+         fold what {!const_fold} would fold in the result. *)
+      let a' = lin ws a and b' = lin ws b in
+      match (a'.desc, b'.desc) with
+      | Ast.Int x, Ast.Int y when y <> 0 && not (x = min_int && y = -1) ->
+        add_exn const (mul_exn sign (x / y))
+      | _, Ast.Int 1 -> lin_go ws base sign const a'
       | _ ->
-        let a' = lin ws a and b' = lin ws b in
         ws_add ws base sign
-          (if a' == a && b' == b then e else remake e (Ast.Bin (Ast.Mul, a', b')));
+          (if a' == a && b' == b then e else remake e (Ast.Bin (Ast.Div, a', b')));
         const)
-  | Ast.Bin (Ast.Div, a, b) ->
-    (* Truncating division does not distribute; linearize inside. *)
-    let a' = lin ws a and b' = lin ws b in
-    ws_add ws base sign
-      (if a' == a && b' == b then e else remake e (Ast.Bin (Ast.Div, a', b')));
-    const
   | Ast.Aref (name, subs) ->
     let subs' = map_sharing_with lin ws subs in
     ws_add ws base sign

@@ -79,3 +79,13 @@ and fs_stmts env stmts =
     if s' == s && rest' == rest then stmts else s' :: rest'
 
 let run prog = fs_stmts (ref Env.empty) prog
+
+let rec substitutes stmts =
+  List.exists
+    (fun (s : Ast.stmt) ->
+       match s.sdesc with
+       | Ast.Assign (Ast.Lvar _, _) -> true
+       | Ast.Assign (Ast.Larr _, _) | Ast.Read _ -> false
+       | Ast.If (_, t, e) -> substitutes t || substitutes e
+       | Ast.For f -> substitutes f.body)
+    stmts

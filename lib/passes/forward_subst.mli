@@ -12,3 +12,8 @@
     live); dead-code removal is out of scope. *)
 
 val run : Dda_lang.Ast.program -> Dda_lang.Ast.program
+
+val substitutes : Dda_lang.Ast.program -> bool
+(** Whether some statement assigns a scalar ([v = e]). Without one
+    nothing is ever bound, and [run] only canonicalizes every
+    expression ({!Expr_util.canonicalize}). *)

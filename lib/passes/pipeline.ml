@@ -8,7 +8,14 @@ let passes =
     ("normalize", Normalize.run);
   ]
 
-let one_round prog = List.fold_left (fun p (_, pass) -> pass p) prog passes
+(* The passes in order. Forward substitution is skipped on a program
+   that assigns no scalar: all it would do is canonicalize every
+   expression, which constant propagation has just done
+   ([Expr_util.canonicalize] is idempotent). *)
+let one_round prog =
+  let prog = Const_prop.run prog in
+  let prog = if Forward_subst.substitutes prog then Forward_subst.run prog else prog in
+  Normalize.run (Induction.run prog)
 
 let run ?(max_rounds = 8) prog =
   let rec go round prog =

@@ -496,8 +496,20 @@ let naive_site_pairs (cfg : Analyzer.config) sites =
   done;
   List.rev !out
 
-(* Fuzzed programs, single PERFECT programs, and runs of PERFECT-shaped
-   nests, so that one array's sites span several nests. *)
+(* Statements outside every loop, over the arrays the PERFECT-shaped
+   nests use: writes and reads that an all-pairs scan would pair with
+   the nests' sites, scalar assignments and reads. *)
+let loop_free_stmts =
+  [ "a[3] = a[2] + 1"; "x = n + 1"; "b[n] = c[1]"; "w[k] = w[k + 1] + x";
+    "read(n)"; "c[2] = 0" ]
+
+let perfect_shape rng =
+  Dda_perfect.Patterns.generate rng
+    (Dda_perfect.Prng.choose rng Dda_perfect.Patterns.all_categories)
+
+(* Fuzzed programs, single PERFECT programs, runs of PERFECT-shaped
+   nests, so that one array's sites span several nests, and such runs
+   with loop-free statements before, between and after the nests. *)
 let arb_pairing_program =
   let open QCheck.Gen in
   let fuzzed =
@@ -512,15 +524,38 @@ let arb_pairing_program =
     map2
       (fun seed n ->
          let rng = Dda_perfect.Prng.create seed in
-         String.concat "\n"
-           (List.init n (fun _ ->
-                Dda_perfect.Patterns.generate rng
-                  (Dda_perfect.Prng.choose rng
-                     Dda_perfect.Patterns.all_categories))))
+         String.concat "\n" (List.init n (fun _ -> perfect_shape rng)))
       (int_bound 100_000) (int_range 1 6)
   in
-  QCheck.make ~print:Fun.id (frequency [ (3, fuzzed); (1, perfect); (2, shapes) ])
+  let separated =
+    map2
+      (fun seed n ->
+         let rng = Dda_perfect.Prng.create seed in
+         let loose () =
+           List.init (Dda_perfect.Prng.int rng 4) (fun _ ->
+               Dda_perfect.Prng.choose rng loop_free_stmts)
+         in
+         String.concat "\n"
+           (List.concat (List.init n (fun _ -> loose () @ [ perfect_shape rng ]))
+            @ loose ()))
+      (int_bound 100_000) (int_range 2 6)
+  in
+  QCheck.make ~print:Fun.id
+    (frequency [ (3, fuzzed); (1, perfect); (2, shapes); (2, separated) ])
 
+let same_pairs got want =
+  List.compare_lengths got want = 0
+  && List.for_all2 (fun (a1, a2) (b1, b2) -> a1 == b1 && a2 == b2) got want
+
+let pairing_configs =
+  List.map
+    (fun (within_nest_only, directions) ->
+       { Analyzer.default_config with Analyzer.within_nest_only; directions })
+    [ (false, false); (false, true); (true, false); (true, true) ]
+
+(* [site_pairs] against the all-pairs scan, on the sites in textual
+   order (per-nest grouping) and shuffled (one program-wide grouping:
+   the nests are no longer contiguous). *)
 let prop_site_pairs_match_naive =
   QCheck.Test.make
     ~name:"grouped site_pairs equals the all-pairs scan, in order" ~count:150
@@ -529,23 +564,72 @@ let prop_site_pairs_match_naive =
        let sites =
          Affine.extract (Dda_passes.Pipeline.run (Parser.parse_program text))
        in
+       let shuffled =
+         let st = Random.State.make [| Hashtbl.hash text |] in
+         List.map snd
+           (List.sort compare
+              (List.map (fun s -> (Random.State.bits st, s)) sites))
+       in
        List.for_all
-         (fun (within_nest_only, directions) ->
-            let cfg =
-              { Analyzer.default_config with
-                Analyzer.within_nest_only; directions }
-            in
-            let got = Analyzer.site_pairs cfg sites in
-            let want = naive_site_pairs cfg sites in
-            List.compare_lengths got want = 0
-            && List.for_all2
-                 (fun (a1, a2) (b1, b2) -> a1 == b1 && a2 == b2)
-                 got want
-            || QCheck.Test.fail_reportf
-                 "within_nest_only=%b directions=%b: %d pairs, oracle %d"
-                 within_nest_only directions (List.length got)
-                 (List.length want))
-         [ (false, false); (false, true); (true, false); (true, true) ])
+         (fun (cfg : Analyzer.config) ->
+            List.for_all
+              (fun (order, sites) ->
+                 let got = Analyzer.site_pairs cfg sites in
+                 let want = naive_site_pairs cfg sites in
+                 same_pairs got want
+                 || QCheck.Test.fail_reportf
+                      "%s sites, within_nest_only=%b directions=%b: %d pairs, \
+                       oracle %d"
+                      order cfg.within_nest_only cfg.directions
+                      (List.length got) (List.length want))
+              [ ("textual", sites); ("shuffled", shuffled) ])
+         pairing_configs)
+
+let test_perfect_site_pairs () =
+  List.iter
+    (fun (spec : Dda_perfect.Programs.spec) ->
+       let sites =
+         Affine.extract
+           (Dda_passes.Pipeline.run
+              (Parser.parse_program (Dda_perfect.Programs.source spec)))
+       in
+       List.iter
+         (fun (cfg : Analyzer.config) ->
+            if not (same_pairs (Analyzer.site_pairs cfg sites) (naive_site_pairs cfg sites))
+            then
+              Alcotest.failf "%s, within_nest_only=%b directions=%b: site_pairs differs \
+                              from the all-pairs scan"
+                spec.name cfg.within_nest_only cfg.directions)
+         pairing_configs)
+    Dda_perfect.Programs.all
+
+(* The linter numbers loops in its own walk ([Summary.loop_metas]) and
+   reads the analyzer's pair reports by [Affine]'s loop ids: the two
+   numberings must agree. Every loop a site sits in is the loop
+   [loop_metas] gives that id, at the depth of its place in the site's
+   nest, and the ids are 0, 1, ... in pre-order. *)
+let prop_loop_ids_agree =
+  QCheck.Test.make ~name:"Affine loop ids are Summary.loop_metas's pre-order ids"
+    ~count:150 arb_pairing_program
+    (fun text ->
+       let prepared = Dda_passes.Pipeline.run (Parser.parse_program text) in
+       let metas = Array.of_list (Dda_analysis.Summary.loop_metas prepared) in
+       Array.iteri
+         (fun i (m : Dda_analysis.Summary.loop_meta) ->
+            if m.m_lid <> i then
+              QCheck.Test.fail_reportf "loop %d of the walk has id %d" i m.m_lid)
+         metas;
+       List.for_all
+         (fun (s : Affine.site) ->
+            List.for_all
+              (fun (depth, (c : Affine.loop_ctx)) ->
+                 (c.lid >= 0 && c.lid < Array.length metas
+                  && String.equal metas.(c.lid).m_for.var c.lvar
+                  && metas.(c.lid).m_depth = depth)
+                 || QCheck.Test.fail_reportf "site %s: loop %s has id %d at depth %d"
+                      (Loc.to_string s.site_loc) c.lvar c.lid depth)
+              (List.mapi (fun depth c -> (depth, c)) s.loops))
+         (Affine.extract prepared))
 
 (* Two persistent caches advanced in lockstep over the same programs:
    each call's memo statistics must be the per-call delta of that
@@ -657,5 +741,11 @@ let () =
           qt prop_symbolic_sound_for_all_inputs;
           qt prop_plain_verdict_matches_oracle;
           qt prop_site_pairs_match_naive;
+          qt prop_loop_ids_agree;
+        ] );
+      ( "site-pairs",
+        [
+          Alcotest.test_case "PERFECT programs match the all-pairs scan" `Quick
+            test_perfect_site_pairs;
         ] );
     ]

@@ -483,30 +483,51 @@ let test_negated_rows_keep_own_witness () =
   Alcotest.(check (option string)) "every witness is the oracle's" None
     (oracle_mismatch ~config res)
 
-(* A coefficient past the native int range cannot be keyed: the pair
-   is replayed outside the memo, and still gets its witness. The
-   analyzer cannot key such a problem either, so the report comes from
-   the same nest with a small coefficient (same pairs, same edges);
-   the sites, and with them the replayed problems, from the big one. *)
+(* A coefficient past the native int range: the replay memo keys each
+   problem in place, comparing and hashing [Zint]s, so such a pair is
+   memoized like any other. It still gets the witness the
+   one-pair-at-a-time oracle derives, and [a] and [b], whose problems
+   are equal, share one witness record. The report comes from the same
+   nest with a small coefficient (same pairs, same edges); the sites,
+   and with them the replayed problems, from the big one. *)
 let test_unkeyable_problem_replayed () =
   let config = { Analyzer.default_config with Analyzer.run_pipeline = false } in
   let nest c =
-    Printf.sprintf "for i = 1 to 10 do\n  a[%s * i] = a[%s * i - %s] + 1\nend\n"
-      c c c
+    Printf.sprintf
+      "for i = 1 to 10 do\n  a[%s * i] = a[%s * i - %s] + 1\n  b[%s * i] = b[%s * i - %s] + 1\nend\n"
+      c c c c c c
   in
   let small = Lint.run ~config (parse (nest "2")) in
   let big = parse (nest "(4611686018427387903 + 4611686018427387903)") in
   let sites = Affine.extract ~symbolic:true big in
   let pairs = Analyzer.site_pairs config sites in
   let t = Summary.compute ~config ~prepared:big ~pairs small.Lint.report in
-  let witnesses =
-    List.concat_map
-      (fun (li : Summary.loop_info) ->
-         List.filter_map (fun (b : Summary.blocking) -> b.witness) li.blocking)
-      t.loops
+  let by_pair = List.combine small.Lint.report.Analyzer.pair_reports pairs in
+  let blocking = List.concat_map (fun (li : Summary.loop_info) -> li.blocking) t.loops in
+  let flow name =
+    List.find_map
+      (fun (b : Summary.blocking) ->
+         if b.edge.pair.array_name = name && b.edge.kind = Analyzer.Flow then b.witness
+         else None)
+      blocking
   in
-  Alcotest.(check (list string)) "the flow witness" [ "(1)->(2)" ]
-    (List.map (fun w -> show_witness (Some w)) witnesses)
+  Alcotest.(check (list string)) "the flow witnesses" [ "(1)->(2)"; "(1)->(2)" ]
+    (List.map (fun name -> show_witness (flow name)) [ "a"; "b" ]);
+  List.iter
+    (fun (b : Summary.blocking) ->
+       let naive =
+         match index_of 0 b.edge.pair.common_ids with
+         | Some k -> naive_witness ~config (List.assq b.edge.pair by_pair) b.edge k
+         | None -> None
+       in
+       Alcotest.(check string)
+         (b.edge.pair.array_name ^ ": the oracle's witness")
+         (show_witness naive) (show_witness b.witness))
+    blocking;
+  match (flow "a", flow "b") with
+  | Some wa, Some wb ->
+    Alcotest.(check bool) "equal problems share one witness record" true (wa == wb)
+  | _ -> Alcotest.fail "a flow witness is missing"
 
 (* An exhausted cascade run says nothing about its problem, so the
    replay memo must not keep it: [a] and [b] share one problem, the

@@ -310,6 +310,30 @@ let prop_pipeline_idempotent =
        let once = Pipeline.run prog in
        Ast.equal_program once (Pipeline.run once))
 
+(* What lets the pipeline skip forward substitution on a program that
+   assigns no scalar: canonical form is a fixed point, and reaching it
+   again allocates nothing new. *)
+let prop_canonicalize_idempotent =
+  QCheck.Test.make ~name:"canonicalize is idempotent, == on canonical input"
+    ~count:500
+    (QCheck.make ~print:Pretty.expr_to_string (Test_support.Gen_ast.gen_expr 4))
+    (fun e ->
+       let c = Expr_util.canonicalize e in
+       Expr_util.canonicalize c == c)
+
+(* With no scalar assignment, forward substitution returns constant
+   propagation's output unchanged, so skipping it changes nothing. *)
+let prop_forward_subst_idle =
+  QCheck.Test.make
+    ~name:"forward-subst returns const-prop's output == when nothing is assigned"
+    ~count:300
+    (QCheck.oneof
+       [ Test_support.Gen_ast.arb_affine_nest; Test_support.Gen_ast.arb_program ])
+    (fun prog ->
+       QCheck.assume (not (Forward_subst.substitutes prog));
+       let cp = Const_prop.run prog in
+       Forward_subst.run cp == cp)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "passes"
@@ -356,5 +380,7 @@ let () =
         @ [
             qt (prop_pass_preserves "pipeline" Pipeline.run);
             qt prop_pipeline_idempotent;
+            qt prop_canonicalize_idempotent;
+            qt prop_forward_subst_idle;
           ] );
     ]
