@@ -261,6 +261,35 @@ let test_racy_findings () =
   Alcotest.(check int) "one race" 1 res.errors;
   check_renders ~file:"race.dd" res
 
+(* The render buffer is kept per domain: a writer that renders from
+   inside a writer (here through [Json_out.report]) gets a buffer of
+   its own, a writer that raises leaves nothing behind, and a call
+   after one too large to keep starts empty. *)
+let test_render_buffer () =
+  let res = lint "for i = 1 to 10 do\n  a[i] = a[i - 1] + 1\nend\n" in
+  let report_text = to_string (report res.report) in
+  let outer =
+    Json_out.render (fun buf ->
+        Buffer.add_string buf "[1,";
+        Json_out.write buf (report res.report);
+        Buffer.add_char buf ']')
+  in
+  Alcotest.(check string) "nested rendering" ("[1," ^ report_text ^ "]") outer;
+  (match
+     Json_out.render (fun buf ->
+         Buffer.add_string buf "partial";
+         failwith "writer")
+   with
+   | _ -> Alcotest.fail "the writer's exception was lost"
+   | exception Failure _ -> ());
+  Alcotest.(check string) "after a raise" "ok"
+    (Json_out.render (fun buf -> Buffer.add_string buf "ok"));
+  let big = String.make (1 lsl 20) 'x' in
+  Alcotest.(check bool) "a rendering past the kept size" true
+    (String.equal big (Json_out.render (fun buf -> Buffer.add_string buf big)));
+  Alcotest.(check string) "after a large one" "small"
+    (Json_out.render (fun buf -> Buffer.add_string buf "small"))
+
 let () =
   Alcotest.run "render"
     [
@@ -271,6 +300,8 @@ let () =
           Alcotest.test_case "empty blocking lists" `Quick test_empty_lists;
           Alcotest.test_case "annotated racy loop" `Quick test_racy_findings;
           Alcotest.test_case "PERFECT programs" `Quick test_perfect;
+          Alcotest.test_case "render buffer reuse and re-entry" `Quick
+            test_render_buffer;
         ] );
       ("fuzzed", [ QCheck_alcotest.to_alcotest prop_fuzzed_renders_match ]);
     ]
