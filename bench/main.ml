@@ -256,34 +256,16 @@ let table6 () =
 (* ------------------------------------------------------------------ *)
 
 let all_problem_pairs config =
-  (* Every non-self, same-array, >=1-write pair of every program,
-     together with the exact analyzer's verdicts. *)
+  (* Every non-self pair of every program whose problem builds,
+     together with the exact analyzer's verdict. *)
   List.concat_map
     (fun ((_ : Programs.spec), prog) ->
-       let prepared = Dda_passes.Pipeline.run prog in
-       let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-       let report =
-         Analyzer.analyze_sites ~config (Analyzer.site_pairs config sites)
-       in
-       let by_locs = Hashtbl.create 64 in
-       List.iter
-         (fun (r : Analyzer.pair_report) ->
-            if not r.self_pair then Hashtbl.replace by_locs (r.loc1, r.loc2) r)
-         report.pair_reports;
-       let arr = Array.of_list sites in
-       let out = ref [] in
-       for i = 0 to Array.length arr - 1 do
-         for j = i + 1 to Array.length arr - 1 do
-           let s1 = arr.(i) and s2 = arr.(j) in
-           match Hashtbl.find_opt by_locs (s1.Affine.site_loc, s2.Affine.site_loc) with
-           | Some r -> (
-               match Build_problem.build s1 s2 with
-               | Some p -> out := (p, r) :: !out
-               | None -> ())
-           | None -> ()
-         done
-       done;
-       !out)
+       let { Analyzer.pairs; _ } = Analyzer.front_end config prog in
+       let report = Analyzer.analyze_sites ~config pairs in
+       List.combine pairs report.Analyzer.pair_reports
+       |> List.filter_map (fun ((s1, s2), (r : Analyzer.pair_report)) ->
+           if r.self_pair then None
+           else Option.map (fun p -> (p, r)) (Build_problem.build s1 s2)))
     programs
 
 let accuracy () =
@@ -367,6 +349,11 @@ let returns results =
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Candidate pairs share a loop ([within_nest_only]) and are never
+   self pairs (no [directions]). *)
+let candidate_config =
+  { Analyzer.default_config with Analyzer.symbolic = false; directions = false }
+
 (* Representative reduced systems, one per cascade stage, taken from the
    pattern generators so they match what the suite actually tests. *)
 let representative_system ?(seed = 7) category =
@@ -375,21 +362,11 @@ let representative_system ?(seed = 7) category =
     if tries > 200 then failwith "no representative system found"
     else begin
       let src = Patterns.generate rng category in
-      let prog = Dda_passes.Pipeline.run (Parser.parse_program src) in
-      let sites = Affine.extract ~symbolic:false prog in
+      (* The last candidate in textual order is tried first. *)
       let candidates =
-        let arr = Array.of_list sites in
-        let out = ref [] in
-        for i = 0 to Array.length arr - 1 do
-          for j = i + 1 to Array.length arr - 1 do
-            let s1 = arr.(i) and s2 = arr.(j) in
-            if String.equal s1.Affine.array s2.Affine.array
-               && (s1.Affine.role = `Write || s2.Affine.role = `Write)
-               && Affine.common_loops s1 s2 >= 1
-            then out := (s1, s2) :: !out
-          done
-        done;
-        !out
+        List.rev
+          (Analyzer.front_end candidate_config (Parser.parse_program src))
+            .Analyzer.pairs
       in
       let found =
         List.find_map

@@ -303,19 +303,9 @@ let with_memo_file path config f =
   Dda_cache.Durable.close c;
   r
 
-(* The optimizer prepass (when the configuration asks for it), affine
-   extraction and pair enumeration: what [Analyzer.analyze] composes,
-   for commands that also need the sites or the pairs. *)
-let front_end config prog =
-  let prepared =
-    if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run prog else prog
-  in
-  let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-  (sites, Analyzer.site_pairs config sites)
-
 let analyze_cmd =
   let run () file config stats memo_file format verify =
-    let _, pairs = front_end config (load file) in
+    let { Analyzer.pairs; _ } = Analyzer.front_end config (load file) in
     let report =
       match memo_file with
       | None -> Analyzer.analyze_sites ~config pairs
@@ -952,39 +942,37 @@ let perfect_cmd =
 
 let graph_cmd =
   let run file =
-    let prog = load file in
-    let prepared = Dda_passes.Pipeline.run prog in
-    let sites = Affine.extract prepared in
-    let arr = Array.of_list sites in
+    (* The default prepass and extraction; every same-array pair with a
+       write, across nests too, and no self pairs. *)
+    let config =
+      { Analyzer.default_config with
+        Analyzer.within_nest_only = false; directions = false }
+    in
+    let { Analyzer.pairs; _ } = Analyzer.front_end config (load file) in
     let printed = ref 0 in
-    for i = 0 to Array.length arr - 1 do
-      for j = i + 1 to Array.length arr - 1 do
-        let s1 = arr.(i) and s2 = arr.(j) in
-        if String.equal s1.Affine.array s2.Affine.array
-           && (s1.Affine.role = `Write || s2.Affine.role = `Write)
-        then
-          match Build_problem.build s1 s2 with
-          | None -> ()
-          | Some p -> (
-              match Gcd_test.run p with
-              | Gcd_test.Independent _ -> ()
-              | Gcd_test.Reduced red -> (
-                  (* Mirror the cascade: only systems that survive SVPC
-                     and Acyclic reach the loop-residue graph. *)
-                  match Svpc.run red.Gcd_test.system with
-                  | Svpc.Partial (box, multi) -> (
-                      match Acyclic.run box multi with
-                      | Acyclic.Cycle (box', _, core)
-                        when Loop_residue.applicable
-                               (List.map (fun (dr : Cert.drow) -> dr.row) core) ->
-                        incr printed;
-                        Format.printf "/* pair %a x %a */@.%s@." Loc.pp s1.site_loc
-                          Loc.pp s2.site_loc
-                          (Loop_residue.to_dot box' core)
-                      | _ -> ())
-                  | _ -> ()))
-      done
-    done;
+    List.iter
+      (fun ((s1 : Affine.site), (s2 : Affine.site)) ->
+         match Build_problem.build s1 s2 with
+         | None -> ()
+         | Some p -> (
+             match Gcd_test.run p with
+             | Gcd_test.Independent _ -> ()
+             | Gcd_test.Reduced red -> (
+                 (* Mirror the cascade: only systems that survive SVPC
+                    and Acyclic reach the loop-residue graph. *)
+                 match Svpc.run red.Gcd_test.system with
+                 | Svpc.Partial (box, multi) -> (
+                     match Acyclic.run box multi with
+                     | Acyclic.Cycle (box', _, core)
+                       when Loop_residue.applicable
+                              (List.map (fun (dr : Cert.drow) -> dr.row) core) ->
+                       incr printed;
+                       Format.printf "/* pair %a x %a */@.%s@." Loc.pp s1.site_loc
+                         Loc.pp s2.site_loc
+                         (Loop_residue.to_dot box' core)
+                     | _ -> ())
+                 | _ -> ())))
+      pairs;
     if !printed = 0 then
       Format.printf "no pair reaches the loop-residue stage in this program@."
   in
@@ -1025,9 +1013,9 @@ let transform_cmd =
            | _ -> Analyzer.Memo_simple);
       }
     in
-    let sites, pairs = front_end config prog in
-    let report = Analyzer.analyze_sites ~config pairs in
-    let table = Affine.loop_table sites in
+    let front = Analyzer.front_end config prog in
+    let report = Analyzer.analyze_sites ~config front.pairs in
+    let table = Affine.loop_table front.sites in
     let loops = List.map fst table in
     let name lid = Option.value (List.assoc_opt lid table) ~default:"?" in
     List.iter
@@ -1170,8 +1158,7 @@ let check_trace prog =
       run_pipeline = false;
     }
   in
-  let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prog in
-  let pairs = Analyzer.site_pairs config sites in
+  let { Analyzer.pairs; _ } = Analyzer.front_end config prog in
   let report = Analyzer.analyze_sites ~config pairs in
   (* Statements in an [if] branch run only where the guard holds. *)
   let guarded = Hashtbl.create 16 in

@@ -44,10 +44,9 @@ let () =
   List.iter
     (fun (title, src) ->
        Format.printf "== %s ==@." title;
-       let prog = Parser.parse_program src in
-       let sites = Affine.extract prog in
-       let report = Analyzer.analyze ~config prog in
-       let table = Affine.loop_table sites in
+       let front = Analyzer.front_end config (Parser.parse_program src) in
+       let report = Analyzer.analyze_sites ~config front.pairs in
+       let table = Affine.loop_table front.sites in
        let loops = List.map fst table in
        let name lid = List.assoc lid table in
        List.iter

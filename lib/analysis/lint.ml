@@ -133,9 +133,7 @@ let check_annotations (summary : Summary.t) =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let of_report ?(config = Analyzer.default_config) ?cancel ~prepared ~sites
-    report =
-  let pairs = Analyzer.site_pairs config sites in
+let summarize ~config ?cancel ~prepared ~sites ~pairs report =
   let summary = Summary.compute ~config ?cancel ~prepared ~pairs report in
   let findings = check_annotations summary in
   let errors =
@@ -146,14 +144,20 @@ let of_report ?(config = Analyzer.default_config) ?cancel ~prepared ~sites
   record_metrics summary ~errors ~warnings;
   { prepared; sites; report; summary; findings; errors; warnings }
 
+let of_front ?(config = Analyzer.default_config) ?cancel
+    (front : Analyzer.front) report =
+  summarize ~config ?cancel ~prepared:front.prepared ~sites:front.sites
+    ~pairs:front.pairs report
+
+let of_report ?(config = Analyzer.default_config) ?cancel ~prepared ~sites
+    report =
+  summarize ~config ?cancel ~prepared ~sites
+    ~pairs:(Analyzer.site_pairs config sites) report
+
 let run ?(config = Analyzer.default_config) ?cancel prog =
-  let prepared =
-    if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run prog else prog
-  in
-  let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-  let pairs = Analyzer.site_pairs config sites in
-  let report = Analyzer.analyze_sites ~config ?cancel pairs in
-  of_report ~config ?cancel ~prepared ~sites report
+  let front = Analyzer.front_end config prog in
+  of_front ~config ?cancel front
+    (Analyzer.analyze_sites ~config ?cancel front.pairs)
 
 (* ------------------------------------------------------------------ *)
 (* Text                                                                *)

@@ -34,10 +34,21 @@ type result = {
 
 val run :
   ?config:Analyzer.config -> ?cancel:(unit -> bool) -> Ast.program -> result
-(** Pipeline prepass (per [config.run_pipeline]), affine extraction,
-    pair analysis, {!Summary.compute}, annotation checking. Also bumps
-    the [lint.*] counters in the {!Dda_obs.Metrics} registry — once
-    per call, a pure function of the input, so batch metrics stay
+(** {!of_front} over the program's {!Analyzer.front_end} and the report
+    {!Analyzer.analyze_sites} computes from its pairs. *)
+
+val of_front :
+  ?config:Analyzer.config ->
+  ?cancel:(unit -> bool) ->
+  Analyzer.front ->
+  Analyzer.report ->
+  result
+(** Lint a report computed from the front's pairs (the streaming
+    engine's lint step, which also verifies the same report):
+    {!Summary.compute}, then annotation checking. [config] must be the
+    one the front and the report were built with. Also bumps the
+    [lint.*] counters in the {!Dda_obs.Metrics} registry — once per
+    call, a pure function of the input, so batch metrics stay
     jobs-invariant. *)
 
 val of_report :
@@ -47,12 +58,10 @@ val of_report :
   sites:Affine.site list ->
   Analyzer.report ->
   result
-(** Lint a report that was already produced elsewhere (the batch and
-    streaming engines, which have their own analysis loop): [prepared]
-    and [sites] must be the pipeline output and affine extraction the
-    report was computed from, so the report's pair order matches the
-    analyzer's own enumeration ({!Analyzer.site_pairs}). Metrics are
-    bumped exactly as in {!run}. *)
+(** {!of_front} for a caller that holds only the prepared program and
+    its sites, not the front (the perfbench harness): the same body,
+    with the pairs enumerated again by {!Analyzer.site_pairs}. Kept for
+    perfbench alone; the library's callers use {!run} or {!of_front}. *)
 
 val to_text : file:string -> result -> string
 (** Per-loop verdict lines, findings as

@@ -90,11 +90,10 @@ val compute :
   pairs:(Affine.site * Affine.site) list ->
   Analyzer.report ->
   t
-(** [prepared] must be the program the sites were extracted from
-    (pipeline already run); [pairs] must be the
-    {!Analyzer.site_pairs} enumeration the report was computed from,
-    in order — the same contract as {!Dda_check.Verify.verify_report};
-    a length mismatch loses every witness, never a verdict.
+(** [prepared] and [pairs] must be those of the {!Analyzer.front_end}
+    the report was computed from, pairs in order — the same contract
+    as {!Dda_check.Verify.verify_report}; a length mismatch loses every
+    witness, never a verdict.
 
     One pair-major pass, linear in pairs + edges + loops: each pair's
     edges are pushed onto the buckets of the loops they may carry, in

@@ -132,12 +132,20 @@ let relation_error p x = function
     eqs 0
 
 (* Walk every obligation of a pair through the cascade and certify the
-   answers. Returns (found_dependent, found_unknown). *)
-let verify_obligations acc ~cancel ~corrupt ~(config : Analyzer.config) ~r p
-    (red : Gcd_test.reduction) ~include_all_eq =
+   answers. An obligation left undecided is warned about once per kind,
+   worded by the reported verdict: [fm-exhausted] when Fourier-Motzkin's
+   branch budget ran out ([Cascade.Unknown]), [degraded] naming the
+   {!Budget} limit that ran out. Returns (found_dependent,
+   found_undecided). *)
+let verify_obligations acc ~cancel ~corrupt ~(config : Analyzer.config) ~r
+    ~reported_dep p (red : Gcd_test.reduction) ~include_all_eq =
   let base = red.Gcd_test.system in
-  let dependent_found = ref false and unknown_found = ref false in
-  let degraded_warned = ref false in
+  let dependent_found = ref false in
+  let fm_warned = ref false and degraded_warned = ref false in
+  let standing =
+    if reported_dep then "the dependent verdict is assumed, not certified"
+    else "the independent verdict is not certified"
+  in
   List.iter
     (fun (tag, extra_rows) ->
        let extra_t = List.map (Gcd_test.transform_row red) extra_rows in
@@ -163,18 +171,24 @@ let verify_obligations acc ~cancel ~corrupt ~(config : Analyzer.config) ~r p
            ~what:"direction-obligation independence certificate"
            (Certcheck.check_infeasible ~nvars:sys.Consys.nvars sys.Consys.rows
               cert)
-       | Cascade.Unknown -> unknown_found := true
+       | Cascade.Unknown ->
+         if not !fm_warned then begin
+           fm_warned := true;
+           emit acc ~severity:Sev_warning ~r ~code:"fm-exhausted"
+             "array '%s': a direction obligation exhausted the \
+              Fourier-Motzkin branch budget; %s"
+             r.Analyzer.array_name standing
+         end
        | Cascade.Exhausted reason ->
-         unknown_found := true;
          if not !degraded_warned then begin
            degraded_warned := true;
            emit acc ~severity:Sev_warning ~r ~code:"degraded"
              "array '%s': replaying a direction obligation exhausted the %s \
-              budget; the conservative verdict stands uncertified"
-             r.Analyzer.array_name (Budget.reason_name reason)
+              budget; %s"
+             r.Analyzer.array_name (Budget.reason_name reason) standing
          end)
     (obligations p ~ncommon:p.Problem.ncommon ~include_all_eq);
-  (!dependent_found, !unknown_found)
+  (!dependent_found, !fm_warned || !degraded_warned)
 
 (* ------------------------------------------------------------------ *)
 (* Per-pair verification                                               *)
@@ -275,16 +289,16 @@ let verify_tested acc ~cancel ~oracle ~corrupt ~(config : Analyzer.config) ~r
         if r.Analyzer.self_pair then begin
           (* A self dependence is a pair of distinct iterations: decompose
              by the first common level where they differ. *)
-          let dep_found, unk_found =
-            verify_obligations acc ~cancel ~corrupt ~config ~r p red
-              ~include_all_eq:false
+          let dep_found, undecided =
+            verify_obligations acc ~cancel ~corrupt ~config ~r ~reported_dep p
+              red ~include_all_eq:false
           in
           if dep_found && not reported_dep then
             emit acc ~severity:Sev_error ~r ~code:"verdict-mismatch"
               "array '%s': a direction obligation has a verified witness but \
                the self pair was reported independent"
               r.Analyzer.array_name
-          else if (not dep_found) && (not unk_found) && reported_dep then
+          else if (not dep_found) && (not undecided) && reported_dep then
             if Option.is_some degraded then
               (* A degraded verdict only claims an over-approximation:
                  replay proving full independence confirms it was sound,
@@ -297,13 +311,7 @@ let verify_tested acc ~cancel ~oracle ~corrupt ~(config : Analyzer.config) ~r
               emit acc ~severity:Sev_error ~r ~code:"verdict-mismatch"
                 "array '%s': every direction obligation is certified \
                  independent but the self pair was reported dependent"
-                r.Analyzer.array_name;
-          if unk_found then
-            emit acc ~severity:Sev_warning ~r ~code:"fm-exhausted"
-              "array '%s': a direction obligation exhausted the \
-               Fourier-Motzkin branch budget; the self dependence is assumed, \
-               not certified"
-              r.Analyzer.array_name
+                r.Analyzer.array_name
         end
         else begin
           let sys = red.Gcd_test.system in
@@ -337,56 +345,30 @@ let verify_tested acc ~cancel ~oracle ~corrupt ~(config : Analyzer.config) ~r
                    "array '%s': certified independent on replay but reported \
                     dependent"
                    r.Analyzer.array_name
-           | Cascade.Unknown ->
-             if not reported_dep then begin
-               (* Independent via direction vectors (implicit branch and
-                  bound): the plain query is out of budget, but the
-                  direction cells cover the space — certify each one. *)
-               let dep_found, unk_found =
-                 verify_obligations acc ~cancel ~corrupt ~config ~r p red
-                   ~include_all_eq:true
-               in
-               if dep_found then
-                 emit acc ~severity:Sev_error ~r ~code:"verdict-mismatch"
-                   "array '%s': a direction obligation has a verified \
-                    witness but the pair was reported independent"
-                   r.Analyzer.array_name;
-               if unk_found then
-                 emit acc ~severity:Sev_warning ~r ~code:"fm-exhausted"
-                   "array '%s': the implicit branch-and-bound independence \
-                    claim cannot be fully certified within the \
-                    Fourier-Motzkin budget"
-                   r.Analyzer.array_name
-             end
-             else
-               emit acc ~severity:Sev_warning ~r ~code:"fm-exhausted"
-                 "array '%s': the Fourier-Motzkin branch budget was \
-                  exhausted; the pair is assumed dependent, not certified"
+           | Cascade.Unknown | Cascade.Exhausted _ when not reported_dep ->
+             (* Independent via direction vectors (implicit branch and
+                bound) while the plain query is out of budget: budgets
+                are per query, and the direction cells cover the space —
+                certify each one. *)
+             let dep_found, _ =
+               verify_obligations acc ~cancel ~corrupt ~config ~r
+                 ~reported_dep p red ~include_all_eq:true
+             in
+             if dep_found then
+               emit acc ~severity:Sev_error ~r ~code:"verdict-mismatch"
+                 "array '%s': a direction obligation has a verified witness \
+                  but the pair was reported independent"
                  r.Analyzer.array_name
+           | Cascade.Unknown ->
+             emit acc ~severity:Sev_warning ~r ~code:"fm-exhausted"
+               "array '%s': the Fourier-Motzkin branch budget was \
+                exhausted; the pair is assumed dependent, not certified"
+               r.Analyzer.array_name
            | Cascade.Exhausted reason ->
-             if not reported_dep then begin
-               (* Budgets are per query: the direction obligations may
-                  each fit where the whole system did not. *)
-               let dep_found, unk_found =
-                 verify_obligations acc ~cancel ~corrupt ~config ~r p red
-                   ~include_all_eq:true
-               in
-               if dep_found then
-                 emit acc ~severity:Sev_error ~r ~code:"verdict-mismatch"
-                   "array '%s': a direction obligation has a verified \
-                    witness but the pair was reported independent"
-                   r.Analyzer.array_name;
-               if unk_found then
-                 emit acc ~severity:Sev_warning ~r ~code:"degraded"
-                   "array '%s': the independence claim cannot be fully \
-                    certified within the replay budget"
-                   r.Analyzer.array_name
-             end
-             else
-               emit acc ~severity:Sev_warning ~r ~code:"degraded"
-                 "array '%s': replay exhausted the %s budget; the pair is \
-                  assumed dependent, not certified"
-                 r.Analyzer.array_name (Budget.reason_name reason));
+             emit acc ~severity:Sev_warning ~r ~code:"degraded"
+               "array '%s': replay exhausted the %s budget; the pair is \
+                assumed dependent, not certified"
+               r.Analyzer.array_name (Budget.reason_name reason));
           if oracle then
             match (cas.Cascade.verdict, Oracle.exhaustive sys) with
             | Cascade.Dependent _, Oracle.Infeasible ->
@@ -433,12 +415,7 @@ let verify_report ?(cancel = fun () -> false) ?(oracle = true)
   }
 
 let run ?(config = Analyzer.default_config) ?cancel ?oracle ?corrupt program =
-  let prepared =
-    if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run program
-    else program
-  in
-  let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-  let pairs = Analyzer.site_pairs config sites in
+  let { Analyzer.pairs; _ } = Analyzer.front_end config program in
   let report = Analyzer.analyze_sites ~config ?cancel pairs in
   verify_report ?cancel ?oracle ?corrupt ~config pairs report
 

@@ -63,7 +63,10 @@ val run :
   ?corrupt:bool ->
   Ast.program ->
   summary
-(** [oracle] (default [true]) additionally cross-checks every decided
+(** Verify the report {!Analyzer.analyze_sites} computes from the
+    program's {!Analyzer.front_end}, with {!verify_report}.
+
+    [oracle] (default [true]) additionally cross-checks every decided
     in-scope system against {!Oracle.exhaustive}. [corrupt] (default
     [false]) deliberately mangles every certificate and witness before
     checking — a self-test that the checker actually rejects bad
@@ -87,10 +90,13 @@ val verify_report :
   (Affine.site * Affine.site) list ->
   Analyzer.report ->
   summary
-(** The core of {!run} for callers that already have the sites and the
-    report (the batch driver): [pairs] must be the
-    {!Analyzer.site_pairs} enumeration the report was computed from,
-    in order. *)
+(** The core of {!run} for callers that already have the report (the
+    streaming engine, [ddtest analyze --verify]): [pairs] must be the
+    pairs the report was computed from, in order — the [pairs] of the
+    {!Analyzer.front_end} whose {!Analyzer.analyze_sites} produced it.
+    Certificates are checked against the problems those pairs' sites
+    build, so they cover the prepared program, not the prepass that
+    produced it. *)
 
 val severity_name : severity -> string
 

@@ -683,10 +683,22 @@ let analyze_sites ?(config = default_config) ?cancel ?cache pairs =
   st.stats.memo_hits_full <- st.stats.memo_hits_full - full0.Memo_table.hits;
   { pair_reports = reports; stats = st.stats }
 
+type front = {
+  source : Ast.program;
+  prepared : Ast.program;
+  sites : Affine.site list;
+  pairs : (Affine.site * Affine.site) list;
+}
+
+let front_end config source =
+  let prepared =
+    if config.run_pipeline then Dda_passes.Pipeline.run source else source
+  in
+  let sites = Affine.extract ~symbolic:config.symbolic prepared in
+  { source; prepared; sites; pairs = site_pairs config sites }
+
 let analyze ?(config = default_config) ?cancel ?cache program =
-  let program = if config.run_pipeline then Dda_passes.Pipeline.run program else program in
-  let sites = Affine.extract ~symbolic:config.symbolic program in
-  analyze_sites ~config ?cancel ?cache (site_pairs config sites)
+  analyze_sites ~config ?cancel ?cache (front_end config program).pairs
 
 (* Version 2: [config] grew the [limits] field (budget caps).
    Version 3: memo keys became [int array] and entries store their

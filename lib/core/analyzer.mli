@@ -225,7 +225,8 @@ val memo_format_version : int
 
 val analyze :
   ?config:config -> ?cancel:(unit -> bool) -> ?cache:cache -> Ast.program -> report
-(** Analyze a whole program. Pairs are every (textually ordered) pair
+(** Analyze a whole program: {!analyze_sites} over the pairs of its
+    {!front_end}. Pairs are every (textually ordered) pair
     of same-array references with at least one write, including each
     write against itself (whose identical-iteration solution is
     excluded, so a self pair is dependent only when distinct iterations
@@ -266,8 +267,32 @@ val site_pairs :
     (sites as {!Affine.extract} orders them: one nest's sites
     contiguous, nests in id order; any other order falls back to one
     program-wide grouping, same output), so only pairs inside one nest
-    are ever considered. Exposed so the verification layer can replay
-    the analyzer's work pair by pair. *)
+    are ever considered. In the library only {!front_end} calls it;
+    it is exposed for the benchmark harnesses, which time it on its
+    own. *)
+
+(** {1 The front end} *)
+
+type front = private {
+  source : Ast.program;  (** the program as given *)
+  prepared : Ast.program;
+      (** [source] after the optimizer prepass ({!Dda_passes.Pipeline.run})
+          when [run_pipeline] is on; [source] itself ([==]) when off *)
+  sites : Affine.site list;  (** [Affine.extract ~symbolic prepared] *)
+  pairs : (Affine.site * Affine.site) list;
+      (** [site_pairs config sites]: the pairs a report is computed
+          from, in report order *)
+}
+(** What every analysis, verification and lint summary of one program
+    reads. Private: a [front] only comes from {!front_end}, so its
+    fields always agree. Certificates cover the problems built from
+    [pairs]; the prepass from [source] to [prepared] is outside what
+    they check. *)
+
+val front_end : config -> Ast.program -> front
+(** The prepass (per [run_pipeline]), extraction (per [symbolic]) and
+    pair enumeration (per [within_nest_only] and [directions]) of one
+    program, each run once. *)
 
 val analyze_sites :
   ?config:config ->
@@ -275,5 +300,7 @@ val analyze_sites :
   ?cache:cache ->
   (Affine.site * Affine.site) list ->
   report
-(** Analyze explicit site pairs (used by the benchmark harness, which
-    generates problems directly, and by the verifier). *)
+(** Analyze explicit site pairs: the [pairs] of a {!front_end}, so the
+    report, its verification and its lint summary read one front (the
+    benchmark harnesses also pass pairs they enumerate and time
+    themselves). *)

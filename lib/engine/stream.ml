@@ -204,14 +204,10 @@ let process ~config ~cache ~verify ~lint ~retries ~backoff_ms ~item_timeout_ms
           in
           let cancel = item_cancel () in
           (* One front end per item: the report, its verification and
-             its lint summary all read the same prepared program, sites
-             and pairs — what [Analyzer.analyze] composes internally. *)
-          let prepared =
-            if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run program
-            else program
+             its lint summary all read it. *)
+          let ({ Analyzer.pairs; _ } as front) =
+            Analyzer.front_end config program
           in
-          let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-          let pairs = Analyzer.site_pairs config sites in
           (* Live-shared memo tables: each item wraps the shared backend
              with its own counters so its reported lookup totals stay a
              pure function of the item. *)
@@ -224,9 +220,7 @@ let process ~config ~cache ~verify ~lint ~retries ~backoff_ms ~item_timeout_ms
           in
           let lint_summary =
             if lint then
-              Some
-                (Dda_analysis.Lint.of_report ~config ~cancel ~prepared ~sites
-                   report)
+              Some (Dda_analysis.Lint.of_front ~config ~cancel front report)
             else None
           in
           (report, verification, lint_summary))

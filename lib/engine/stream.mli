@@ -11,11 +11,9 @@
     same machinery over programs the caller already parsed and
     collects their outcomes; {!Batch} is built on it.
 
-    {b One front end per item.} Each item is prepared
-    ({!Dda_passes.Pipeline.run}, when the configuration asks for it),
-    extracted ({!Affine.extract}) and paired ({!Analyzer.site_pairs})
-    once; the report, its verification and its lint summary all read
-    those same values.
+    {b One front end per item.} Each item's {!Analyzer.front_end} is
+    built once; the report, its verification and its lint summary all
+    read that one value.
 
     {b Determinism.} By default items are analyzed independently,
     results are emitted in input order, and the per-item counters are

@@ -631,6 +631,129 @@ let prop_loop_ids_agree =
               (List.mapi (fun depth c -> (depth, c)) s.loops))
          (Affine.extract prepared))
 
+(* ------------------------------------------------------------------ *)
+(* The front end against the hand-written recipe                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The oracle: the prepass, extraction and pair enumeration composed by
+   hand. *)
+let recipe (cfg : Analyzer.config) prog =
+  let prepared =
+    if cfg.run_pipeline then Dda_passes.Pipeline.run prog else prog
+  in
+  let sites = Affine.extract ~symbolic:cfg.symbolic prepared in
+  (prepared, sites, Analyzer.site_pairs cfg sites)
+
+(* Every combination of the four flags the front end reads. *)
+let front_configs =
+  let bools = [ false; true ] in
+  List.concat_map
+    (fun run_pipeline ->
+       List.concat_map
+         (fun symbolic ->
+            List.concat_map
+              (fun within_nest_only ->
+                 List.map
+                   (fun directions ->
+                      { Analyzer.default_config with
+                        Analyzer.run_pipeline; symbolic; within_nest_only;
+                        directions })
+                   bools)
+              bools)
+         bools)
+    bools
+
+let arb_front_program =
+  let open QCheck.Gen in
+  let fuzzed profile =
+    map2
+      (fun seed index ->
+         Parser.parse_program (Dda_perfect.Fuzz.program profile ~seed ~index))
+      (int_bound 100_000) (int_bound 5_000)
+  in
+  QCheck.make ~print:Pretty.program_to_string
+    (frequency
+       [ (2, Test_support.Gen_ast.gen_affine_nest);
+         (2, fuzzed Dda_perfect.Fuzz.Mixed); (1, fuzzed Dda_perfect.Fuzz.Small) ])
+
+let prop_front_end_is_the_recipe =
+  QCheck.Test.make ~name:"front_end equals the prepass, extract, site_pairs recipe"
+    ~count:100 arb_front_program
+    (fun prog ->
+       List.for_all
+         (fun (cfg : Analyzer.config) ->
+            let front = Analyzer.front_end cfg prog in
+            let prepared, sites, pairs = recipe cfg prog in
+            let holds what ok =
+              ok
+              || QCheck.Test.fail_reportf
+                   "run_pipeline=%b symbolic=%b within_nest_only=%b \
+                    directions=%b: %s"
+                   cfg.run_pipeline cfg.symbolic cfg.within_nest_only
+                   cfg.directions what
+            in
+            holds "source is the program given" (front.source == prog)
+            && holds "prepared is source without the prepass"
+                 (cfg.run_pipeline || front.prepared == prog)
+            && holds "prepared differs"
+                 (Ast.equal_program front.prepared prepared)
+            && holds "sites differ" (front.sites = sites)
+            && holds "pairs differ" (front.pairs = pairs)
+            && holds "pairs are not the front's own sites"
+                 (List.for_all
+                    (fun (s1, s2) ->
+                       List.memq s1 front.sites && List.memq s2 front.sites)
+                    front.pairs))
+         front_configs)
+
+(* One front read three ways: [Lint.run], [Verify.run] and the batch
+   engine's item step each build the program's front on their own, and
+   each must give the report, lint summary, findings and diagnostics
+   that one front, read directly, gives. *)
+let test_perfect_one_front () =
+  let config = Analyzer.default_config in
+  let items =
+    List.map
+      (fun (spec : Dda_perfect.Programs.spec) ->
+         { Dda_engine.Batch.name = spec.name;
+           program = Parser.parse_program (Dda_perfect.Programs.source spec) })
+      Dda_perfect.Programs.all
+  in
+  let batch =
+    Dda_engine.Batch.run ~config ~lint:true ~verify:true ~jobs:1 items
+  in
+  List.iter2
+    (fun (it : Dda_engine.Batch.item) outcome ->
+       let front = Analyzer.front_end config it.program in
+       let report = Analyzer.analyze_sites ~config front.pairs in
+       let lint = Dda_analysis.Lint.of_front ~config front report in
+       let verification =
+         Dda_check.Verify.verify_report ~config front.pairs report
+       in
+       let report_s r = Json_out.to_string (Json_out.report r) in
+       let lint_s l =
+         Json_out.to_string (Dda_analysis.Lint.to_json ~file:it.name l)
+       in
+       let verify_s v =
+         Json_out.to_string (Dda_check.Verify.to_json ~file:it.name v)
+       in
+       let same what want got =
+         Alcotest.(check string) (it.name ^ ": " ^ what) want got
+       in
+       let alone = Dda_analysis.Lint.run ~config it.program in
+       same "Lint.run report" (report_s report) (report_s alone.report);
+       same "Lint.run summary and findings" (lint_s lint) (lint_s alone);
+       same "Verify.run diagnostics" (verify_s verification)
+         (verify_s (Dda_check.Verify.run ~config it.program));
+       match outcome with
+       | Dda_engine.Stream.Analyzed
+           { report = r; verification = Some v; lint = Some l; _ } ->
+         same "batch report" (report_s report) (report_s r);
+         same "batch diagnostics" (verify_s verification) (verify_s v);
+         same "batch summary and findings" (lint_s lint) (lint_s l)
+       | _ -> Alcotest.failf "%s: the batch did not analyze, verify and lint it" it.name)
+    items batch.outcomes
+
 (* Two persistent caches advanced in lockstep over the same programs:
    each call's memo statistics must be the per-call delta of that
    cache's own tables — never polluted by the other cache's interleaved
@@ -742,10 +865,16 @@ let () =
           qt prop_plain_verdict_matches_oracle;
           qt prop_site_pairs_match_naive;
           qt prop_loop_ids_agree;
+          qt prop_front_end_is_the_recipe;
         ] );
       ( "site-pairs",
         [
           Alcotest.test_case "PERFECT programs match the all-pairs scan" `Quick
             test_perfect_site_pairs;
+        ] );
+      ( "front-end",
+        [
+          Alcotest.test_case "PERFECT: lint, verify and batch read one front"
+            `Quick test_perfect_one_front;
         ] );
     ]

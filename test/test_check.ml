@@ -275,6 +275,45 @@ let test_verify_self_pair () =
   let s = Verify.run (parse "for i = 1 to 9 do\n  a[2 * i] = a[i] + 1\nend\n") in
   Alcotest.(check int) "no errors" 0 s.Verify.errors
 
+(* Replay out of step budget: [b]'s self pair is reported exactly
+   independent, [c]'s degraded dependent. Each self pair gets one
+   warning, naming the steps budget and worded by its verdict, and no
+   [fm-exhausted]: Fourier-Motzkin's branch budget never ran out. *)
+let test_verify_budget_warnings () =
+  let config =
+    { Analyzer.default_config with
+      Analyzer.limits =
+        { Budget.default_limits with Budget.max_steps = Some 5 } }
+  in
+  let s =
+    Verify.run ~config
+      (parse
+         "for i = 1 to 10 do\n  b[2 * i] = b[i] + 3\nend\n\
+          for i = 1 to 10 do\n  for j = 1 to 10 do\n    c[i] = c[i] + j\n\
+         \  end\nend\n")
+  in
+  Alcotest.(check int) "no errors" 0 s.Verify.errors;
+  let self_warnings name =
+    List.filter_map
+      (fun (d : Verify.diagnostic) ->
+         if d.Verify.array_name = Some name && d.Verify.loc2 = None then
+           Some (d.Verify.code, d.Verify.message)
+         else None)
+      s.Verify.diagnostics
+  in
+  Alcotest.(check (list (pair string string)))
+    "independent self pair"
+    [ ( "degraded",
+        "array 'b': replaying a direction obligation exhausted the steps \
+         budget; the independent verdict is not certified" ) ]
+    (self_warnings "b");
+  Alcotest.(check (list (pair string string)))
+    "dependent self pair"
+    [ ( "degraded",
+        "array 'c': replaying a direction obligation exhausted the steps \
+         budget; the dependent verdict is assumed, not certified" ) ]
+    (self_warnings "c")
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -310,5 +349,7 @@ let () =
             test_verify_non_affine;
           Alcotest.test_case "self pair witnesses" `Quick
             test_verify_self_pair;
+          Alcotest.test_case "budget warnings follow the verdict" `Quick
+            test_verify_budget_warnings;
         ] );
     ]
