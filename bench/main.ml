@@ -1,14 +1,13 @@
-(* The benchmark harness: regenerates an analog of every table in the
-   paper's evaluation on the synthetic PERFECT Club, plus the section 7
-   accuracy comparison against the inexact baseline, the per-test
-   return rates, and Bechamel micro-benchmarks of per-test cost.
+(* The benchmark harness: the timed half of the paper's evaluation on
+   the synthetic PERFECT Club — Table 6's absolute cost of dependence
+   testing, Bechamel micro-benchmarks of per-test cost, certification
+   overhead, ablations — and the engine, cache and telemetry
+   measurements the CI gates read. The deterministic tables (Tables
+   1-5 and 7, the section 6 and 7 counts) are `ddtest report`'s.
 
    Absolute numbers differ from the paper (different machine, synthetic
-   workload); the shapes are the claims under test: SVPC dominates,
-   memoization collapses the test count by an order of magnitude,
-   direction vectors explode without pruning and recover with it,
-   symbolic testing adds a little work, the baseline misses
-   independences and over-reports direction vectors, and the per-test
+   workload); the shapes are the claims under test: memoization and
+   pruning cut wall time as well as test counts, and the per-test
    costs are ordered SVPC < Acyclic < Loop Residue < Fourier-Motzkin. *)
 
 open Dda_lang
@@ -29,8 +28,9 @@ let section title =
   Printf.printf "%s\n" title;
   line ()
 
-(* Configurations named after the tables they regenerate. *)
-let cfg_table1 =
+(* The plain cascade: no memoization, no direction vectors, no symbolic
+   terms (the configuration of the paper's Table 1). *)
+let cfg_plain =
   {
     Analyzer.default_config with
     Analyzer.directions = false;
@@ -38,7 +38,7 @@ let cfg_table1 =
     symbolic = false;
   }
 
-let cfg_memo memo = { cfg_table1 with Analyzer.memo }
+let cfg_memo memo = { cfg_plain with Analyzer.memo }
 
 let cfg_directions ~prune ~symbolic ~memo =
   { Analyzer.default_config with Analyzer.prune; symbolic; memo }
@@ -47,158 +47,6 @@ let analyze_all config =
   List.map
     (fun (spec, prog) -> (spec, Analyzer.analyze ~config prog))
     programs
-
-(* ------------------------------------------------------------------ *)
-(* Table 1                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let table1 () =
-  section
-    "Table 1: times each test is called per program\n\
-     (plain cascade; no memoization, no direction vectors, no symbolic terms)";
-  Printf.printf "%-5s %7s %9s %7s %8s %8s %9s %8s\n" "Prog" "#Lines" "Constant"
-    "GCD" "SVPC" "Acyclic" "LoopRes" "Fourier";
-  let tot = Array.make 6 0 in
-  List.iter
-    (fun ((spec : Programs.spec), (r : Analyzer.report)) ->
-       let s = r.stats in
-       let row =
-         [|
-           s.constant_cases; s.gcd_independent; s.plain_by_test.(0);
-           s.plain_by_test.(1); s.plain_by_test.(2); s.plain_by_test.(3);
-         |]
-       in
-       Array.iteri (fun i v -> tot.(i) <- tot.(i) + v) row;
-       Printf.printf "%-5s %7d %9d %7d %8d %8d %9d %8d\n" spec.name spec.lines
-         row.(0) row.(1) row.(2) row.(3) row.(4) row.(5))
-    (analyze_all cfg_table1);
-  Printf.printf "%-5s %7s %9d %7d %8d %8d %9d %8d\n" "TOTAL" "" tot.(0) tot.(1)
-    tot.(2) tot.(3) tot.(4) tot.(5)
-
-(* ------------------------------------------------------------------ *)
-(* Table 2                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let pct n d = if d = 0 then 0.0 else 100.0 *. float_of_int n /. float_of_int d
-
-let table2 () =
-  section
-    "Table 2: memoization effectiveness, % of cases that are unique\n\
-     (simple = exact-match keys; improved = unused loop variables eliminated)";
-  Printf.printf "%-5s | %28s | %28s\n" "" "without bounds (GCD table)"
-    "with bounds (full table)";
-  Printf.printf "%-5s | %8s %9s %9s | %8s %9s %9s\n" "Prog" "total" "simple%"
-    "improved%" "total" "simple%" "improved%";
-  let simple = analyze_all (cfg_memo Analyzer.Memo_simple) in
-  let improved = analyze_all (cfg_memo Analyzer.Memo_improved) in
-  List.iter2
-    (fun ((spec : Programs.spec), (rs : Analyzer.report))
-      ((_ : Programs.spec), (ri : Analyzer.report)) ->
-       let ss = rs.stats and si = ri.stats in
-       Printf.printf "%-5s | %8d %8.1f%% %8.1f%% | %8d %8.1f%% %8.1f%%\n" spec.name
-         ss.memo_lookups_nobounds
-         (pct ss.memo_unique_nobounds ss.memo_lookups_nobounds)
-         (pct si.memo_unique_nobounds si.memo_lookups_nobounds)
-         ss.memo_lookups_full
-         (pct ss.memo_unique_full ss.memo_lookups_full)
-         (pct si.memo_unique_full si.memo_lookups_full))
-    simple improved;
-  let sum f l = List.fold_left (fun acc (_, (r : Analyzer.report)) -> acc + f r.Analyzer.stats) 0 l in
-  Printf.printf "%-5s | %8d %8.1f%% %8.1f%% | %8d %8.1f%% %8.1f%%\n" "TOT"
-    (sum (fun s -> s.Analyzer.memo_lookups_nobounds) simple)
-    (pct (sum (fun s -> s.Analyzer.memo_unique_nobounds) simple)
-       (sum (fun s -> s.Analyzer.memo_lookups_nobounds) simple))
-    (pct (sum (fun s -> s.Analyzer.memo_unique_nobounds) improved)
-       (sum (fun s -> s.Analyzer.memo_lookups_nobounds) improved))
-    (sum (fun s -> s.Analyzer.memo_lookups_full) simple)
-    (pct (sum (fun s -> s.Analyzer.memo_unique_full) simple)
-       (sum (fun s -> s.Analyzer.memo_lookups_full) simple))
-    (pct (sum (fun s -> s.Analyzer.memo_unique_full) improved)
-       (sum (fun s -> s.Analyzer.memo_lookups_full) improved))
-
-(* ------------------------------------------------------------------ *)
-(* Table 3                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let table3 () =
-  section
-    "Table 3: tests actually run with memoization on (unique cases only)";
-  Printf.printf "%-5s %11s %8s %8s %9s %8s\n" "Prog" "TotalCases" "SVPC"
-    "Acyclic" "LoopRes" "Fourier";
-  let tot = Array.make 5 0 in
-  let without = analyze_all cfg_table1 in
-  let withmemo = analyze_all (cfg_memo Analyzer.Memo_improved) in
-  List.iter
-    (fun ((spec : Programs.spec), (r : Analyzer.report)) ->
-       let s = r.stats in
-       let row =
-         [|
-           s.memo_lookups_full; s.plain_by_test.(0); s.plain_by_test.(1);
-           s.plain_by_test.(2); s.plain_by_test.(3);
-         |]
-       in
-       Array.iteri (fun i v -> tot.(i) <- tot.(i) + v) row;
-       Printf.printf "%-5s %11d %8d %8d %9d %8d\n" spec.name row.(0) row.(1)
-         row.(2) row.(3) row.(4))
-    withmemo;
-  Printf.printf "%-5s %11d %8d %8d %9d %8d\n" "TOTAL" tot.(0) tot.(1) tot.(2)
-    tot.(3) tot.(4);
-  let before =
-    List.fold_left
-      (fun acc (_, (r : Analyzer.report)) ->
-         let s = r.Analyzer.stats in
-         acc + s.plain_by_test.(0) + s.plain_by_test.(1) + s.plain_by_test.(2)
-         + s.plain_by_test.(3))
-      0 without
-  in
-  let after = tot.(1) + tot.(2) + tot.(3) + tot.(4) in
-  Printf.printf
-    "\nMemoization reduces the exact-test count from %d to %d (%.1fx)\n" before
-    after
-    (if after = 0 then 0.0 else float_of_int before /. float_of_int after)
-
-(* ------------------------------------------------------------------ *)
-(* Tables 4, 5, 7                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let direction_table title config =
-  section title;
-  Printf.printf "%-5s %8s %8s %9s %8s %9s\n" "Prog" "SVPC" "Acyclic" "LoopRes"
-    "Fourier" "Total";
-  let tot = Array.make 4 0 in
-  let results = analyze_all config in
-  List.iter
-    (fun ((spec : Programs.spec), (r : Analyzer.report)) ->
-       let c = r.stats.dir_counts.Direction.by_test in
-       Array.iteri (fun i v -> tot.(i) <- tot.(i) + v) c;
-       Printf.printf "%-5s %8d %8d %9d %8d %9d\n" spec.name c.(0) c.(1) c.(2)
-         c.(3)
-         (c.(0) + c.(1) + c.(2) + c.(3)))
-    results;
-  Printf.printf "%-5s %8d %8d %9d %8d %9d\n" "TOTAL" tot.(0) tot.(1) tot.(2)
-    tot.(3)
-    (tot.(0) + tot.(1) + tot.(2) + tot.(3));
-  results
-
-let table4 () =
-  direction_table
-    "Table 4: direction-vector tests, hierarchical but NO pruning\n\
-     (unique cases; every vector of the Burke-Cytron hierarchy tested)"
-    (cfg_directions ~prune:Direction.no_pruning ~symbolic:false
-       ~memo:Analyzer.Memo_improved)
-
-let table5 () =
-  direction_table
-    "Table 5: direction-vector tests with unused-variable elimination\n\
-     and distance-vector pruning"
-    (cfg_directions ~prune:Direction.full_pruning ~symbolic:false
-       ~memo:Analyzer.Memo_improved)
-
-let table7 () =
-  direction_table
-    "Table 7: direction-vector tests with symbolic terms enabled (section 8)"
-    (cfg_directions ~prune:Direction.full_pruning ~symbolic:true
-       ~memo:Analyzer.Memo_improved)
 
 (* ------------------------------------------------------------------ *)
 (* Table 6: cost of dependence testing vs whole compilation            *)
@@ -250,100 +98,6 @@ let table6 () =
   Printf.printf "%-5s %8d %14.2f %14.2f %14.2f\n" "TOTAL" !tot_p (!tot_a *. 1e3)
     (!tot_a *. 1e6 /. float_of_int (max 1 !tot_p))
     (!tot_c *. 1e3)
-
-(* ------------------------------------------------------------------ *)
-(* Section 7: accuracy against the inexact baseline                    *)
-(* ------------------------------------------------------------------ *)
-
-let all_problem_pairs config =
-  (* Every non-self pair of every program whose problem builds,
-     together with the exact analyzer's verdict. *)
-  List.concat_map
-    (fun ((_ : Programs.spec), prog) ->
-       let { Analyzer.pairs; _ } = Analyzer.front_end config prog in
-       let report = Analyzer.analyze_sites ~config pairs in
-       List.combine pairs report.Analyzer.pair_reports
-       |> List.filter_map (fun ((s1, s2), (r : Analyzer.pair_report)) ->
-           if r.self_pair then None
-           else Option.map (fun p -> (p, r)) (Build_problem.build s1 s2)))
-    programs
-
-let accuracy () =
-  section
-    "Section 7 analog: exact analyzer vs simple GCD + Banerjee bounds baseline";
-  let config =
-    cfg_directions ~prune:Direction.full_pruning ~symbolic:true
-      ~memo:Analyzer.Memo_improved
-  in
-  let pairs = all_problem_pairs config in
-  let exact_indep = ref 0 and base_indep = ref 0 and total = ref 0 in
-  let exact_vectors = ref 0 and base_vectors = ref 0 in
-  List.iter
-    (fun ((p : Problem.t), (r : Analyzer.pair_report)) ->
-       (* Constant-subscript pairs never reach the dependence tests in
-          either system (the paper's "array constants" column); compare
-          the tests on the rest. *)
-       match r.outcome with
-       | Analyzer.Constant _ -> ()
-       | _ ->
-         incr total;
-         let exact_is_indep, evecs =
-           match r.outcome with
-           | Analyzer.Constant d -> (not d, [])
-           | Analyzer.Gcd_independent -> (true, [])
-           | Analyzer.Assumed_dependent -> (false, [])
-           | Analyzer.Tested t -> (not t.dependent, t.directions)
-         in
-         if exact_is_indep then incr exact_indep;
-         exact_vectors := !exact_vectors + List.length evecs;
-         (match Dda_baselines.Banerjee.combined p with
-          | Dda_baselines.Banerjee.Independent -> incr base_indep
-          | Dda_baselines.Banerjee.Maybe_dependent -> ());
-         match Dda_baselines.Banerjee.directions p with
-         | None -> ()
-         | Some vs -> base_vectors := !base_vectors + List.length vs)
-    pairs;
-  Printf.printf "reference pairs compared:        %d\n" !total;
-  Printf.printf "independent pairs (exact):       %d\n" !exact_indep;
-  Printf.printf "independent pairs (baseline):    %d  (misses %d = %.1f%%)\n"
-    !base_indep (!exact_indep - !base_indep)
-    (pct (!exact_indep - !base_indep) !exact_indep);
-  Printf.printf "direction vectors (exact):       %d\n" !exact_vectors;
-  Printf.printf "direction vectors (baseline):    %d  (%.1f%% more than exact)\n"
-    !base_vectors
-    (pct (!base_vectors - !exact_vectors) !exact_vectors)
-
-(* ------------------------------------------------------------------ *)
-(* Section 7: per-test independent-return rates; section 6 implicit BB *)
-(* ------------------------------------------------------------------ *)
-
-let returns results =
-  section
-    "Section 7 analog: how often each test answers \"independent\"\n\
-     (in the Table 5 configuration)";
-  let tot = Array.make 4 0 and ind = Array.make 4 0 in
-  List.iter
-    (fun ((_ : Programs.spec), (r : Analyzer.report)) ->
-       Array.iteri
-         (fun i v ->
-            tot.(i) <- tot.(i) + v;
-            ind.(i) <- ind.(i) + r.stats.dir_counts.Direction.indep_by_test.(i))
-         r.stats.dir_counts.Direction.by_test)
-    results;
-  List.iteri
-    (fun i name ->
-       Printf.printf "%-14s independent in %4d of %4d calls (%.0f%%)\n" name
-         ind.(i) tot.(i) (pct ind.(i) tot.(i)))
-    [ "SVPC"; "Acyclic"; "Loop Residue"; "Fourier" ];
-  let bb =
-    List.fold_left
-      (fun acc (_, (r : Analyzer.report)) -> acc + r.Analyzer.stats.implicit_bb_cases)
-      0 results
-  in
-  Printf.printf
-    "\nImplicit branch-and-bound (section 6): %d pairs proven independent\n\
-     only by refining every direction vector.\n"
-    bb
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -451,7 +205,7 @@ let microbench ?(nbatch = 16) ?(quota = 0.25) () =
           (Staged.stage (fun () ->
                List.iter (fun s -> ignore (Fourier.run s)) svpc_batch));
         Test.make ~name:"whole-program-TI"
-          (Staged.stage (fun () -> Analyzer.analyze ~config:cfg_table1 ti));
+          (Staged.stage (fun () -> Analyzer.analyze ~config:cfg_plain ti));
       ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
@@ -482,7 +236,7 @@ let microbench ?(nbatch = 16) ?(quota = 0.25) () =
 let ablations () =
   section "Ablations";
   (* Whole-suite wall clock for the plain cascade. *)
-  let plain, t_cascade = time (fun () -> analyze_all cfg_table1) in
+  let plain, t_cascade = time (fun () -> analyze_all cfg_plain) in
   let count_work l =
     List.fold_left
       (fun acc (_, (r : Analyzer.report)) ->
@@ -742,35 +496,6 @@ let certification () =
     (!tot_c /. !tot_a) (!tot_o /. !tot_a)
 
 (* ------------------------------------------------------------------ *)
-(* Consistency guard                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let sanity () =
-  (* The paper's headline: every case decided exactly. Confirm no
-     "unknown" verdicts anywhere in the suite, in every configuration
-     the tables used. *)
-  let unknowns config =
-    List.fold_left
-      (fun acc (_, (r : Analyzer.report)) ->
-         List.fold_left
-           (fun acc (p : Analyzer.pair_report) ->
-              match p.outcome with
-              | Analyzer.Tested { unknown = true; _ } -> acc + 1
-              | _ -> acc)
-           acc r.Analyzer.pair_reports)
-      0 (analyze_all config)
-  in
-  let u =
-    unknowns cfg_table1
-    + unknowns
-        (cfg_directions ~prune:Direction.full_pruning ~symbolic:true
-           ~memo:Analyzer.Memo_improved)
-  in
-  Printf.printf "\nExactness check: %d unresolved (assumed) verdicts across the suite%s\n"
-    u
-    (if u = 0 then " -- every case decided exactly, as in the paper." else " (!)")
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable results: bench --json and the regression gate      *)
 (* ------------------------------------------------------------------ *)
 
@@ -969,13 +694,13 @@ let trace_overhead () =
      clock), run the suite once, count every event pushed. *)
   Dda_obs.Trace.clear ();
   Dda_obs.Trace.enable ();
-  ignore (analyze_all cfg_table1);
+  ignore (analyze_all cfg_plain);
   let spans =
     List.length (Dda_obs.Trace.events ()) + Dda_obs.Trace.dropped ()
   in
   Dda_obs.Trace.disable ();
   Dda_obs.Trace.clear ();
-  let _, t_off = time (fun () -> ignore (analyze_all cfg_table1)) in
+  let _, t_off = time (fun () -> ignore (analyze_all cfg_plain)) in
   let overhead_pct =
     per_span_ns *. float_of_int spans /. (t_off *. 1e9) *. 100.
   in
@@ -1031,7 +756,7 @@ let admin_overhead () =
     Float.max 0. (t_timed -. t_plain) *. 1e9 /. float_of_int n
   in
   (* Stage-call volume of one real pass, counted by the window itself. *)
-  let _, snap = Dda_obs.Attrib.collect (fun () -> ignore (analyze_all cfg_table1)) in
+  let _, snap = Dda_obs.Attrib.collect (fun () -> ignore (analyze_all cfg_plain)) in
   let calls =
     List.fold_left
       (fun a (_, (s : Dda_obs.Attrib.stage_stat)) -> a + s.Dda_obs.Attrib.calls)
@@ -1040,7 +765,7 @@ let admin_overhead () =
   Dda_obs.Attrib.set_time_source Dda_obs.Clock.now;
   (* The same pass with no window anywhere: the inactive path is one
      atomic load per stage call. *)
-  let _, t_off = time (fun () -> ignore (analyze_all cfg_table1)) in
+  let _, t_off = time (fun () -> ignore (analyze_all cfg_plain)) in
   let overhead_pct =
     per_call_ns *. float_of_int calls /. (t_off *. 1e9) *. 100.
   in
@@ -1064,152 +789,97 @@ let memo_hit_rates () =
   r.Dda_engine.Batch.table_stats
 
 let table_json (st : Memo_table.stats) =
-  Perf_json.Obj
+  Json_out.Obj
     [
-      ("entries", Perf_json.Num (float_of_int st.Memo_table.size));
-      ("buckets", Perf_json.Num (float_of_int st.Memo_table.buckets));
-      ("lookups", Perf_json.Num (float_of_int st.Memo_table.lookups));
-      ("hits", Perf_json.Num (float_of_int st.Memo_table.hits));
+      ("entries", Json_out.Int st.Memo_table.size);
+      ("buckets", Json_out.Int st.Memo_table.buckets);
+      ("lookups", Json_out.Int st.Memo_table.lookups);
+      ("hits", Json_out.Int st.Memo_table.hits);
       ( "hit_rate",
-        Perf_json.Num
+        Json_out.Float
           (if st.Memo_table.lookups = 0 then 0.
            else float_of_int st.Memo_table.hits /. float_of_int st.Memo_table.lookups)
       );
     ]
 
-(* The metrics-registry snapshot taken around the trajectory run:
-   stage decision counts, memo hit totals, verdict counts — the
-   integer shape of the run, immune to machine noise. *)
-let metrics_json (snap : Dda_obs.Metrics.snapshot) =
-  Perf_json.Obj
-    [
-      ( "counters",
-        Perf_json.Obj
-          (List.map
-             (fun (name, v) -> (name, Perf_json.Num (float_of_int v)))
-             snap.counters) );
-      ( "histograms",
-        Perf_json.Obj
-          (List.map
-             (fun (name, (h : Dda_obs.Metrics.hist_snapshot)) ->
-                ( name,
-                  Perf_json.Obj
-                    [
-                      ("count", Perf_json.Num (float_of_int h.count));
-                      ("sum", Perf_json.Num (float_of_int h.sum));
-                    ] ))
-             snap.histograms) );
-    ]
-
 let results_json ~mode ~memo ~micro ~metrics ~trace =
   let per_span_ns, overhead_pct = trace in
-  Perf_json.Obj
+  let metrics_block = Json_out.metrics metrics in
+  let open Json_out in
+  let block name fields = [ (name, Obj fields) ] in
+  Obj
     ([
-       ("schema", Perf_json.Num 1.);
-       ("mode", Perf_json.Str mode);
+       ("schema", Int 1);
+       ("mode", Str mode);
        ( "sections",
-         Perf_json.List
+         List
            (List.rev_map
               (fun (name, wall, alloc) ->
-                 Perf_json.Obj
+                 Obj
                    [
-                     ("name", Perf_json.Str name);
-                     ("wall_ms", Perf_json.Num wall);
-                     ("allocated_bytes", Perf_json.Num alloc);
+                     ("name", Str name);
+                     ("wall_ms", Float wall);
+                     ("allocated_bytes", Int (Float.to_int alloc));
                    ])
               !recorded) );
      ]
      @ (match memo with
         | None -> []
-        | Some (gcd, full) ->
-          [
-            ( "memo_tables",
-              Perf_json.Obj [ ("gcd", table_json gcd); ("full", table_json full) ]
-            );
-          ])
+        | Some (gcd, full) -> block "memo_tables" [ ("gcd", table_json gcd); ("full", table_json full) ])
      @ [
          ( "microbench",
-           Perf_json.List
+           List
              (List.map
-                (fun (name, ns) ->
-                   Perf_json.Obj
-                     [
-                       ("name", Perf_json.Str name);
-                       ("ns_per_test", Perf_json.Num ns);
-                     ])
+                (fun (name, ns) -> Obj [ ("name", Str name); ("ns_per_test", Float ns) ])
                 micro) );
-         ("metrics", metrics_json metrics);
-         ( "trace_overhead",
-           Perf_json.Obj
-             [
-               ("per_span_ns", Perf_json.Num per_span_ns);
-               ("disabled_overhead_pct", Perf_json.Num overhead_pct);
-             ] );
+         ("metrics", metrics_block);
        ]
+     @ block "trace_overhead"
+         [ ("per_span_ns", Float per_span_ns); ("disabled_overhead_pct", Float overhead_pct) ]
      @ (match !admin_overhead_result with
         | None -> []
         | Some (per_call_ns, pct) ->
-          [
-            ( "admin_overhead",
-              Perf_json.Obj
-                [
-                  ("per_stage_call_ns", Perf_json.Num per_call_ns);
-                  ("data_path_overhead_pct", Perf_json.Num pct);
-                ] );
-          ])
+          block "admin_overhead"
+            [ ("per_stage_call_ns", Float per_call_ns); ("data_path_overhead_pct", Float pct) ])
      @ (match !streaming_memory_result with
         | None -> []
         | Some (inmem, stream_peak) ->
-          [
-            ( "streaming_memory",
-              Perf_json.Obj
-                [
-                  ("inmem_live_words", Perf_json.Num (float_of_int inmem));
-                  ( "stream_peak_live_words",
-                    Perf_json.Num (float_of_int stream_peak) );
-                  ( "ratio",
-                    Perf_json.Num
-                      (float_of_int inmem /. float_of_int (max 1 stream_peak)) );
-                ] );
-          ])
+          block "streaming_memory"
+            [
+              ("inmem_live_words", Int inmem);
+              ("stream_peak_live_words", Int stream_peak);
+              ("ratio", Float (float_of_int inmem /. float_of_int (max 1 stream_peak)));
+            ])
      @ (match !warm_cache_result with
         | None -> []
         | Some (cold_ms, warm_ms, records) ->
-          [
-            ( "warm_cache",
-              Perf_json.Obj
-                [
-                  ("cold_ms", Perf_json.Num cold_ms);
-                  ("warm_ms", Perf_json.Num warm_ms);
-                  ( "speedup",
-                    Perf_json.Num
-                      (if warm_ms > 0. then cold_ms /. warm_ms else 0.) );
-                  ("records", Perf_json.Num (float_of_int records));
-                ] );
-          ])
+          block "warm_cache"
+            [
+              ("cold_ms", Float cold_ms);
+              ("warm_ms", Float warm_ms);
+              ("speedup", Float (if warm_ms > 0. then cold_ms /. warm_ms else 0.));
+              ("records", Int records);
+            ])
      @
      match !jobs_scaling_result with
      | None -> []
      | Some (cores, rows, identical) ->
-       [
-         ( "jobs_scaling",
-           Perf_json.Obj
-             [
-               ("cores", Perf_json.Num (float_of_int cores));
-               ("verdicts_identical", Perf_json.Bool identical);
-               ( "runs",
-                 Perf_json.List
-                   (List.map
-                      (fun (jobs, lw, lr) ->
-                         Perf_json.Obj
-                           [
-                             ("jobs", Perf_json.Num (float_of_int jobs));
-                             ("live_wall_ms", Perf_json.Num lw);
-                             ("live_full_hit_rate", Perf_json.Num lr);
-                           ])
-                      rows) );
-             ] );
-       ])
+       block "jobs_scaling"
+         [
+           ("cores", Int cores);
+           ("verdicts_identical", Bool identical);
+           ( "runs",
+             List
+               (List.map
+                  (fun (jobs, lw, lr) ->
+                     Obj
+                       [
+                         ("jobs", Int jobs);
+                         ("live_wall_ms", Float lw);
+                         ("live_full_hit_rate", Float lr);
+                       ])
+                  rows) );
+         ])
 
 (* --compare BASE NEW: a metric regresses when it grows by more than
    [threshold] percent over the baseline. Only metrics present in both
@@ -1217,32 +887,40 @@ let results_json ~mode ~memo ~micro ~metrics ~trace =
    deterministic, wall time and ns/test are noisy, hence the generous
    default threshold in CI. *)
 let compare_results base_file new_file threshold =
-  let base = Perf_json.parse_file base_file in
-  let next = Perf_json.parse_file new_file in
+  let read file =
+    let text = In_channel.with_open_bin file In_channel.input_all in
+    match Json_out.of_string text with
+    | Ok j -> j
+    | Error msg -> failwith (Printf.sprintf "%s: %s" file msg)
+  in
+  let base = read base_file in
+  let next = read new_file in
   let get k j =
-    match Perf_json.member k j with
+    match Json_out.member k j with
     | Some v -> v
-    | None -> raise (Perf_json.Parse_error ("missing field " ^ k))
+    | None -> failwith ("missing field " ^ k)
   in
-  let sections j =
-    List.map
-      (fun s ->
-         ( Perf_json.to_str (get "name" s),
-           [
-             ("wall_ms", Perf_json.to_num (get "wall_ms" s));
-             ("allocated_bytes", Perf_json.to_num (get "allocated_bytes" s));
-           ] ))
-      (Perf_json.to_list (get "sections" j))
+  let num k j =
+    match get k j with
+    | Json_out.Int n -> float_of_int n
+    | Json_out.Float f -> f
+    | v -> failwith (Printf.sprintf "%s: expected a number, got %s" k (Json_out.to_string v))
   in
+  let str k j =
+    match get k j with
+    | Json_out.Str s -> s
+    | v -> failwith (Printf.sprintf "%s: expected a string, got %s" k (Json_out.to_string v))
+  in
+  let rows metrics = function
+    | Json_out.List items ->
+      List.map (fun s -> (str "name" s, List.map (fun m -> (m, num m s)) metrics)) items
+    | v -> failwith ("expected an array, got " ^ Json_out.to_string v)
+  in
+  let sections j = rows [ "wall_ms"; "allocated_bytes" ] (get "sections" j) in
   let micro j =
-    match Perf_json.member "microbench" j with
+    match Json_out.member "microbench" j with
     | None -> []
-    | Some m ->
-      List.map
-        (fun s ->
-           ( Perf_json.to_str (get "name" s),
-             [ ("ns_per_test", Perf_json.to_num (get "ns_per_test" s)) ] ))
-        (Perf_json.to_list m)
+    | Some m -> rows [ "ns_per_test" ] m
   in
   let regressions = ref 0 in
   let compare_group kind base_rows new_rows =
@@ -1285,20 +963,13 @@ let compare_results base_file new_file threshold =
 let run_full () =
   print_endline
     "Reproduction of \"Efficient and Exact Data Dependence Analysis\"\n\
-     (Maydan, Hennessy, Lam -- PLDI 1991) on the synthetic PERFECT Club.";
-  measured "table1" table1;
-  measured "table2" table2;
-  measured "table3" table3;
-  ignore (measured "table4" table4);
-  let t5 = measured "table5" table5 in
+     (Maydan, Hennessy, Lam -- PLDI 1991) on the synthetic PERFECT Club:\n\
+     the timed measurements. The deterministic tables (Tables 1-5 and 7,\n\
+     the section 6 and 7 counts) are printed by: dune exec ddtest -- report";
   measured "table6" table6;
-  ignore (measured "table7" table7);
-  measured "accuracy" accuracy;
-  measured "returns" (fun () -> returns t5);
   measured "batch_parallel" batch_parallel;
   measured "jobs_scaling" jobs_scaling;
   measured "certification" certification;
-  measured "sanity" sanity;
   let micro = measured "microbench" (fun () -> microbench ()) in
   measured "ablations" ablations;
   let trace = trace_overhead () in
@@ -1365,9 +1036,10 @@ let () =
     in
     Option.iter
       (fun file ->
-         Perf_json.write file
-           (results_json
-              ~mode:(if smoke then "smoke" else "full")
-              ~memo ~micro ~metrics ~trace);
+         let json =
+           results_json ~mode:(if smoke then "smoke" else "full") ~memo ~micro ~metrics ~trace
+         in
+         Out_channel.with_open_text file (fun oc ->
+             output_string oc (Format.asprintf "%a@." Json_out.pp json));
          Printf.printf "\nresults written to %s\n" file)
       json

@@ -1470,174 +1470,7 @@ let metrics_cmd =
 (* ------------------------------------------------------------------ *)
 
 let report_cmd =
-  (* Paper totals over the 13 PERFECT programs (PLDI 1991, Tables 1, 3
-     and 4->5); the measured column reruns the synthetic corpus, whose
-     counts are deterministic. See EXPERIMENTS.md for the shape-by-shape
-     comparison. *)
-  let paper_stages =
-    [ ("constant", 11_859); ("gcd", 384); ("svpc", 5_176); ("acyclic", 323);
-      ("loop-residue", 6); ("fourier", 174) ]
-  in
-  let paper_memo_before = 5_679
-  and paper_memo_after = 332
-  and paper_dirs_nopruning = 12_500
-  and paper_dirs_pruned = 900 in
-  let run () format =
-    let programs =
-      List.map
-        (fun (spec : Dda_perfect.Programs.spec) ->
-           (spec, Parser.parse_program (Dda_perfect.Programs.source spec)))
-        Dda_perfect.Programs.all
-    in
-    let analyze_all config =
-      List.map (fun (spec, prog) -> (spec, Analyzer.analyze ~config prog)) programs
-    in
-    (* The bench harness's table configurations: the plain cascade for
-       stage decisions, the improved memo scheme for table 3, the
-       direction hierarchy with and without pruning for tables 4/5. *)
-    let cfg_plain =
-      {
-        Analyzer.default_config with
-        Analyzer.directions = false;
-        memo = Analyzer.Memo_off;
-        symbolic = false;
-      }
-    in
-    let cfg_memo = { cfg_plain with Analyzer.memo = Analyzer.Memo_improved } in
-    let cfg_dirs prune =
-      {
-        Analyzer.default_config with
-        Analyzer.prune;
-        symbolic = false;
-        memo = Analyzer.Memo_improved;
-      }
-    in
-    let plain = analyze_all cfg_plain in
-    let memoized = analyze_all cfg_memo in
-    let unpruned = analyze_all (cfg_dirs Direction.no_pruning) in
-    let pruned = analyze_all (cfg_dirs Direction.full_pruning) in
-    let stage_row (r : Analyzer.report) =
-      let s = r.stats in
-      [|
-        s.constant_cases; s.gcd_independent; s.plain_by_test.(0);
-        s.plain_by_test.(1); s.plain_by_test.(2); s.plain_by_test.(3);
-      |]
-    in
-    let stage_rows =
-      List.map
-        (fun ((spec : Dda_perfect.Programs.spec), r) -> (spec.name, stage_row r))
-        plain
-    in
-    let stage_total =
-      let tot = Array.make 6 0 in
-      List.iter
-        (fun (_, row) -> Array.iteri (fun i v -> tot.(i) <- tot.(i) + v) row)
-        stage_rows;
-      tot
-    in
-    let executed_tests results =
-      List.fold_left
-        (fun acc (_, (r : Analyzer.report)) ->
-           let s = r.Analyzer.stats in
-           acc + s.plain_by_test.(0) + s.plain_by_test.(1)
-           + s.plain_by_test.(2) + s.plain_by_test.(3))
-        0 results
-    in
-    let memo_before = executed_tests plain in
-    let memo_after = executed_tests memoized in
-    let dir_tests results =
-      List.fold_left
-        (fun acc (_, (r : Analyzer.report)) ->
-           Array.fold_left ( + ) acc r.Analyzer.stats.dir_counts.Direction.by_test)
-        0 results
-    in
-    let dirs_nopruning = dir_tests unpruned in
-    let dirs_pruned = dir_tests pruned in
-    let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b in
-    match format with
-    | `Text ->
-      Format.printf
-        "ddtest report: the paper's evaluation tables on the synthetic \
-         PERFECT Club@.(counts are deterministic; the paper column is the \
-         published total)@.";
-      Format.printf "@.-- stage decisions (paper Table 1) --@.";
-      Format.printf "%-7s %9s %7s %7s %8s %9s %8s@." "prog" "constant" "gcd"
-        "svpc" "acyclic" "loop-res" "fourier";
-      List.iter
-        (fun (name, (row : int array)) ->
-           Format.printf "%-7s %9d %7d %7d %8d %9d %8d@." name row.(0) row.(1)
-             row.(2) row.(3) row.(4) row.(5))
-        stage_rows;
-      Format.printf "%-7s %9d %7d %7d %8d %9d %8d@." "TOTAL" stage_total.(0)
-        stage_total.(1) stage_total.(2) stage_total.(3) stage_total.(4)
-        stage_total.(5);
-      Format.printf "%-7s %9d %7d %7d %8d %9d %8d@." "paper"
-        (List.assoc "constant" paper_stages)
-        (List.assoc "gcd" paper_stages)
-        (List.assoc "svpc" paper_stages)
-        (List.assoc "acyclic" paper_stages)
-        (List.assoc "loop-residue" paper_stages)
-        (List.assoc "fourier" paper_stages);
-      Format.printf "@.-- memoization (paper Table 3) --@.";
-      Format.printf "%-28s %9s %9s@." "" "measured" "paper";
-      Format.printf "%-28s %9d %9d@." "executed tests, no memo" memo_before
-        paper_memo_before;
-      Format.printf "%-28s %9d %9d@." "executed tests, memoized" memo_after
-        paper_memo_after;
-      Format.printf "%-28s %8.1fx %8.1fx@." "reduction"
-        (ratio memo_before memo_after)
-        (ratio paper_memo_before paper_memo_after);
-      Format.printf "@.-- direction-vector pruning (paper Tables 4 -> 5) --@.";
-      Format.printf "%-28s %9s %9s@." "" "measured" "paper";
-      Format.printf "%-28s %9d %9d@." "tests, no pruning" dirs_nopruning
-        paper_dirs_nopruning;
-      Format.printf "%-28s %9d %9d@." "tests, full pruning" dirs_pruned
-        paper_dirs_pruned;
-      Format.printf "%-28s %8.1fx %8.1fx@." "reduction"
-        (ratio dirs_nopruning dirs_pruned)
-        (ratio paper_dirs_nopruning paper_dirs_pruned)
-    | `Json ->
-      let stages =
-        Json_out.Obj
-          (List.map
-             (fun (name, (row : int array)) ->
-                ( name,
-                  Json_out.Obj
-                    [
-                      ("constant", Json_out.Int row.(0));
-                      ("gcd", Json_out.Int row.(1));
-                      ("svpc", Json_out.Int row.(2));
-                      ("acyclic", Json_out.Int row.(3));
-                      ("loop_residue", Json_out.Int row.(4));
-                      ("fourier", Json_out.Int row.(5));
-                    ] ))
-             (stage_rows @ [ ("TOTAL", stage_total) ]))
-      in
-      Format.printf "%a@." Json_out.pp
-        (Json_out.Obj
-           [
-             ("stage_decisions", stages);
-             ( "stage_decisions_paper",
-               Json_out.Obj
-                 (List.map (fun (n, v) -> (n, Json_out.Int v)) paper_stages) );
-             ( "memoization",
-               Json_out.Obj
-                 [
-                   ("executed_no_memo", Json_out.Int memo_before);
-                   ("executed_memoized", Json_out.Int memo_after);
-                   ("paper_no_memo", Json_out.Int paper_memo_before);
-                   ("paper_memoized", Json_out.Int paper_memo_after);
-                 ] );
-             ( "direction_pruning",
-               Json_out.Obj
-                 [
-                   ("no_pruning", Json_out.Int dirs_nopruning);
-                   ("full_pruning", Json_out.Int dirs_pruned);
-                   ("paper_no_pruning", Json_out.Int paper_dirs_nopruning);
-                   ("paper_full_pruning", Json_out.Int paper_dirs_pruned);
-                 ] );
-           ])
-  in
+  let run () format = Report.print format in
   let format =
     Arg.(
       value
@@ -1648,10 +1481,14 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:
          "Rerun the paper's evaluation on the synthetic PERFECT Club and \
-          print its tables — per-stage decision counts, memoization \
-          before/after, direction-vector pruning — side by side with the \
-          published numbers. Output is deterministic (counts only), so it \
-          can be diffed against a committed baseline.")
+          print every deterministic table — per-stage decisions (Table 1), \
+          memoization (Tables 2 and 3), direction-vector tests (Tables 4, 5 \
+          and 7), accuracy against the GCD + Banerjee baseline and each \
+          test's independent answers (section 7), implicit branch-and-bound \
+          and unresolved verdicts — with the published totals where the \
+          report has them. Output is deterministic (counts only), so it can \
+          be diffed against a committed baseline. Timings are \
+          bench/main.exe's.")
     Term.(const run $ obs_term $ format)
 
 (* ------------------------------------------------------------------ *)

@@ -4,6 +4,7 @@ type t =
   | Null
   | Bool of bool
   | Int of int
+  | Float of float
   | Str of string
   | List of t list
   | Obj of (string * t) list
@@ -47,6 +48,24 @@ let write_int buf n =
 
 let write_bool buf b = Buffer.add_string buf (if b then "true" else "false")
 
+(* [%.15g], or [%.16g] or [%.17g] when fewer digits do not read back
+   as [f], with ".0" added when it has neither a fraction nor an
+   exponent, so the parser reads a float back and not an [Int].
+   Starting at 15 digits keeps a value such as 70 from printing as
+   "7e+01". JSON has no infinities or NaN. *)
+let write_float buf f =
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else begin
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || Float.equal (float_of_string s) f then s else shortest (p + 1)
+    in
+    let s = shortest 15 in
+    Buffer.add_string buf s;
+    if not (String.exists (fun c -> c = '.' || c = 'e') s) then
+      Buffer.add_string buf ".0"
+  end
+
 let write_list buf write_item = function
   | [] -> Buffer.add_string buf "[]"
   | x :: xs ->
@@ -63,6 +82,7 @@ let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> write_bool buf b
   | Int n -> write_int buf n
+  | Float f -> write_float buf f
   | Str s -> write_string buf s
   | Raw s -> Buffer.add_string buf s
   | List [] -> Buffer.add_string buf "[]"
@@ -232,18 +252,35 @@ let of_string s =
     go ();
     Buffer.contents buf
   in
-  let parse_int () =
-    let start = !pos in
-    if peek () = '-' then incr pos;
+  let digits () =
     while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
       incr pos
-    done;
-    (match peek () with
-     | '.' | 'e' | 'E' -> fail "non-integer numbers are not supported"
-     | _ -> ());
-    match int_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "bad number"
+    done
+  in
+  (* An integer, or a float when a fraction or an exponent follows. *)
+  let parse_number () =
+    let start = !pos in
+    if peek () = '-' then incr pos;
+    digits ();
+    let integral = !pos in
+    if peek () = '.' then begin
+      incr pos;
+      digits ()
+    end;
+    if peek () = 'e' || peek () = 'E' then begin
+      incr pos;
+      if peek () = '+' || peek () = '-' then incr pos;
+      digits ()
+    end;
+    let text = String.sub s start (!pos - start) in
+    if !pos = integral then
+      match int_of_string_opt text with
+      | Some v -> Int v
+      | None -> fail "bad number"
+    else
+      match float_of_string_opt text with
+      | Some f -> Float f
+      | None -> fail "bad number"
   in
   let rec parse_value () =
     skip_ws ();
@@ -289,7 +326,7 @@ let of_string s =
         in
         fields []
       end
-    | '-' | '0' .. '9' -> Int (parse_int ())
+    | '-' | '0' .. '9' -> parse_number ()
     | _ -> fail "expected a JSON value"
   in
   match
@@ -302,7 +339,8 @@ let of_string s =
   | exception Parse_fail msg -> Error msg
 
 let rec pp fmt = function
-  | (Null | Bool _ | Int _ | Str _) as j -> Format.pp_print_string fmt (to_string j)
+  | (Null | Bool _ | Int _ | Float _ | Str _) as j ->
+    Format.pp_print_string fmt (to_string j)
   | Raw s -> (
       (* Indented output must not depend on whether a subtree was
          rendered ahead of time; text that does not parse (never

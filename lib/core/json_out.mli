@@ -2,12 +2,18 @@
     objects) and the analyzer report rendered as JSON — enough for
     tooling to consume analysis results without scraping text — plus a
     parser for exactly the subset this module emits, so the batch
-    journal can read its own records back. *)
+    journal, the server and the bench harness can read JSON back. *)
 
 type t =
   | Null
   | Bool of bool
   | Int of int
+  | Float of float
+      (** Written in [%g] form with 15 to 17 significant digits, the
+          fewest that read back exactly, and always with a fraction or
+          an exponent (["1.0"], ["0.1"], ["1e+20"]), so it never reads
+          back as an [Int]. A NaN or an infinity is written as
+          [null]. *)
   | Str of string
   | List of t list
   | Obj of (string * t) list
@@ -56,13 +62,12 @@ val pp : Format.formatter -> t -> unit
     exactly as it prints the same tree holding [j]. *)
 
 val of_string : string -> (t, string) result
-(** Parse the subset of JSON this module emits — in particular, numbers
-    must be integers (no fraction or exponent). Round-trips
-    {!to_string} on every tree without [Raw]:
-    [of_string (to_string j) = Ok j]. A tree with [Raw] parses back as
-    the same tree with each [Raw s] replaced by the tree [s] denotes.
-    Used by the batch journal reader; the error carries a byte
-    offset. *)
+(** Parse the subset of JSON this module emits. A number with neither
+    a fraction nor an exponent is an [Int]; any other is a [Float].
+    Round-trips {!to_string} on every tree without [Raw] whose floats
+    are finite: [of_string (to_string j) = Ok j]. A tree with [Raw]
+    parses back as the same tree with each [Raw s] replaced by the
+    tree [s] denotes. The error carries a byte offset. *)
 
 val member : string -> t -> t option
 (** [member k (Obj fields)] is the value bound to [k]; [None] when

@@ -206,6 +206,21 @@ let error_response id msg extra =
 (* Request handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The protocol's numbers are integers: a request that holds any other
+   number is refused whole, like one that does not parse. *)
+let rec has_float = function
+  | Json_out.Float _ -> true
+  | Json_out.List items -> List.exists has_float items
+  | Json_out.Obj fields -> List.exists (fun (_, v) -> has_float v) fields
+  | Json_out.Null | Json_out.Bool _ | Json_out.Int _ | Json_out.Str _
+  | Json_out.Raw _ ->
+      false
+
+let parse_request line =
+  match Json_out.of_string line with
+  | Ok req when has_float req -> Error "non-integer numbers are not supported"
+  | parsed -> parsed
+
 let request_id req =
   match Json_out.member "id" req with Some v -> v | None -> Json_out.Null
 
@@ -401,7 +416,7 @@ let handle_line t conn line =
   let rid = t.next_req in
   Mutex.unlock t.lock;
   let finish = finish_request t ~req:rid ~t0 in
-  match Json_out.of_string line with
+  match parse_request line with
   | Error msg ->
       respond conn (error_response Json_out.Null ("bad request: " ^ msg) []);
       finish ~op:"invalid" ~ok:false ~flags:[]

@@ -30,6 +30,7 @@ let rec reference = function
   | Null -> "null"
   | Bool b -> Printf.sprintf "%b" b
   | Int n -> Printf.sprintf "%d" n
+  | Float f -> reference_float f
   | Str s -> reference_string s
   | Raw s -> s
   | List items -> "[" ^ String.concat "," (List.map reference items) ^ "]"
@@ -38,6 +39,18 @@ let rec reference = function
     ^ String.concat ","
         (List.map (fun (k, v) -> reference_string k ^ ":" ^ reference v) fields)
     ^ "}"
+
+(* The first of %.15g, %.16g and %.17g that reads back, and a ".0"
+   when the result would read back as an integer. *)
+and reference_float f =
+  let reads_back s = float_of_string s = f in
+  let s =
+    match List.map (fun fmt -> Printf.sprintf fmt f) [ "%.15g"; "%.16g" ] with
+    | [ s15; _ ] when reads_back s15 -> s15
+    | [ _; s16 ] when reads_back s16 -> s16
+    | _ -> Printf.sprintf "%.17g" f
+  in
+  if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
 
 and reference_string s =
   let b = Buffer.create 16 in
@@ -65,6 +78,16 @@ let gen_json =
         (1, oneofl [ 0; -1; 9; -10; 10; min_int; max_int; min_int + 1 ]);
       ]
   in
+  let gen_float =
+    frequency
+      [
+        (3, map (fun n -> float_of_int n /. 8.) small_signed_int);
+        (2, float_range (-1e6) 1e6);
+        (1, map Int64.float_of_bits int64);
+        (1, oneofl [ 0.; -0.; 1.; 0.1; 1e20; -2.5e-7; 1e300; 5e-324; max_float ]);
+      ]
+    |> map (fun f -> if Float.is_finite f then f else 0.5)
+  in
   let gen_str =
     frequency
       [
@@ -81,6 +104,7 @@ let gen_json =
             (1, return Null);
             (1, map (fun b -> Bool b) bool);
             (3, map (fun n -> Int n) gen_int);
+            (2, map (fun f -> Float f) gen_float);
             (3, map (fun s -> Str s) gen_str);
           ]
       in
@@ -115,13 +139,13 @@ let rec expand = function
       | Error e -> failwith ("unparsable Raw: " ^ e))
   | List items -> List (List.map expand items)
   | Obj fields -> Obj (List.map (fun (k, v) -> (k, expand v)) fields)
-  | (Null | Bool _ | Int _ | Str _) as j -> j
+  | (Null | Bool _ | Int _ | Float _ | Str _) as j -> j
 
 let rec has_raw = function
   | Raw _ -> true
   | List items -> List.exists has_raw items
   | Obj fields -> List.exists (fun (_, v) -> has_raw v) fields
-  | Null | Bool _ | Int _ | Str _ -> false
+  | Null | Bool _ | Int _ | Float _ | Str _ -> false
 
 let test_raw_to_string_is_identity () =
   List.iter
@@ -158,6 +182,36 @@ let test_int_extremes () =
        Alcotest.(check string) (string_of_int n) (string_of_int n)
          (to_string (Int n)))
     [ 0; 7; -7; 10; -10; 1234567890; max_int; min_int; min_int + 1 ]
+
+let test_floats () =
+  List.iter
+    (fun (f, text) ->
+       Alcotest.(check string) text text (to_string (Float f));
+       Alcotest.(check bool) (text ^ " reads back") true
+         (of_string text = Ok (Float f)))
+    [
+      (1., "1.0"); (70., "70.0"); (0.1, "0.1"); (-2.5, "-2.5");
+      (1098.89, "1098.89");
+      (0.1 +. 0.2, "0.30000000000000004"); (1e20, "1e+20"); (0., "0.0");
+      (-3e-9, "-3e-09");
+    ];
+  Alcotest.(check string) "nan" "null" (to_string (Float Float.nan));
+  Alcotest.(check string) "infinity" "null" (to_string (Float Float.infinity));
+  (* Numbers as other writers print them: the bench baseline mixes
+     integers and %g floats. *)
+  List.iter
+    (fun (text, j) ->
+       Alcotest.(check bool) text true (of_string text = Ok j))
+    [
+      ("12", Int 12); ("-0", Int 0); ("2.", Float 2.); ("1E3", Float 1000.);
+      ("4.5e-1", Float 0.45); ("1.23457e+06", Float 1234570.);
+      ("[8638430695,0.983623]", List [ Int 8638430695; Float 0.983623 ]);
+    ];
+  List.iter
+    (fun text ->
+       Alcotest.(check bool) (text ^ " refused") true
+         (Result.is_error (of_string text)))
+    [ "-"; "1e"; "1.5.2"; "--1"; "1e+" ]
 
 let contains needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -214,6 +268,7 @@ let () =
           Alcotest.test_case "composite" `Quick test_composite;
           Alcotest.test_case "pp vs compact" `Quick test_pp_reparses_as_same_compact;
           Alcotest.test_case "int extremes" `Quick test_int_extremes;
+          Alcotest.test_case "floats" `Quick test_floats;
           QCheck_alcotest.to_alcotest prop_matches_reference;
         ] );
       ( "raw",

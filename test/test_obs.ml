@@ -189,34 +189,52 @@ let test_chrome_export_well_formed () =
         Domain.join d;
         Trace.to_chrome_string ())
   in
+  let module Json_out = Dda_core.Json_out in
   let get k j =
-    match Perf_json.member k j with
+    match Json_out.member k j with
     | Some v -> v
     | None -> Alcotest.failf "missing field %s" k
   in
-  let doc = Perf_json.parse json in
-  let events = Perf_json.to_list (get "traceEvents" doc) in
+  let str k j =
+    match get k j with
+    | Json_out.Str s -> s
+    | v -> Alcotest.failf "%s: not a string: %s" k (Json_out.to_string v)
+  in
+  (* The export writes integer tick counts and thread ids. *)
+  let int k j =
+    match get k j with
+    | Json_out.Int n -> n
+    | v -> Alcotest.failf "%s: not an integer: %s" k (Json_out.to_string v)
+  in
+  let events =
+    match Json_out.of_string json with
+    | Error msg -> Alcotest.failf "export does not parse: %s" msg
+    | Ok doc -> (
+        match get "traceEvents" doc with
+        | Json_out.List events -> events
+        | _ -> Alcotest.fail "traceEvents is not an array")
+  in
   (* one metadata record per track plus our four events *)
   Alcotest.(check bool) "has events" true (List.length events >= 5);
   let last_ts = Hashtbl.create 4 in
   List.iter
     (fun e ->
-       let ph = Perf_json.to_str (get "ph" e) in
-       ignore (Perf_json.to_str (get "name" e));
+       let ph = str "ph" e in
+       ignore (str "name" e);
        match ph with
        | "M" -> ()
        | "X" | "i" ->
-         let tid = int_of_float (Perf_json.to_num (get "tid" e)) in
-         let ts = Perf_json.to_num (get "ts" e) in
+         let tid = int "tid" e in
+         let ts = int "ts" e in
          (match Hashtbl.find_opt last_ts tid with
           | Some prev when ts <= prev ->
-            Alcotest.failf "track %d not strictly ordered: %f after %f" tid
+            Alcotest.failf "track %d not strictly ordered: %d after %d" tid
               ts prev
           | _ -> ());
          Hashtbl.replace last_ts tid ts;
          if ph = "X" then
            Alcotest.(check bool) "complete events carry a duration" true
-             (Perf_json.to_num (get "dur" e) >= 0.)
+             (int "dur" e >= 0)
        | other -> Alcotest.failf "unexpected phase %S" other)
     events;
   Alcotest.(check bool) "worker got its own track" true

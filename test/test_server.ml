@@ -202,6 +202,26 @@ let test_bad_requests_quarantined () =
       let r = rpc c (analyze_req "for i = oops") in
       Alcotest.(check bool) "syntax error reported" true
         (json_field r "ok" = Some (Json_out.Bool false));
+      (* The protocol's numbers are integers: a fraction or an exponent
+         anywhere in the line is a bad request, answered without an id. *)
+      List.iter
+        (fun line ->
+           let r = rpc c line in
+           Alcotest.(check bool) ("non-integer refused: " ^ line) true
+             (json_field r "ok" = Some (Json_out.Bool false));
+           Alcotest.(check bool) "no id echoed" true
+             (json_field r "id" = Some Json_out.Null);
+           match json_field r "error" with
+           | Some (Json_out.Str msg) ->
+             let prefix = "bad request: non-integer numbers are not supported" in
+             Alcotest.(check string) "non-integer message" prefix
+               (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+           | _ -> Alcotest.failf "no error message in %S" r)
+        [
+          {|{"op":"ping","id":1.5}|};
+          {|{"op":"analyze","id":2,"program":"","timeout_ms":1e3}|};
+          {|{"op":"status","x":[0,-2.5E-1]}|};
+        ];
       (* After all that abuse, the server still answers. *)
       let r = rpc c (analyze_req program) in
       Alcotest.(check bool) "still serving" true (is_ok r))
