@@ -661,35 +661,56 @@ let warm_cache () =
   warm_cache_result := Some (t_cold *. 1e3, t_warm *. 1e3, records)
 
 (* ------------------------------------------------------------------ *)
-(* Trace overhead: disabled instrumentation must cost < 2%             *)
+(* Instrumentation overhead: the data-path cost must stay < 2%         *)
 (* ------------------------------------------------------------------ *)
 
-(* Every hot path in the analyzer now carries a [Trace.wrap]; the claim
-   that buys is that a disabled span is one atomic load and a branch.
-   Prove it two ways: microbenchmark the disabled wrap against its bare
-   body, then scale the per-span cost by the span count of a real suite
-   pass and compare against that pass's wall time. *)
+(* Both overhead gates follow one recipe: microbenchmark [n]
+   instrumented calls against their bare body, scale the per-call cost
+   by the call volume of one real suite pass, and divide by that pass's
+   uninstrumented wall time. One suite pass swings about 30% on a
+   shared host, so a gate reports the median of [overhead_passes]
+   paired passes, each timing its own microbenchmark pair and its own
+   suite pass. [loop acc n] times the instrumented loop, each call
+   adding its index to [acc] as the bare loop does. *)
+let overhead_passes = 5
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+let instrumentation_overhead ~what ~n ~calls ~loop =
+  let acc = ref 0 in
+  let pass () =
+    let (), t_plain =
+      time (fun () ->
+          for i = 1 to n do
+            acc := !acc + i
+          done)
+    in
+    let t_instrumented = loop acc n in
+    let _, t_off = time (fun () -> ignore (analyze_all cfg_plain)) in
+    let per_call_ns =
+      Float.max 0. (t_instrumented -. t_plain) *. 1e9 /. float_of_int n
+    in
+    (per_call_ns, per_call_ns *. float_of_int calls /. (t_off *. 1e9) *. 100., t_off)
+  in
+  let runs = List.init overhead_passes (fun _ -> pass ()) in
+  let per_call_ns = median (List.map (fun (ns, _, _) -> ns) runs) in
+  let pct = median (List.map (fun (_, pct, _) -> pct) runs) in
+  Printf.printf "%s: %.1f ns;  %d per suite pass\n" what per_call_ns calls;
+  Printf.printf "suite pass (uninstrumented): %.1f ms\n"
+    (median (List.map (fun (_, _, t) -> t) runs) *. 1e3);
+  Printf.printf "overhead: %.3f%% of analysis (median of %d passes)  [%s]\n" pct
+    overhead_passes
+    (if pct < 2.0 then "PASS < 2%" else "FAIL >= 2%");
+  (per_call_ns, pct)
+
+(* Every hot path in the analyzer carries a [Trace.wrap]; the claim
+   that buys is that a disabled span is one atomic load and a branch. *)
 let trace_overhead () =
   section
     "Trace overhead: disabled spans must cost < 2% of analysis time";
-  let n = 5_000_000 in
-  let acc = ref 0 in
-  let _, t_plain =
-    time (fun () ->
-        for i = 1 to n do
-          acc := !acc + i
-        done)
-  in
-  let _, t_wrapped =
-    time (fun () ->
-        for i = 1 to n do
-          Dda_obs.Trace.wrap ~name:"bench.noop"
-            ~args:(fun _ -> [])
-            (fun () -> acc := !acc + i)
-        done)
-  in
-  ignore !acc;
-  let per_span_ns = Float.max 0. (t_wrapped -. t_plain) *. 1e9 /. float_of_int n in
   (* Span volume of one real pass: enable tracing (deterministic tick
      clock), run the suite once, count every event pushed. *)
   Dda_obs.Trace.clear ();
@@ -700,61 +721,28 @@ let trace_overhead () =
   in
   Dda_obs.Trace.disable ();
   Dda_obs.Trace.clear ();
-  let _, t_off = time (fun () -> ignore (analyze_all cfg_plain)) in
-  let overhead_pct =
-    per_span_ns *. float_of_int spans /. (t_off *. 1e9) *. 100.
-  in
-  Printf.printf "disabled span: %.1f ns;  %d spans per suite pass\n" per_span_ns
-    spans;
-  Printf.printf "suite pass (tracing off): %.1f ms\n" (t_off *. 1e3);
-  Printf.printf "disabled-instrumentation overhead: %.3f%% of analysis  [%s]\n"
-    overhead_pct
-    (if overhead_pct < 2.0 then "PASS < 2%" else "FAIL >= 2%");
-  (per_span_ns, overhead_pct)
-
-(* ------------------------------------------------------------------ *)
-(* Admin-plane overhead: attribution must cost < 2% like trace spans   *)
-(* ------------------------------------------------------------------ *)
+  instrumentation_overhead ~what:"disabled span" ~n:5_000_000 ~calls:spans
+    ~loop:(fun acc n ->
+      snd
+        (time (fun () ->
+             for i = 1 to n do
+               Dda_obs.Trace.wrap ~name:"bench.noop"
+                 ~args:(fun _ -> [])
+                 (fun () -> acc := !acc + i)
+             done)))
 
 (* The telemetry plane's only data-path cost is the per-request
    attribution window the serve daemon opens around each analysis
    (scrapes, the access log and the admin listener run off the worker
-   domains). Measure it the same way as the trace gate: microbenchmark
-   one timed stage call inside an open window against its bare body,
-   scale by the stage-call volume of a real suite pass, and compare
-   against that pass's windowless wall time. *)
+   domains): one timed stage call inside an open window, against a
+   suite pass with no window anywhere, where the inactive path is one
+   atomic load per stage call. *)
 let admin_overhead_result : (float * float) option ref = ref None
 
 let admin_overhead () =
   section
     "Admin-plane overhead: per-request attribution must cost < 2% of \
      analysis time";
-  (* Production time source (the serve daemon installs the same one),
-     so the measured cost includes the clock reads. *)
-  Dda_obs.Attrib.set_time_source (fun () ->
-      int_of_float (Unix.gettimeofday () *. 1e9));
-  let n = 2_000_000 in
-  let acc = ref 0 in
-  let _, t_plain =
-    time (fun () ->
-        for i = 1 to n do
-          acc := !acc + i
-        done)
-  in
-  let (), t_timed =
-    let f () =
-      time (fun () ->
-          for i = 1 to n do
-            Dda_obs.Attrib.time Dda_obs.Attrib.Svpc (fun () -> acc := !acc + i)
-          done)
-    in
-    let ((), t), _snap = Dda_obs.Attrib.collect f in
-    ((), t)
-  in
-  ignore !acc;
-  let per_call_ns =
-    Float.max 0. (t_timed -. t_plain) *. 1e9 /. float_of_int n
-  in
   (* Stage-call volume of one real pass, counted by the window itself. *)
   let _, snap = Dda_obs.Attrib.collect (fun () -> ignore (analyze_all cfg_plain)) in
   let calls =
@@ -762,19 +750,24 @@ let admin_overhead () =
       (fun a (_, (s : Dda_obs.Attrib.stage_stat)) -> a + s.Dda_obs.Attrib.calls)
       0 snap.Dda_obs.Attrib.stages
   in
-  Dda_obs.Attrib.set_time_source Dda_obs.Clock.now;
-  (* The same pass with no window anywhere: the inactive path is one
-     atomic load per stage call. *)
-  let _, t_off = time (fun () -> ignore (analyze_all cfg_plain)) in
-  let overhead_pct =
-    per_call_ns *. float_of_int calls /. (t_off *. 1e9) *. 100.
-  in
-  Printf.printf "timed stage call (window open): %.1f ns;  %d stage calls per suite pass\n"
-    per_call_ns calls;
-  Printf.printf "suite pass (no window): %.1f ms\n" (t_off *. 1e3);
-  Printf.printf "admin-plane overhead: %.3f%% of analysis  [%s]\n" overhead_pct
-    (if overhead_pct < 2.0 then "PASS < 2%" else "FAIL >= 2%");
-  admin_overhead_result := Some (per_call_ns, overhead_pct)
+  admin_overhead_result :=
+    Some
+      (instrumentation_overhead ~what:"timed stage call (window open)"
+         ~n:2_000_000 ~calls ~loop:(fun acc n ->
+           (* Production time source (the serve daemon installs the same
+              one), so the measured cost includes the clock reads. *)
+           Dda_obs.Attrib.set_time_source (fun () ->
+               int_of_float (Unix.gettimeofday () *. 1e9));
+           let ((), t), _snap =
+             Dda_obs.Attrib.collect (fun () ->
+                 time (fun () ->
+                     for i = 1 to n do
+                       Dda_obs.Attrib.time Dda_obs.Attrib.Svpc (fun () ->
+                           acc := !acc + i)
+                     done))
+           in
+           Dda_obs.Attrib.set_time_source Dda_obs.Clock.now;
+           t))
 
 (* Corpus-wide memo hit rates, via the batch engine's shared memo tables
    (jobs=1 keeps the hit counters independent of scheduling). *)

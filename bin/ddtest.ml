@@ -723,7 +723,10 @@ let batch_cmd =
              replayed byte-for-byte (after checking they still match the \
              corpus) and analysis restarts at the first un-journaled item. \
              The final output is byte-identical to an uninterrupted run. A \
-             truncated, corrupt or mismatched journal is rejected.")
+             final record torn by a crash mid-append is dropped with a \
+             warning and re-analyzed; a corrupt record, a foreign file or a \
+             journal written under another configuration is rejected before \
+             anything is printed.")
   in
   let fuzz_arg =
     Arg.(

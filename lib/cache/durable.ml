@@ -1,82 +1,57 @@
 open Dda_core
 
-(* In-memory lookups go to lock-striped tables (domains only contend
-   when their keys share a stripe); the append-only store — inherently
-   serial — keeps its own mutex. *)
+(* The in-memory half is the analyzer's live-shared table pair; the
+   append-only store — inherently serial — keeps its own mutex. *)
 type t = {
-  gcd : Gcd_test.outcome Sharded_table.t;
-  full : Analyzer.outcome Sharded_table.t;
+  shared : Analyzer.shared;
   store : Store.t option;
   lock : Mutex.t;  (* serializes store appends and lifecycle only *)
+  cache : Analyzer.cache;
 }
 
-let create ?path ?(fsync = true) ~config () =
-  let gcd = Sharded_table.create () in
-  let full = Sharded_table.create () in
-  let store, recovery =
-    match path with
-    | None -> (None, None)
-    | Some path ->
-        let s, r =
-          Store.open_store ~fsync ~path ~config ~gcd:(Sharded_table.add gcd)
-            ~full:(Sharded_table.add full) ()
-        in
-        (Some s, Some r)
-  in
-  ({ gcd; full; store; lock = Mutex.create () }, recovery)
-
-(* The find-compute-add protocol: find (stripe-locked), compute with no
-   lock held (the full-table compute path re-enters this cache for gcd
-   queries), publish to the table, then append to the store under the
-   store lock. On a race the later add replaces the earlier equal
-   binding; both appends replay to the same state. A racing domain may
-   hit on the table entry while the append is still in flight — the
-   value is deterministic either way, and a crash in that window just
-   means the key is recomputed next run. *)
-let find_or_add t table app key compute =
-  match Sharded_table.find table key with
-  | Some v -> (v, true)
-  | None ->
-      (* The key may be a borrowed scratch buffer that [compute]'s
-         nested lookups reuse — take ownership before computing. *)
-      let key = Array.copy key in
-      let v = compute () in
-      Sharded_table.add table key v;
-      (match t.store with
-       | None -> ()
-       | Some s ->
-           Mutex.lock t.lock;
-           let r = try Ok (app s key v) with e -> Error e in
-           Mutex.unlock t.lock;
-           (match r with Ok () -> () | Error e -> raise e));
-      (v, false)
-
-let locked t f =
-  Mutex.lock t.lock;
-  let r = try Ok (f ()) with e -> Error e in
-  Mutex.unlock t.lock;
-  match r with Ok v -> v | Error e -> raise e
-
-let cache t : Analyzer.cache =
+(* A miss is published to the table first, then appended under the
+   store lock. On a race both domains append the key; both records
+   replay to the same state. A racing domain may hit on the table entry
+   while the append is still in flight — the value is deterministic
+   either way, and a crash in that window just means the key is
+   recomputed next run. *)
+let store_cache shared lock store =
+  let append app = Some (fun key v -> Mutex.protect lock (fun () -> app store key v)) in
   {
-    find_or_add_gcd = (fun key compute ->
-        find_or_add t t.gcd Store.append_gcd key compute);
-    find_or_add_full = (fun key compute ->
-        find_or_add t t.full Store.append_full key compute);
-    cache_stats = (fun () ->
-        (Sharded_table.stats t.gcd, Sharded_table.stats t.full));
-    cache_flush = (fun () ->
-        locked t (fun () -> Option.iter Store.flush t.store));
+    (Analyzer.shared_cache shared) with
+    find_or_add_gcd =
+      Sharded_table.find_or_add ?on_miss:(append Store.append_gcd)
+        shared.Analyzer.sh_gcd;
+    find_or_add_full =
+      Sharded_table.find_or_add ?on_miss:(append Store.append_full)
+        shared.Analyzer.sh_full;
+    cache_flush = (fun () -> Mutex.protect lock (fun () -> Store.flush store));
   }
 
-let table_sizes t = (Sharded_table.length t.gcd, Sharded_table.length t.full)
+let create ?path ?(fsync = true) ~config () =
+  let shared = Analyzer.create_shared () in
+  let lock = Mutex.create () in
+  match path with
+  | None ->
+    ( { shared; store = None; lock; cache = Analyzer.shared_cache shared },
+      None )
+  | Some path ->
+    let store, recovery =
+      Store.open_store ~fsync ~path ~config
+        ~gcd:(Sharded_table.add shared.Analyzer.sh_gcd)
+        ~full:(Sharded_table.add shared.Analyzer.sh_full) ()
+    in
+    ( { shared; store = Some store; lock;
+        cache = store_cache shared lock store },
+      Some recovery )
 
-let table_stats t = (Sharded_table.stats t.gcd, Sharded_table.stats t.full)
+let cache t = t.cache
 
-let contended t =
-  Sharded_table.contended t.gcd + Sharded_table.contended t.full
+let table_sizes t =
+  ( Sharded_table.length t.shared.Analyzer.sh_gcd,
+    Sharded_table.length t.shared.Analyzer.sh_full )
 
+let table_stats t = Analyzer.shared_table_stats t.shared
 let store_path t = Option.map Store.path t.store
 let store_appends t = match t.store with None -> 0 | Some s -> Store.appends s
-let flush t = locked t (fun () -> Option.iter Store.flush t.store)
-let close t = locked t (fun () -> Option.iter Store.close t.store)
+let close t = Mutex.protect t.lock (fun () -> Option.iter Store.close t.store)

@@ -1,6 +1,6 @@
-(** The durable, shareable memo cache: in-process lock-striped
-    {!Dda_core.Sharded_table}s with optional write-through to a
-    {!Store} file behind its own mutex.
+(** The durable, shareable memo cache: the analyzer's live-shared
+    table pair ({!Dda_core.Analyzer.shared}) with optional
+    write-through to a {!Store} file behind its own mutex.
 
     This is the backend [ddtest serve] plugs into the analyzer's
     pluggable {!Dda_core.Analyzer.cache} interface. It is safe to share
@@ -23,17 +23,18 @@ val create :
   config:Dda_core.Analyzer.config ->
   unit ->
   t * Store.recovery option
-(** Without [path], a purely in-memory (but still domain-shareable)
-    cache and [None]. With [path], opens the {!Store} there — replaying
-    survivors into the tables and recovering per the cache-integrity
-    invariant — and returns its {!Store.recovery}. [fsync] (default
-    [true]) is passed through.
+(** Without [path], exactly {!Dda_core.Analyzer.create_shared}'s
+    in-memory (but domain-shareable) tables, and [None]. With [path],
+    opens the {!Store} there — replaying survivors into the tables and
+    recovering per the cache-integrity invariant — and returns its
+    {!Store.recovery}. [fsync] (default [true]) is passed through.
     @raise Failure on real I/O errors (see {!Store.open_store}). *)
 
 val cache : t -> Dda_core.Analyzer.cache
 (** The analyzer-facing view. Every miss computed through it is added
     to the tables and appended to the store (when present) before the
-    query returns. *)
+    query returns. Lookups hit the [memo.find_or_add] failpoint site,
+    as every memo table does. *)
 
 val table_sizes : t -> int * int
 (** [(gcd_entries, full_entries)] currently held. *)
@@ -41,16 +42,9 @@ val table_sizes : t -> int * int
 val table_stats : t -> Dda_core.Memo_table.stats * Dda_core.Memo_table.stats
 (** Aggregated across stripes ({!Dda_core.Sharded_table.stats}). *)
 
-val contended : t -> int
-(** Stripe-lock acquisitions (both tables) that had to block — the
-    [memo.stripe.contended] signal, scoped to this cache. *)
-
 val store_path : t -> string option
 val store_appends : t -> int
 (** Records appended since open (0 for in-memory caches). *)
-
-val flush : t -> unit
-(** fsync the store, if any. *)
 
 val close : t -> unit
 (** Flush and close the store, if any. Idempotent; the in-memory

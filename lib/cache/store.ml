@@ -2,9 +2,6 @@ open Dda_core
 open Dda_obs
 
 let magic = "%DDACACHE1\n"
-let fp_len = 16
-let header_len = String.length magic + fp_len
-let frame_len = 4 + fp_len (* payload length + payload digest *)
 
 (* Both memo tables share one file, so each record says which table it
    belongs to. The payload is the Marshal image of this constructor. *)
@@ -36,58 +33,29 @@ let fingerprint config =
   Digest.string
     (Marshal.to_string (Analyzer.memo_format_version, config) [])
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
-
 let do_fsync fd =
   Failpoint.hit "cache.flush";
   Unix.fsync fd
 
-(* [false] on end-of-file before [len] bytes — a torn tail, not an
-   error. *)
-let read_exact ic buf len =
-  try
-    really_input ic buf 0 len;
-    true
-  with End_of_file -> false
+let describe : Record_log.bad_header -> string = function
+  | Short_header -> "truncated header"
+  | Bad_magic -> "bad magic (not a dda cache file)"
+  | Bad_fingerprint ->
+    "fingerprint mismatch (written by a different analyzer version or \
+     configuration)"
 
-(* Walk the record stream, delivering every intact record and stopping
-   at the first sign of damage: a short read, an impossible length, a
-   digest mismatch or an unreadable payload. Returns (intact records,
-   byte offset just past the last one). *)
-let scan_records ic file_len ~gcd ~full =
-  let records = ref 0 in
-  let good_end = ref header_len in
-  let frame = Bytes.create frame_len in
-  (try
-     while !good_end < file_len do
-       if not (read_exact ic frame frame_len) then raise Exit;
-       let len = Int32.to_int (Bytes.get_int32_be frame 0) in
-       if len <= 0 || len > file_len - !good_end - frame_len then raise Exit;
-       let payload = Bytes.create len in
-       if not (read_exact ic payload len) then raise Exit;
-       let payload = Bytes.unsafe_to_string payload in
-       if not (String.equal (Digest.string payload)
-                 (Bytes.sub_string frame 4 fp_len))
-       then raise Exit;
-       (match (Marshal.from_string payload 0 : entry) with
-        | Gcd (key, v) -> gcd key v
-        | Full (key, v) -> full key v
-        | exception _ -> raise Exit);
-       incr records;
-       good_end := !good_end + frame_len + len
-     done
-   with Exit -> ());
-  (!records, !good_end)
+(* Replay every intact record into the callbacks. A payload that does
+   not unmarshal ends the scan as corrupt, like a failed digest. *)
+let read_entries ~path ~fingerprint ~gcd ~full =
+  Record_log.read ~magic ~fingerprint path (fun payload ->
+      match (Marshal.from_string payload 0 : entry) with
+      | Gcd (key, v) -> gcd key v; true
+      | Full (key, v) -> full key v; true
+      | exception _ -> false)
 
 let open_store ?(fsync = true) ~path ~config ~gcd ~full () =
   Failpoint.hit "cache.open";
-  let fp = fingerprint config in
+  let fingerprint = fingerprint config in
   let io_fail what exn =
     failwith
       (Printf.sprintf "cache %s: cannot %s: %s" path what
@@ -96,82 +64,56 @@ let open_store ?(fsync = true) ~path ~config ~gcd ~full () =
           | Sys_error m -> m
           | e -> Printexc.to_string e))
   in
-  let fresh_fd () =
-    match
-      let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-      write_all fd (magic ^ fp);
-      if fsync then Unix.fsync fd;
-      fd
-    with
-    | fd -> fd
-    | exception e -> io_fail "create" e
-  in
   let make fd = { fd; s_path = path; fsync; n_appends = 0; closed = false } in
-  if not (Sys.file_exists path) then
-    (make (fresh_fd ()), { fresh = true; reset = None; records = 0; dropped_bytes = 0 })
-  else begin
-    let ic = try open_in_bin path with e -> io_fail "read" e in
-    let file_len = in_channel_length ic in
-    let header =
-      if file_len < header_len then
-        Error "truncated header"
-      else
-        let h = really_input_string ic header_len in
-        if not (String.equal (String.sub h 0 (String.length magic)) magic)
-        then Error "bad magic (not a dda cache file)"
-        else if not (String.equal (String.sub h (String.length magic) fp_len) fp)
-        then
-          Error
-            "fingerprint mismatch (written by a different analyzer \
-             version or configuration)"
-        else Ok ()
+  let cold reset =
+    let fd =
+      try Record_log.create ~fsync ~magic ~fingerprint path
+      with e -> io_fail "create" e
     in
-    match header with
-    | Error reason ->
+    (make fd, { fresh = true; reset; records = 0; dropped_bytes = 0 })
+  in
+  if not (Sys.file_exists path) then cold None
+  else
+    match
+      try read_entries ~path ~fingerprint ~gcd ~full
+      with Sys_error _ as e -> io_fail "read" e
+    with
+    | Error bad ->
         (* The file is unusable as a whole: preserve it for inspection
            and start cold. Never a wrong verdict, only recomputation. *)
-        close_in_noerr ic;
+        let reason = describe bad in
         let rejected = path ^ ".rejected" in
         (try Sys.rename path rejected with e -> io_fail "quarantine" e);
         Log.warn "cache %s: %s; moved to %s and starting cold" path reason
           rejected;
         Metrics.incr m_resets;
-        ( make (fresh_fd ()),
-          { fresh = true; reset = Some reason; records = 0; dropped_bytes = 0 } )
-    | Ok () ->
-        let records, good_end = scan_records ic file_len ~gcd ~full in
-        close_in_noerr ic;
-        let dropped = file_len - good_end in
+        cold (Some reason)
+    | Ok scan ->
+        (* Torn or corrupt alike: cache entries are independent, so the
+           intact prefix is sound and everything behind it goes. *)
+        let dropped = scan.file_len - scan.good_end in
         if dropped > 0 then begin
           Log.warn
             "cache %s: dropping %d damaged trailing byte(s) after %d intact \
              record(s)"
-            path dropped records;
-          (try Unix.truncate path good_end with e -> io_fail "truncate" e)
+            path dropped scan.records;
+          (try Record_log.truncate path scan with e -> io_fail "truncate" e)
         end;
-        Metrics.add m_replayed records;
+        Metrics.add m_replayed scan.records;
         Metrics.add m_dropped dropped;
         let fd =
-          try Unix.openfile path [ O_WRONLY; O_APPEND ] 0o644
-          with e -> io_fail "append to" e
+          try Record_log.open_append path with e -> io_fail "append to" e
         in
-        (make fd, { fresh = false; reset = None; records; dropped_bytes = dropped })
-  end
+        ( make fd,
+          { fresh = false; reset = None; records = scan.records;
+            dropped_bytes = dropped } )
 
-let write_record fd entry ~mid =
-  let payload = Marshal.to_string entry [] in
-  let frame = Bytes.create frame_len in
-  Bytes.set_int32_be frame 0 (Int32.of_int (String.length payload));
-  Bytes.blit_string (Digest.string payload) 0 frame 4 fp_len;
-  write_all fd (Bytes.unsafe_to_string frame);
-  (* A [kill] here leaves a frame header with no payload behind it —
-     the torn tail recovery truncates on the next open. *)
-  mid ();
-  write_all fd payload
+let hit_append () = Failpoint.hit "cache.append"
+let hit_append_mid () = Failpoint.hit "cache.append.mid"
 
 let append t entry =
-  Failpoint.hit "cache.append";
-  write_record t.fd entry ~mid:(fun () -> Failpoint.hit "cache.append.mid");
+  Record_log.append ~before:hit_append ~mid:hit_append_mid ~fsync:false t.fd
+    (Marshal.to_string entry []);
   t.n_appends <- t.n_appends + 1;
   Metrics.incr m_appends;
   if t.fsync then do_fsync t.fd
@@ -219,44 +161,32 @@ let m_compactions = Metrics.counter "cache.store.compactions"
    file untouched) beats silently discarding it. A damaged suffix is
    dropped, as replay would drop it. *)
 let compact ?(fsync = true) ~path ~config () =
-  let fp = fingerprint config in
+  let fingerprint = fingerprint config in
   let fail fmt = Printf.ksprintf (fun m -> failwith ("cache " ^ path ^ ": " ^ m)) fmt in
-  let ic =
-    try open_in_bin path
-    with Sys_error m -> fail "cannot read: %s" m
-  in
-  let file_len = in_channel_length ic in
-  if file_len < header_len then begin
-    close_in_noerr ic;
-    fail "truncated header (%d bytes)" file_len
-  end;
-  let h = really_input_string ic header_len in
-  if not (String.equal (String.sub h 0 (String.length magic)) magic) then begin
-    close_in_noerr ic;
-    fail "bad magic (not a dda cache file)"
-  end;
-  if not (String.equal (String.sub h (String.length magic) fp_len) fp) then begin
-    close_in_noerr ic;
-    fail
-      "fingerprint mismatch (written by a different analyzer version or \
-       configuration)"
-  end;
   let gcd = Memo_table.create () and full = Memo_table.create () in
-  let records, good_end =
-    scan_records ic file_len ~gcd:(Memo_table.add gcd)
-      ~full:(Memo_table.add full)
+  let scan =
+    match
+      read_entries ~path ~fingerprint ~gcd:(Memo_table.add gcd)
+        ~full:(Memo_table.add full)
+    with
+    | Ok scan -> scan
+    | Error bad -> fail "%s" (describe bad)
+    | exception Sys_error m -> fail "cannot read: %s" m
   in
-  close_in_noerr ic;
   let tmp = path ^ ".compact" in
   let fd =
-    try Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644
+    try Record_log.create ~fsync:false ~magic ~fingerprint tmp
     with Unix.Unix_error (e, _, _) ->
+      (try Sys.remove tmp with _ -> ());
       fail "cannot create %s: %s" tmp (Unix.error_message e)
   in
+  let write entry =
+    Record_log.append ~before:ignore ~mid:ignore ~fsync:false fd
+      (Marshal.to_string entry [])
+  in
   (match
-     write_all fd (magic ^ fp);
-     Memo_table.iter (fun k v -> write_record fd (Gcd (k, v)) ~mid:ignore) gcd;
-     Memo_table.iter (fun k v -> write_record fd (Full (k, v)) ~mid:ignore) full;
+     Memo_table.iter (fun k v -> write (Gcd (k, v))) gcd;
+     Memo_table.iter (fun k v -> write (Full (k, v))) full;
      if fsync then Unix.fsync fd;
      Unix.close fd
    with
@@ -271,9 +201,9 @@ let compact ?(fsync = true) ~path ~config () =
      fail "cannot rename %s into place: %s" tmp m);
   Metrics.incr m_compactions;
   {
-    before_records = records;
+    before_records = scan.records;
     after_records = Memo_table.length gcd + Memo_table.length full;
-    before_bytes = file_len;
+    before_bytes = scan.file_len;
     after_bytes = (Unix.stat path).Unix.st_size;
-    damaged_bytes = file_len - good_end;
+    damaged_bytes = scan.file_len - scan.good_end;
   }

@@ -1,19 +1,6 @@
-(** The durable memo store: an append-only, digest-framed cache file.
-
-    One file holds both memo tables' entries, interleaved in append
-    order:
-
-    {v
-    +--------------------------------------------------+
-    | magic "%DDACACHE1\n"            (11 bytes)       |
-    | fingerprint                     (16 bytes, MD5)  |
-    +--------------------------------------------------+
-    | record: payload length          (4 bytes, BE)    |
-    |         payload digest          (16 bytes, MD5)  |
-    |         payload                 (marshaled entry)|
-    +--------------------------------------------------+
-    | ... more records ...                             |
-    v}
+(** The durable memo store: both memo tables' entries in one
+    {!Record_log}, interleaved in append order, with magic
+    ["%DDACACHE1\n"]. Each record's payload is the marshaled entry.
 
     The fingerprint is the MD5 of the marshaled pair
     ({!Dda_core.Analyzer.memo_format_version}, analyzer config):
@@ -25,18 +12,14 @@
     DESIGN.md): a record is delivered to the caller only if the file's
     magic and fingerprint both match {e and} the record's own digest
     matches its payload. Anything else degrades to a cold start —
-    a torn tail (a record cut short by a crash mid-append) is
-    truncated away, a record failing its digest check drops itself and
-    everything after it (cache entries are independent, so a surviving
-    prefix is always sound), and a header mismatch rejects the whole
-    file (it is preserved as [path.rejected] for inspection). No
-    failure mode can surface a wrong or stale verdict; the worst case
-    is recomputation.
+    any damaged suffix, torn or corrupt, is truncated away (cache
+    entries are independent, so a surviving prefix is always sound),
+    and a header mismatch rejects the whole file (it is preserved as
+    [path.rejected] for inspection). No failure mode can surface a
+    wrong or stale verdict; the worst case is recomputation.
 
-    Appends write the frame header and payload with raw [Unix.write]
-    (no userspace buffering), so a kill -9 at any byte leaves exactly
-    the torn-tail shape recovery handles; with [fsync] (the default)
-    every append is synced before it returns. *)
+    With [fsync] (the default) every append is synced before it
+    returns. *)
 
 type t
 
@@ -116,7 +99,3 @@ val compact :
     @raise Failure when the file is missing or unreadable, or its
     header does not match [config] — the file is left untouched
     (unlike {!open_store}, which quarantines and starts cold). *)
-
-val write_all : Unix.file_descr -> string -> unit
-(** Write the whole string with raw [Unix.write], looping over short
-    writes. Exceptions from [Unix.write] propagate. *)

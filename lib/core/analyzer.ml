@@ -279,9 +279,6 @@ let shared_cache sh =
 let shared_table_stats sh =
   (Sharded_table.stats sh.sh_gcd, Sharded_table.stats sh.sh_full)
 
-let shared_contended sh =
-  Sharded_table.contended sh.sh_gcd + Sharded_table.contended sh.sh_full
-
 (* Wrap a cache with query-local counters. [analyze] reports memo
    statistics as a delta of [cache_stats] snapshots, which is only
    meaningful when no other domain moves the counters between the

@@ -183,11 +183,15 @@ val memory_cache : unit -> cache
     uses when no cache is supplied. Not safe to share across domains
     without external locking. *)
 
-type shared
+type shared = {
+  sh_gcd : Gcd_test.outcome Sharded_table.t;
+  sh_full : outcome Sharded_table.t;
+}
 (** One gcd + one full lock-striped {!Sharded_table} pair, safe to
     query live from every worker domain of a parallel run: a
     cross-item repeat is a hit the moment any domain has computed
-    it. *)
+    it. The durable cache ([Dda_cache.Durable]) is this pair plus a
+    store that replays into it and appends its misses. *)
 
 val create_shared : ?stripes:int -> unit -> shared
 
@@ -212,10 +216,6 @@ val shared_table_stats : shared -> Memo_table.stats * Memo_table.stats
     are jobs-invariant, as are full-table lookup totals; gcd lookup
     and all hit totals depend on cross-domain timing and are only
     deterministic at [--jobs 1]. *)
-
-val shared_contended : shared -> int
-(** Total stripe-lock acquisitions (both tables) that had to block —
-    the live-sharing cost signal ([memo.stripe.contended]). *)
 
 val memo_format_version : int
 (** Version of the marshaled memo key/value representation. Durable

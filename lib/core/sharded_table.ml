@@ -63,7 +63,7 @@ let add (t : _ t) key value =
   Memo_table.add s.table key value;
   Mutex.unlock s.lock
 
-let find_or_add (t : _ t) key compute =
+let find_or_add ?on_miss (t : _ t) key compute =
   Failpoint.hit "memo.find_or_add";
   let s = stripe_for t (Memo_table.hash_key key) in
   lock_stripe s;
@@ -88,6 +88,7 @@ let find_or_add (t : _ t) key compute =
     lock_stripe s;
     Memo_table.add s.table key v;
     Mutex.unlock s.lock;
+    (match on_miss with Some f -> f key v | None -> ());
     (v, false)
 
 let length (t : _ t) =

@@ -13,8 +13,7 @@
     counts), so taking the stripe from those same bits would leave
     most buckets of every stripe permanently empty.
 
-    Concurrency protocol (the recursion-safety discipline from
-    [lib/cache/durable.ml]): [find_or_add] looks up under the stripe
+    Concurrency protocol: [find_or_add] looks up under the stripe
     lock, but runs [compute] with no lock held — a full-table compute
     recurses into the gcd table, and holding a stripe lock across it
     would deadlock when both keys collide on a stripe. Two domains
@@ -40,11 +39,16 @@ val add : 'a t -> int array -> 'a -> unit
     lookup (mirrors {!Memo_table.add}) — the durable store's replay
     path uses this to warm the table without skewing hit rates. *)
 
-val find_or_add : 'a t -> int array -> (unit -> 'a) -> 'a * bool
+val find_or_add :
+  ?on_miss:(int array -> 'a -> unit) ->
+  'a t -> int array -> (unit -> 'a) -> 'a * bool
 (** [(value, was_hit)]. Compute-outside-lock: see the module
     description for the race and recursion semantics. The key is not
     retained: on a miss it is copied before [compute] runs, so callers
-    may pass a reusable scratch buffer. *)
+    may pass a reusable scratch buffer. [on_miss] receives the copied
+    key and the computed value once they are in the table, with no
+    stripe lock held (the durable cache appends them to its store);
+    its exceptions propagate. *)
 
 val length : 'a t -> int
 (** Total distinct keys across stripes (locks each stripe briefly). *)

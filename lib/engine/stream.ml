@@ -254,25 +254,21 @@ let process ~config ~cache ~verify ~lint ~retries ~backoff_ms ~item_timeout_ms
 (* Journal                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* JSONL: a header line with a configuration fingerprint, then one
-   record per completed item. Everything needed to replay the item
-   without re-analyzing it travels in the record: the rendered output
-   chunk, its digest (integrity), the source-text digest (corpus
-   identity), and the flattened statistics. *)
+(* A record log ({!Dda_cache.Record_log}) whose fingerprint is the
+   configuration digest. Each payload is one JSON object carrying
+   everything needed to replay the item without re-analyzing it: its
+   name, the source-text digest (corpus identity), attempts, findings,
+   the flattened statistics (or the quarantine) and the rendered
+   output chunk. A record's position is its corpus index and its frame
+   digest the integrity check. *)
 
-let journal_version = 1
+let journal_magic = "%DDAJOURN1\n"
 
-(* [lint] is part of the fingerprint because it changes the rendered
-   output (and the journaled finding counts) — a journal written
-   without lint must not satisfy a resume that asks for it. So is
-   [share_memo]: live sharing changes the per-item memo statistics the
-   records carry. Both fold in only when set, so digests of journals
-   written before the flags existed still validate. *)
+(* Everything the journaled outputs and statistics depend on: [lint]
+   changes the rendered output and the finding counts, [share_memo]
+   the per-item memo statistics. *)
 let config_digest ?(lint = false) ?(share_memo = false) config ~verify =
-  if share_memo then
-    md5_hex (Marshal.to_string (config, verify, lint, share_memo) [])
-  else if lint then md5_hex (Marshal.to_string (config, verify, lint) [])
-  else md5_hex (Marshal.to_string (config, verify) [])
+  Digest.string (Marshal.to_string (config, verify, lint, share_memo) [])
 
 type jrecord = {
   j_name : string;
@@ -283,17 +279,7 @@ type jrecord = {
   j_stats : Analyzer.stats option;  (* [None] = quarantined *)
 }
 
-let header_line digest ~verify =
-  Json_out.to_string
-    (Json_out.Obj
-       [
-         ("dda_journal", Json_out.Int journal_version);
-         ("config", Json_out.Str digest);
-         ("verify", Json_out.Bool verify);
-       ])
-  ^ "\n"
-
-let record_line ~index ~key out outcome =
+let record_payload ~key out outcome =
   let name, attempts, verrs, stats, error =
     match outcome with
     | Analyzed a ->
@@ -315,10 +301,8 @@ let record_line ~index ~key out outcome =
   Json_out.to_string
     (Json_out.Obj
        ([
-          ("i", Json_out.Int index);
           ("name", Json_out.Str name);
           ("key", Json_out.Str key);
-          ("digest", Json_out.Str (md5_hex out));
           ("attempts", Json_out.Int attempts);
           ("verrs", Json_out.Int verrs);
         ]
@@ -336,7 +320,6 @@ let record_line ~index ~key out outcome =
           | Some e -> [ ("q", Json_out.Bool true); ("error", Json_out.Str e) ]
           | None -> [])
        @ [ ("out", Json_out.Str out) ]))
-  ^ "\n"
 
 let jfail path reason = failwith (Printf.sprintf "journal %s: %s" path reason)
 
@@ -350,30 +333,11 @@ let jstr path j key =
   | Some (Json_out.Str s) -> s
   | _ -> jfail path (Printf.sprintf "record is missing %S" key)
 
-let parse_header path line =
-  match Json_out.of_string line with
-  | Error msg -> jfail path (Printf.sprintf "bad header: %s" msg)
-  | Ok j ->
-    (match Json_out.member "dda_journal" j with
-     | Some (Json_out.Int v) when v = journal_version -> ()
-     | Some (Json_out.Int v) ->
-       jfail path (Printf.sprintf "unsupported version %d" v)
-     | _ -> jfail path "not a journal (missing header)");
-    jstr path j "config"
-
-let parse_record path ~index line =
-  match Json_out.of_string line with
+let parse_record path ~index payload =
+  match Json_out.of_string payload with
   | Error msg ->
     jfail path (Printf.sprintf "corrupt record %d: %s" index msg)
   | Ok j ->
-    let i = jint path j "i" in
-    if i <> index then
-      jfail path
-        (Printf.sprintf "record %d is out of sequence (found index %d)" index i);
-    let out = jstr path j "out" in
-    let digest = jstr path j "digest" in
-    if not (String.equal (md5_hex out) digest) then
-      jfail path (Printf.sprintf "record %d fails its digest check" index);
     let quarantined =
       match Json_out.member "q" j with
       | Some (Json_out.Bool true) -> true
@@ -402,73 +366,42 @@ let parse_record path ~index line =
     {
       j_name = jstr path j "name";
       j_key = jstr path j "key";
-      j_out = out;
+      j_out = jstr path j "out";
       j_attempts = jint path j "attempts";
       j_verrs = jint path j "verrs";
       j_stats = stats;
     }
 
-type journal_scan = {
-  jrecords : int;  (** intact, newline-terminated, digest-valid records *)
-  good_end : int;  (** byte offset just past the last intact record *)
-  torn_bytes : int;  (** bytes of torn final record behind [good_end] *)
-}
-
-(* Full validation pass in bounded memory: header, record contiguity
-   and integrity. The serializer escapes newlines inside JSON strings,
-   so a literal newline byte only ever terminates a complete record —
-   which makes the torn-tail rule exact: a final line without its
-   newline is a record cut short by a crash mid-append, recoverable by
-   truncation. Any {e complete} line that fails to parse or fails its
-   digest is real mid-file corruption and still refuses. *)
-let validate_journal ?expect_config path =
-  let ic =
-    try open_in_bin path
-    with Sys_error msg -> failwith (Printf.sprintf "journal: %s" msg)
+(* Hand every intact record to [f] with its index, in bounded memory.
+   A torn tail is reported in the scan (only [resume] truncates it);
+   anything else — a bad header, a record failing its digest — means
+   the file is not the journal this corpus wrote, and refuses. *)
+let read_journal ~fingerprint path f =
+  let index = ref 0 in
+  let deliver payload =
+    f !index (parse_record path ~index:!index payload);
+    incr index;
+    true
   in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      if len = 0 then jfail path "empty file";
-      (* [input_line] strips the newline; the line was terminated iff
-         the channel advanced one byte past its text. *)
-      let read_line () =
-        let start = pos_in ic in
-        match input_line ic with
-        | line -> Some (line, pos_in ic > start + String.length line)
-        | exception End_of_file -> None
-      in
-      let header =
-        match read_line () with
-        | Some (line, true) -> line
-        | Some (_, false) -> jfail path "torn header (missing newline)"
-        | None -> jfail path "empty file"
-      in
-      let digest = parse_header path header in
-      (match expect_config with
-       | Some d when not (String.equal d digest) ->
-         jfail path
-           "written under a different configuration; re-run without --resume"
-       | _ -> ());
-      let count = ref 0 in
-      let good_end = ref (pos_in ic) in
-      let torn = ref 0 in
-      let stop = ref false in
-      while not !stop do
-        match read_line () with
-        | Some (line, true) ->
-          ignore (parse_record path ~index:!count line);
-          incr count;
-          good_end := pos_in ic
-        | Some (line, false) ->
-          torn := String.length line;
-          stop := true
-        | None -> stop := true
-      done;
-      { jrecords = !count; good_end = !good_end; torn_bytes = !torn })
+  match
+    Dda_cache.Record_log.read ~magic:journal_magic ~fingerprint path deliver
+  with
+  | Error Short_header -> jfail path "not a journal (truncated header)"
+  | Error Bad_magic -> jfail path "not a journal (bad magic)"
+  | Error Bad_fingerprint ->
+    jfail path "written under a different configuration; re-run without --resume"
+  | Ok { damage = Some Corrupt; records; _ } ->
+    jfail path (Printf.sprintf "record %d fails its digest check" records)
+  | Ok scan -> scan
 
-let journal_records path = (validate_journal path).jrecords
+(* Write failures surface as [Failure], like every other journal
+   error. *)
+let jio path f =
+  try f ()
+  with Unix.Unix_error (e, _, _) ->
+    jfail path ("cannot write: " ^ Unix.error_message e)
+
+let hit_journal () = Failpoint.hit "stream.journal"
 
 (* ------------------------------------------------------------------ *)
 (* The driver                                                          *)
@@ -491,17 +424,20 @@ let drive ?(config = Analyzer.default_config) ?cache ?(verify = false)
   let nreplay =
     match journal with
     | Some path when resume ->
-      let scan = validate_journal ~expect_config:cfg_digest path in
-      if scan.torn_bytes > 0 then begin
+      let scan =
+        try read_journal ~fingerprint:cfg_digest path (fun _ _ -> ())
+        with Sys_error msg -> failwith (Printf.sprintf "journal: %s" msg)
+      in
+      if scan.damage = Some Torn then begin
         (* A crash mid-append left a torn final record: drop it (the
            item re-analyzes below) and keep the intact prefix. *)
         Dda_obs.Log.warn
           "journal %s: dropping a torn final record (%d byte(s)); %d intact \
            record(s) kept"
-          path scan.torn_bytes scan.jrecords;
-        Unix.truncate path scan.good_end
+          path (scan.file_len - scan.good_end) scan.records;
+        jio path (fun () -> Dda_cache.Record_log.truncate path scan)
       end;
-      scan.jrecords
+      scan.records
     | _ -> 0
   in
   let merged = Analyzer.fresh_stats () in
@@ -513,86 +449,74 @@ let drive ?(config = Analyzer.default_config) ?cache ?(verify = false)
   (* Replay: walk the journal and the source in lockstep, re-deriving
      each journaled item from the source to prove the corpus is the
      one the journal was written against, then re-emit the stored
-     output byte for byte. Bounded memory: one record at a time. *)
+     output byte for byte. The whole file was validated above, so a
+     refused resume has emitted nothing. *)
   if nreplay > 0 then begin
     let path = Option.get journal in
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        ignore (input_line ic);
-        for index = 0 to nreplay - 1 do
-          let r = parse_record path ~index (input_line ic) in
-          let name, input =
-            match next () with
-            | Some item -> item
-            | None ->
-              jfail path
-                (Printf.sprintf
-                   "has %d records but the corpus ends at item %d" nreplay
-                   index)
-          in
-          if not (String.equal r.j_name name) then
-            jfail path
-              (Printf.sprintf
-                 "record %d is for %S but the corpus has %S here" index
-                 r.j_name name);
-          (match input with
-           | Text text when r.j_key <> "" -> (
-             match text () with
-             | text ->
-               if not (String.equal (md5_hex text) r.j_key) then
-                 jfail path
-                   (Printf.sprintf
-                      "record %d: %S has changed since the journal was \
-                       written"
-                      index name)
-             | exception _ ->
-               (* The item failed to read back; the journaled verdict
-                  (likely a quarantine) still stands. *)
-               ())
-           | Text _ | Program _ -> ());
-          incr total;
-          Dda_obs.Metrics.incr m_replayed;
-          (match r.j_stats with
-           | Some s -> Analyzer.merge_stats ~into:merged s
-           | None -> incr quarantined);
-          if r.j_attempts > 1 then incr retried;
-          verify_errors := !verify_errors + r.j_verrs;
-          emit r.j_out
-        done)
+    ignore
+      (read_journal ~fingerprint:cfg_digest path (fun index r ->
+           let name, input =
+             match next () with
+             | Some item -> item
+             | None ->
+               jfail path
+                 (Printf.sprintf
+                    "has %d records but the corpus ends at item %d" nreplay
+                    index)
+           in
+           if not (String.equal r.j_name name) then
+             jfail path
+               (Printf.sprintf
+                  "record %d is for %S but the corpus has %S here" index
+                  r.j_name name);
+           (match input with
+            | Text text when r.j_key <> "" -> (
+              match text () with
+              | text ->
+                if not (String.equal (md5_hex text) r.j_key) then
+                  jfail path
+                    (Printf.sprintf
+                       "record %d: %S has changed since the journal was \
+                        written"
+                       index name)
+              | exception _ ->
+                (* The item failed to read back; the journaled verdict
+                   (likely a quarantine) still stands. *)
+                ())
+            | Text _ | Program _ -> ());
+           incr total;
+           Dda_obs.Metrics.incr m_replayed;
+           (match r.j_stats with
+            | Some s -> Analyzer.merge_stats ~into:merged s
+            | None -> incr quarantined);
+           if r.j_attempts > 1 then incr retried;
+           verify_errors := !verify_errors + r.j_verrs;
+           emit r.j_out))
   end;
   (* Open (or start) the write-ahead journal. *)
-  let joc =
-    match journal with
-    | None -> None
-    | Some path ->
-      let oc =
-        open_out_gen
-          (Open_wronly :: Open_creat :: Open_binary
-          :: (if resume then [ Open_append ] else [ Open_trunc ]))
-          0o644 path
-      in
-      if not resume then begin
-        output_string oc (header_line cfg_digest ~verify);
-        flush oc;
-        (try Unix.fsync (Unix.descr_of_out_channel oc)
-         with Unix.Unix_error _ -> ())
-      end;
-      Some oc
+  let jfd =
+    Option.map
+      (fun path ->
+        ( path,
+          jio path (fun () ->
+              if resume then Dda_cache.Record_log.open_append path
+              else
+                Dda_cache.Record_log.create ~magic:journal_magic
+                  ~fingerprint:cfg_digest path) ))
+      journal
   in
-  let append oc line =
-    (* Crash-injection point: a failure here must leave the journal
-       without the record — never with a torn one. *)
-    Failpoint.hit "stream.journal";
-    output_string oc line;
-    flush oc;
-    (try Unix.fsync (Unix.descr_of_out_channel oc)
-     with Unix.Unix_error _ -> ());
+  (* The record is fsynced before its chunk is emitted; the failpoint
+     fires before anything is written, so a crash injected there
+     leaves the journal without the record — never with a torn one. *)
+  let append (path, fd) payload =
+    jio path (fun () ->
+        Dda_cache.Record_log.append ~before:hit_journal ~mid:ignore
+          ~fsync:true fd payload);
     Dda_obs.Metrics.incr m_appends
   in
   Fun.protect
-    ~finally:(fun () -> Option.iter close_out_noerr joc)
+    ~finally:(fun () ->
+      Option.iter (fun (_, fd) -> try Unix.close fd with _ -> ()) jfd)
     (fun () ->
       let pool = Pool.create ~jobs in
       Fun.protect
@@ -620,8 +544,7 @@ let drive ?(config = Analyzer.default_config) ?cache ?(verify = false)
                 let idx = !next_idx in
                 incr next_idx;
                 Queue.add
-                  ( idx,
-                    name,
+                  ( name,
                     Pool.submit pool (fun () ->
                         process ~config ~cache ~verify ~lint ~retries
                           ~backoff_ms ~item_timeout_ms ~idx ~name input) )
@@ -630,7 +553,7 @@ let drive ?(config = Analyzer.default_config) ?cache ?(verify = false)
           in
           fill ();
           while not (Queue.is_empty pending) do
-            let idx, name, promise = Queue.pop pending in
+            let name, promise = Queue.pop pending in
             let key, outcome =
               match Pool.await promise with
               | r -> r
@@ -658,8 +581,8 @@ let drive ?(config = Analyzer.default_config) ?cache ?(verify = false)
                incr quarantined;
                if q.attempts > 1 then incr retried);
             Option.iter
-              (fun oc -> append oc (record_line ~index:idx ~key out outcome))
-              joc;
+              (fun j -> append j (record_payload ~key out outcome))
+              jfd;
             emit out;
             fill ()
           done));

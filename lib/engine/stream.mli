@@ -29,26 +29,31 @@
     [share_memo] participates in the journal fingerprint.
 
     {b Journal.} With [journal], every completed item is appended to a
-    JSONL write-ahead journal — its corpus position, name, a digest of
-    its source text, its rendered output and flattened statistics —
-    and the record is flushed and fsynced {e before} the output chunk
-    is emitted, so a crash never acknowledges un-journaled work. With
-    [resume], a valid journal's records are {e replayed}: each
-    journaled item's stored output is re-emitted byte-for-byte (after
-    re-deriving the item from the source and checking its text
-    digest), analysis restarts at the first un-journaled item, and the
-    final output is byte-identical to an uninterrupted run.
+    write-ahead journal, a {!Dda_cache.Record_log} with its own magic
+    whose fingerprint is {!config_digest}. Each record's payload is a
+    JSON object holding the item's name, a digest of its source text,
+    its attempts and findings, its flattened statistics (or its
+    quarantine) and its rendered output; its position in the log is
+    its corpus index and its frame digest its integrity check. The
+    record is fsynced {e before} the output chunk is emitted, so a
+    crash never acknowledges un-journaled work. With [resume], a valid
+    journal's records are {e replayed}: each journaled item's stored
+    output is re-emitted byte-for-byte (after re-deriving the item
+    from the source and checking its text digest), analysis restarts
+    at the first un-journaled item, and the final output is
+    byte-identical to an uninterrupted run.
 
     A crash {e mid-append} (kill -9, power loss) can leave a torn
-    final record; because the serializer escapes newlines inside JSON
-    strings, torn is exactly "the final line has no terminating
-    newline", and [resume] recovers it: the torn tail is truncated
-    (with a warning), the intact prefix replays, and the dropped item
-    is simply re-analyzed. Anything else — a complete record that
-    fails to parse or fails its digest check, a torn or alien header,
-    a journal written under a different configuration — is rejected
-    with [Failure], never silently repaired: mid-file damage means the
-    file is not the journal this corpus wrote.
+    final record — a frame or payload running past end of file — and
+    [resume] recovers it: the torn tail is truncated (with a warning),
+    the intact prefix replays, and the dropped item is simply
+    re-analyzed. Anything else — a complete record failing its digest
+    check, a foreign or short header, a journal written under a
+    different configuration — is rejected with [Failure], never
+    silently repaired: mid-file damage means the file is not the
+    journal this corpus wrote. The whole file is validated before the
+    first replayed chunk is emitted, so a refused resume prints
+    nothing.
 
     {b Fault isolation.} A worker exception on one item — an analyzer
     bug, an injected {!Dda_core.Failpoint} failure — never aborts the
@@ -203,14 +208,8 @@ val run_programs :
 
 val config_digest :
   ?lint:bool -> ?share_memo:bool -> Analyzer.config -> verify:bool -> string
-(** The configuration fingerprint stored in the journal header.
-    [lint] (default [false]) participates because it changes the
-    rendered output, [share_memo] (default [false]) because it changes
-    the journaled per-item memo statistics; with both off the digest
-    matches journals written before either flag existed. *)
-
-val journal_records : string -> int
-(** Validate a journal file exactly as [resume] does and return the
-    number of intact records (a torn final record is not counted, and
-    the file is left untouched — only [resume] truncates).
-    @raise Failure on any validation error. *)
+(** The journal's fingerprint (16 raw bytes): the digest of
+    [(config, verify, lint, share_memo)]. [lint] (default [false])
+    participates because it changes the rendered output, [share_memo]
+    (default [false]) because it changes the journaled per-item memo
+    statistics. *)

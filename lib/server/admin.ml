@@ -57,7 +57,7 @@ let send fd (r : response) =
        Connection: close\r\n\r\n"
       r.status (status_text r.status) r.content_type (String.length r.body)
   in
-  Dda_cache.Store.write_all fd (head ^ r.body)
+  Dda_cache.Record_log.write_all fd (head ^ r.body)
 
 (* Read up to the end of the request head (we ignore the body — every
    endpoint is a GET). Bounded: a peer that never finishes its head is

@@ -191,7 +191,7 @@ let respond conn json =
   let line = Json_out.to_string json ^ "\n" in
   Mutex.lock conn.wlock;
   (try
-     Dda_cache.Store.write_all conn.fd line;
+     Dda_cache.Record_log.write_all conn.fd line;
      Metrics.incr m_responses
    with Unix.Unix_error _ | Sys_error _ -> conn.eof <- true);
   Mutex.unlock conn.wlock

@@ -1,9 +1,12 @@
-(* The durable memo store: append/replay round-trips, the
-   cache-integrity invariant (digest + fingerprint + version gate every
-   served record), torn-tail recovery at every byte offset of the final
-   record, rejection (not repair) of mid-file corruption, quarantine of
-   fingerprint-mismatched files, and warm-restart equivalence of whole
-   analyzer runs through the durable cache. *)
+(* The record log under the durable memo store and the stream
+   journal: one crash suite for its framing (truncation at every byte
+   offset of the final record, a flipped byte in each field of a
+   middle record, bad headers). Then the store's policy on top of it:
+   append/replay round-trips, the cache-integrity invariant (digest +
+   fingerprint + version gate every served record), dropping a damaged
+   suffix, quarantine of fingerprint-mismatched files, compaction, and
+   warm-restart equivalence of whole analyzer runs through the durable
+   cache. *)
 
 open Dda_lang
 open Dda_core
@@ -61,22 +64,156 @@ let file_contents path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Parse the store's framing in the test, independently of the
-   implementation: header is magic + 16-byte fingerprint, each record
-   is [4-byte BE length][16-byte digest][payload]. Returns the byte
-   offset where each record starts, plus the total length. *)
+(* ------------------------------------------------------------------ *)
+(* The record log                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let log_magic = "%TESTLOG01\n"
+let log_fp = Digest.string "test fingerprint"
+
+(* Three records of distinct lengths; the middle one is long enough
+   that flipping the low bit of its length stays inside the file. *)
+let log_payloads = [ "first"; String.make 300 'm'; "third record" ]
+
+let write_log path payloads =
+  let fd = Record_log.create ~fsync:false ~magic:log_magic ~fingerprint:log_fp path in
+  List.iter
+    (Record_log.append ~before:ignore ~mid:ignore ~fsync:false fd)
+    payloads;
+  Unix.close fd
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+let read_log ?(fingerprint = log_fp) ?(deliver = fun _ -> true) path =
+  let got = ref [] in
+  let r =
+    Record_log.read ~magic:log_magic ~fingerprint path (fun p ->
+        got := p :: !got;
+        deliver p)
+  in
+  match r with
+  | Ok scan -> (scan, List.rev !got)
+  | Error _ -> Alcotest.fail "unexpected header rejection"
+
+let damage_name = function
+  | None -> "none"
+  | Some Record_log.Torn -> "torn"
+  | Some Record_log.Corrupt -> "corrupt"
+
+(* Record start offsets, from the framing spelled out independently
+   of the implementation: a 27-byte header, then per record a 4-byte
+   big-endian length, a 16-byte digest and the payload. *)
 let record_offsets path =
   let s = file_contents path in
-  let header_len = String.length "%DDACACHE1\n" + 16 in
   let rec go off acc =
     if off >= String.length s then List.rev acc
-    else
-      let len =
-        Int32.to_int (String.get_int32_be s off)
-      in
-      go (off + 4 + 16 + len) (off :: acc)
+    else go (off + 4 + 16 + Int32.to_int (String.get_int32_be s off)) (off :: acc)
   in
-  (go header_len [], String.length s)
+  (go 27 [], String.length s)
+
+let test_log_roundtrip () =
+  with_path (fun path ->
+      write_log path log_payloads;
+      let scan, got = read_log path in
+      Alcotest.(check (list string)) "payloads in order" log_payloads got;
+      Alcotest.(check int) "records" 3 scan.Record_log.records;
+      Alcotest.(check int) "good_end is the file length"
+        scan.Record_log.file_len scan.Record_log.good_end;
+      Alcotest.(check string) "no damage" "none"
+        (damage_name scan.Record_log.damage))
+
+(* Truncating anywhere inside the final record — frame and payload
+   alike — is a torn tail of exactly the cut-off bytes behind the
+   intact prefix; truncation then leaves a clean log. *)
+let test_log_torn_every_offset () =
+  with_path (fun path ->
+      write_log path log_payloads;
+      let original = file_contents path in
+      let offsets, total = record_offsets path in
+      Alcotest.(check int) "3 records framed" 3 (List.length offsets);
+      let last_start = List.nth offsets 2 in
+      for cut = last_start + 1 to total - 1 do
+        write_file path (String.sub original 0 cut);
+        let scan, got = read_log path in
+        if scan.Record_log.damage <> Some Record_log.Torn then
+          Alcotest.failf "cut at %d: damage %s, want torn" cut
+            (damage_name scan.Record_log.damage);
+        if scan.Record_log.file_len - scan.Record_log.good_end <> cut - last_start
+        then
+          Alcotest.failf "cut at %d: %d torn bytes, want %d" cut
+            (scan.Record_log.file_len - scan.Record_log.good_end)
+            (cut - last_start);
+        Alcotest.(check (list string)) "intact prefix delivered"
+          [ List.nth log_payloads 0; List.nth log_payloads 1 ] got;
+        Record_log.truncate path scan;
+        let scan2, _ = read_log path in
+        if scan2.Record_log.damage <> None || scan2.Record_log.records <> 2 then
+          Alcotest.failf "cut at %d: not clean after truncation" cut
+      done)
+
+(* One flipped byte in a middle record: the digest catches a payload
+   or digest flip, and a length flip that stays inside the file; a
+   length pointing past end of file cannot be told from a torn tail.
+   Either way only the first record is delivered. *)
+let test_log_flipped_byte () =
+  with_path (fun path ->
+      write_log path log_payloads;
+      let original = file_contents path in
+      let offsets, _ = record_offsets path in
+      let mid = List.nth offsets 1 in
+      List.iter
+        (fun (what, pos, mask, want) ->
+          let b = Bytes.of_string original in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask));
+          write_file path (Bytes.to_string b);
+          let scan, got = read_log path in
+          Alcotest.(check string) what want (damage_name scan.Record_log.damage);
+          Alcotest.(check int) (what ^ ": prefix ends at the record") mid
+            scan.Record_log.good_end;
+          Alcotest.(check (list string)) (what ^ ": only record 0")
+            [ List.hd log_payloads ] got)
+        [
+          ("payload byte", mid + 20 + 7, 0xFF, "corrupt");
+          ("digest byte", mid + 4 + 3, 0xFF, "corrupt");
+          ("length low bit", mid + 3, 0x01, "corrupt");
+          ("length high byte", mid, 0xFF, "torn");
+        ])
+
+let test_log_undecodable_payload () =
+  with_path (fun path ->
+      write_log path log_payloads;
+      let scan, got =
+        read_log path ~deliver:(fun p -> not (String.equal p "third record"))
+      in
+      Alcotest.(check string) "corrupt" "corrupt"
+        (damage_name scan.Record_log.damage);
+      Alcotest.(check int) "two intact" 2 scan.Record_log.records;
+      Alcotest.(check int) "all three seen" 3 (List.length got))
+
+let test_log_bad_header () =
+  with_path (fun path ->
+      write_log path log_payloads;
+      let original = file_contents path in
+      let header_error contents ?(fingerprint = log_fp) () =
+        write_file path contents;
+        match
+          Record_log.read ~magic:log_magic ~fingerprint path (fun _ ->
+              Alcotest.fail "delivered a record under a bad header")
+        with
+        | Ok _ -> "ok"
+        | Error Record_log.Short_header -> "short"
+        | Error Record_log.Bad_magic -> "magic"
+        | Error Record_log.Bad_fingerprint -> "fingerprint"
+      in
+      Alcotest.(check string) "bad magic" "magic"
+        (header_error ("X" ^ String.sub original 1 (String.length original - 1)) ());
+      Alcotest.(check string) "bad fingerprint" "fingerprint"
+        (header_error original ~fingerprint:(Digest.string "other") ());
+      Alcotest.(check string) "short header" "short"
+        (header_error (String.sub original 0 26) ()))
 
 (* ------------------------------------------------------------------ *)
 (* Round trip                                                          *)
@@ -108,48 +245,8 @@ let test_close_idempotent () =
       Store.close s)
 
 (* ------------------------------------------------------------------ *)
-(* Torn tails: truncation at every byte offset of the final record     *)
+(* Torn tails and corruption                                           *)
 (* ------------------------------------------------------------------ *)
-
-let test_torn_tail_every_offset () =
-  with_path (fun path ->
-      let s, _, _, _ = open_collect ~path () in
-      Store.append_gcd s (key [ 1; 2; 3 ]) some_gcd;
-      Store.append_full s (key [ 4; 5; 6; 7 ]) some_full;
-      Store.append_gcd s (key [ 8; 9 ]) other_gcd;
-      Store.close s;
-      let offsets, total = record_offsets path in
-      Alcotest.(check int) "3 records framed" 3 (List.length offsets);
-      let last_start = List.nth offsets 2 in
-      let original = file_contents path in
-      (* Truncating anywhere inside the final record must recover the
-         2-record prefix and drop exactly the torn bytes — at every
-         single offset, frame header and payload alike. *)
-      for cut = last_start to total - 1 do
-        let oc = open_out_bin path in
-        output_string oc (String.sub original 0 cut);
-        close_out oc;
-        let s, r, gcds, fulls = open_collect ~path () in
-        Store.close s;
-        if r.Store.records <> 2 then
-          Alcotest.failf "cut at %d: recovered %d records, want 2" cut
-            r.Store.records;
-        if r.Store.dropped_bytes <> cut - last_start then
-          Alcotest.failf "cut at %d: dropped %d bytes, want %d" cut
-            r.Store.dropped_bytes (cut - last_start);
-        Alcotest.(check int) "prefix gcd survives" 1 (List.length !gcds);
-        Alcotest.(check int) "prefix full survives" 1 (List.length !fulls);
-        (* Recovery truncated the file: a second open is clean. *)
-        let s, r2, _, _ = open_collect ~path () in
-        Store.close s;
-        if r2.Store.dropped_bytes <> 0 then
-          Alcotest.failf "cut at %d: second open still dropped %d bytes" cut
-            r2.Store.dropped_bytes;
-        (* Restore the full file for the next offset. *)
-        let oc = open_out_bin path in
-        output_string oc original;
-        close_out oc
-      done)
 
 let test_append_after_recovery () =
   with_path (fun path ->
@@ -175,10 +272,6 @@ let test_append_after_recovery () =
       Alcotest.(check int) "no damage" 0 r2.Store.dropped_bytes;
       Alcotest.(check bool) "gcd 1 present" true (List.mem_assoc (key [ 1 ]) !gcds);
       Alcotest.(check bool) "full 3 present" true (List.mem_assoc (key [ 3 ]) !fulls))
-
-(* ------------------------------------------------------------------ *)
-(* Corruption and fingerprint rejection                                *)
-(* ------------------------------------------------------------------ *)
 
 let test_midfile_corruption_drops_suffix () =
   with_path (fun path ->
@@ -420,12 +513,22 @@ let test_compute_exception_stores_nothing () =
 let () =
   Alcotest.run "cache"
     [
+      ( "record_log",
+        [
+          Alcotest.test_case "append/read round trip" `Quick test_log_roundtrip;
+          Alcotest.test_case "torn at every byte offset of the final record"
+            `Quick test_log_torn_every_offset;
+          Alcotest.test_case "a flipped byte in each field" `Quick
+            test_log_flipped_byte;
+          Alcotest.test_case "an undecodable payload is corrupt" `Quick
+            test_log_undecodable_payload;
+          Alcotest.test_case "bad magic, fingerprint and short header" `Quick
+            test_log_bad_header;
+        ] );
       ( "store",
         [
           Alcotest.test_case "append/replay round trip" `Quick test_roundtrip;
           Alcotest.test_case "close is idempotent" `Quick test_close_idempotent;
-          Alcotest.test_case "torn tail recovers at every byte offset" `Quick
-            test_torn_tail_every_offset;
           Alcotest.test_case "append after recovery" `Quick
             test_append_after_recovery;
           Alcotest.test_case "mid-file corruption drops the suffix" `Quick

@@ -138,6 +138,24 @@ let prop_stream_matches_inmem =
 (* Crash at item k, resume                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The journal is a record log: a 27-byte header, then per record a
+   4-byte big-endian length, a 16-byte digest and the payload. Start
+   offsets of its complete records (a torn final one is left out),
+   plus the file, read from that framing. *)
+let journal_offsets journal =
+  let ic = open_in_bin journal in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let rec go off acc =
+    if off + 20 > String.length s then List.rev acc
+    else
+      let next = off + 20 + Int32.to_int (String.get_int32_be s off) in
+      if next > String.length s then List.rev acc else go next (off :: acc)
+  in
+  (go 27 [], s)
+
+let journal_records journal = List.length (fst (journal_offsets journal))
+
 (* A content-bearing renderer: if resume replayed the wrong thing, the
    emitted bytes differ. *)
 let render_digest = function
@@ -191,9 +209,9 @@ let prop_resume_equals_uninterrupted =
           (* The journal the crash left behind validates, holds exactly
              the acknowledged items, and resuming from it reproduces
              the clean run exactly. *)
-          if Stream.journal_records j_crash <> k - 1 then
+          if journal_records j_crash <> k - 1 then
             QCheck.Test.fail_reportf "crash journal has %d records, want %d"
-              (Stream.journal_records j_crash)
+              (journal_records j_crash)
               (k - 1);
           let b_res = Buffer.create 256 in
           let s_res = run ~resume:true j_crash b_res in
@@ -204,54 +222,72 @@ let prop_resume_equals_uninterrupted =
           s_res.Stream.replayed = k - 1
           && s_res.Stream.total = s_clean.Stream.total
           && compare s_res.Stream.merged s_clean.Stream.merged = 0
-          && Stream.journal_records j_crash = n))
+          && journal_records j_crash = n))
 
-(* Torn-tail recovery, exhaustively: a clean journal truncated at every
-   byte offset inside its final record must resume to a byte-identical
-   run — the intact prefix replays, the torn item re-analyzes. *)
-let test_torn_tail_every_offset () =
-  let n = 2 in
-  let seed = 7 in
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+let n_torn = 2
+let seed_torn = 7
+
+let run_torn ?(resume = false) journal buf =
+  Stream.run ~jobs:1 ~journal ~resume ~render:render_digest
+    ~emit:(Buffer.add_string buf)
+    (Stream.of_fuzz ~profile:Fuzz.Small ~seed:seed_torn n_torn)
+
+(* Torn-tail recovery end to end, with the cut inside the final
+   record's frame header and inside its payload (the record log's own
+   suite covers every offset): the intact prefix replays, the torn
+   item re-analyzes, and output and journal equal a clean run's. *)
+let test_torn_tail_resumes () =
   let journal = Filename.temp_file "ddtorn" ".journal" in
   Fun.protect
     ~finally:(fun () -> Sys.remove journal)
     (fun () ->
-      let run ?(resume = false) buf =
-        Stream.run ~jobs:1 ~journal ~resume ~render:render_digest
-          ~emit:(Buffer.add_string buf)
-          (Stream.of_fuzz ~profile:Fuzz.Small ~seed n)
-      in
       let b_clean = Buffer.create 256 in
-      ignore (run b_clean);
-      let clean_out = Buffer.contents b_clean in
-      let ic = open_in_bin journal in
-      let original = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      (* The final record spans from one past the second-to-last
-         newline to the end of the file. *)
-      let total = String.length original in
-      let last_start = 1 + String.rindex_from original (total - 2) '\n' in
-      for cut = last_start to total - 1 do
-        let oc = open_out_bin journal in
-        output_string oc (String.sub original 0 cut);
-        close_out oc;
-        (if cut > last_start then
-           (* A nonempty torn tail is visible to validation — as a torn
-              tail, not an error — and not counted. *)
-           match Stream.journal_records journal with
-           | k ->
-             if k <> n - 1 then
-               Alcotest.failf "cut at %d: %d records, want %d" cut k (n - 1)
-           | exception Failure msg ->
-             Alcotest.failf "cut at %d: validation refused: %s" cut msg);
-        let b_res = Buffer.create 256 in
-        let s = run ~resume:true b_res in
-        if s.Stream.replayed <> n - 1 then
-          Alcotest.failf "cut at %d: replayed %d, want %d" cut
-            s.Stream.replayed (n - 1);
-        if not (String.equal (Buffer.contents b_res) clean_out) then
-          Alcotest.failf "cut at %d: resumed output differs" cut
-      done)
+      ignore (run_torn journal b_clean);
+      let offsets, original = journal_offsets journal in
+      let last_start = List.nth offsets (n_torn - 1) in
+      List.iter
+        (fun (where, cut) ->
+          write_file journal (String.sub original 0 cut);
+          Alcotest.(check int) (where ^ ": intact records") (n_torn - 1)
+            (journal_records journal);
+          let b_res = Buffer.create 256 in
+          let s = run_torn ~resume:true journal b_res in
+          Alcotest.(check int) (where ^ ": replayed") (n_torn - 1)
+            s.Stream.replayed;
+          Alcotest.(check string) (where ^ ": output") (Buffer.contents b_clean)
+            (Buffer.contents b_res);
+          let _, resumed = journal_offsets journal in
+          Alcotest.(check bool) (where ^ ": journal equals the clean one") true
+            (String.equal original resumed))
+        [ ("frame header", last_start + 10); ("payload", last_start + 20 + 5) ])
+
+(* Mid-file corruption is not a torn tail: a complete record failing
+   its digest refuses the resume, before anything is emitted. *)
+let test_corrupt_record_refuses () =
+  let journal = Filename.temp_file "ddcorrupt" ".journal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove journal)
+    (fun () ->
+      ignore (run_torn journal (Buffer.create 256));
+      let offsets, original = journal_offsets journal in
+      let b = Bytes.of_string original in
+      let pos = List.hd offsets + 20 + 3 in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xFF));
+      write_file journal (Bytes.to_string b);
+      let out = Buffer.create 256 in
+      (match run_torn ~resume:true journal out with
+       | _ -> Alcotest.fail "resumed from a corrupt journal"
+       | exception Failure msg ->
+         Alcotest.(check string) "refusal"
+           (Printf.sprintf "journal %s: record 0 fails its digest check" journal)
+           msg);
+      Alcotest.(check string) "nothing emitted" "" (Buffer.contents out))
 
 (* SIGINT's library half: [stop] ends intake, in-flight work is
    journaled, and the journal resumes to a byte-identical run. *)
@@ -285,7 +321,7 @@ let test_stop_leaves_resumable_journal () =
       Alcotest.(check bool) "stopped early" true (s_int.Stream.total < n);
       Alcotest.(check int) "everything emitted was journaled"
         s_int.Stream.total
-        (Stream.journal_records journal);
+        (journal_records journal);
       let b_res = Buffer.create 256 in
       let s_res =
         Stream.run ~jobs:1 ~journal ~resume:true ~render:render_digest
@@ -384,8 +420,10 @@ let () =
             test_fuzz_seed_sensitivity;
           Alcotest.test_case "resume requires a journal" `Quick
             test_resume_requires_journal;
-          Alcotest.test_case "torn tail recovers at every byte offset" `Quick
-            test_torn_tail_every_offset;
+          Alcotest.test_case "torn tail resumes (frame header, payload)"
+            `Quick test_torn_tail_resumes;
+          Alcotest.test_case "a corrupt record refuses the resume" `Quick
+            test_corrupt_record_refuses;
           Alcotest.test_case "stop leaves a resumable journal" `Quick
             test_stop_leaves_resumable_journal;
           Alcotest.test_case "config fingerprint" `Quick
