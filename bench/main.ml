@@ -706,8 +706,9 @@ let instrumentation_overhead ~what ~n ~calls ~loop =
     (if pct < 2.0 then "PASS < 2%" else "FAIL >= 2%");
   (per_call_ns, pct)
 
-(* Every hot path in the analyzer carries a [Trace.wrap]; the claim
-   that buys is that a disabled span is one atomic load and a branch. *)
+(* Every hot path in the analyzer opens a span (through its probe);
+   the claim that buys is that a disabled span is one atomic load and a
+   branch. *)
 let trace_overhead () =
   section
     "Trace overhead: disabled spans must cost < 2% of analysis time";

@@ -57,8 +57,11 @@ let substitute box i v bound_why rows =
   in
   go [] rows
 
-let m_calls = Dda_obs.Metrics.counter "test.acyclic.calls"
-let m_indep = Dda_obs.Metrics.counter "test.acyclic.independent"
+let probe =
+  Dda_obs.Probe.stage ~span:"acyclic" Dda_obs.Attrib.Acyclic (function
+    | Infeasible _ -> 0
+    | Feasible _ -> 1
+    | Cycle _ -> 2)
 
 let run_inner ?budget box rows =
   Failpoint.hit "acyclic.run";
@@ -114,21 +117,7 @@ let run_inner ?budget box rows =
   loop rows []
 
 let run ?budget box rows =
-  Dda_obs.Metrics.incr m_calls;
-  let out =
-    Dda_obs.Trace.wrap ~name:"acyclic"
-      ~args:(fun out ->
-          [ ( "verdict",
-              match out with
-              | Infeasible _ -> 0
-              | Feasible _ -> 1
-              | Cycle _ -> 2 ) ])
-      (fun () ->
-         Dda_obs.Attrib.time Dda_obs.Attrib.Acyclic (fun () ->
-             run_inner ?budget box rows))
-  in
-  (match out with Infeasible _ -> Dda_obs.Metrics.incr m_indep | _ -> ());
-  out
+  Dda_obs.Probe.run probe (fun () -> run_inner ?budget box rows)
 
 let witness elims base =
   let x = Array.copy base in

@@ -214,12 +214,6 @@ type report = {
   stats : stats;
 }
 
-let test_index = function
-  | Cascade.T_svpc -> 0
-  | Cascade.T_acyclic -> 1
-  | Cascade.T_loop_residue -> 2
-  | Cascade.T_fourier -> 3
-
 (* The memoized value: the outcome with direction vectors expressed in
    the canonical (reduced) problem's common levels; each pair reinserts
    its own dropped levels. *)
@@ -236,8 +230,7 @@ type cache = {
   find_or_add_gcd :
     int array -> (unit -> Gcd_test.outcome) -> Gcd_test.outcome * bool;
   find_or_add_full : int array -> (unit -> memo_value) -> memo_value * bool;
-  cache_stats : unit -> Memo_table.stats * Memo_table.stats;
-      (* (gcd, full) lookup/hit/occupancy snapshots *)
+  cache_sizes : unit -> int * int;  (* (gcd, full) entries *)
   cache_flush : unit -> unit;
       (* push write-through state to stable storage; no-op in memory *)
 }
@@ -246,8 +239,8 @@ let table_cache gcd_table full_table =
   {
     find_or_add_gcd = Memo_table.find_or_add gcd_table;
     find_or_add_full = Memo_table.find_or_add full_table;
-    cache_stats =
-      (fun () -> (Memo_table.stats gcd_table, Memo_table.stats full_table));
+    cache_sizes =
+      (fun () -> (Memo_table.length gcd_table, Memo_table.length full_table));
     cache_flush = (fun () -> ());
   }
 
@@ -270,41 +263,30 @@ let shared_cache sh =
   {
     find_or_add_gcd = Sharded_table.find_or_add sh.sh_gcd;
     find_or_add_full = Sharded_table.find_or_add sh.sh_full;
-    cache_stats =
+    cache_sizes =
       (fun () ->
-         (Sharded_table.stats sh.sh_gcd, Sharded_table.stats sh.sh_full));
+         (Sharded_table.length sh.sh_gcd, Sharded_table.length sh.sh_full));
     cache_flush = (fun () -> ());
   }
 
 let shared_table_stats sh =
   (Sharded_table.stats sh.sh_gcd, Sharded_table.stats sh.sh_full)
 
-(* Wrap a cache with query-local counters. [analyze] reports memo
-   statistics as a delta of [cache_stats] snapshots, which is only
-   meaningful when no other domain moves the counters between the
-   snapshots — exactly what happens on a live-shared cache. The
-   wrapper gives each item its own counters: lookups are a pure
-   function of the item (jobs-invariant); hits are as observed by this
-   item (cross-item hits depend on scheduling at [--jobs > 1]); the
-   occupancy slot counts this item's completed misses. *)
+(* Wrap a cache so that its sizes are this wrapper's completed
+   misses: one item's unique counts over a live-shared cache, whose
+   own sizes move with every domain's queries. *)
 let counted_cache (c : cache) : cache =
-  let gl = ref 0 and gh = ref 0 and gm = ref 0 in
-  let fl = ref 0 and fh = ref 0 and fm = ref 0 in
-  let count l h m f k compute =
-    incr l;
-    let v, hit = f k compute in
-    if hit then incr h else incr m;
-    (v, hit)
+  let gm = ref 0 and fm = ref 0 in
+  let count m f k compute =
+    let (_, hit) as r = f k compute in
+    if not hit then incr m;
+    r
   in
   {
-    find_or_add_gcd = (fun k compute -> count gl gh gm c.find_or_add_gcd k compute);
-    find_or_add_full =
-      (fun k compute -> count fl fh fm c.find_or_add_full k compute);
-    cache_stats =
-      (fun () ->
-         ( { Memo_table.size = !gm; buckets = 0; lookups = !gl; hits = !gh },
-           { Memo_table.size = !fm; buckets = 0; lookups = !fl; hits = !fh } ));
-    cache_flush = c.cache_flush;
+    c with
+    find_or_add_gcd = (fun k compute -> count gm c.find_or_add_gcd k compute);
+    find_or_add_full = (fun k compute -> count fm c.find_or_add_full k compute);
+    cache_sizes = (fun () -> (!gm, !fm));
   }
 
 type state = {
@@ -317,19 +299,27 @@ type state = {
          into the durable cache's fingerprint *)
 }
 
-let m_pairs = Dda_obs.Metrics.counter "analyzer.pairs"
 let m_queries = Dda_obs.Metrics.counter "analyzer.queries"
 let h_budget_steps = Dda_obs.Metrics.histogram "analyzer.budget_steps"
 
+(* Memo lookups and hits are counted here, per call, not read off the
+   backend, whose counters a shared cache also moves with other
+   callers' queries. *)
+
 (* Compute the outcome for a canonical problem (a cache miss). *)
 let compute_inner st budget (p : Problem.t) ~self =
+  let s = st.stats in
   let gcd_outcome =
     match st.cfg.memo with
     | Memo_off -> Gcd_test.run_eqs ~budget p
     | Memo_simple | Memo_improved | Memo_symmetric ->
-      fst
-        (st.cache.find_or_add_gcd (Problem.key_without_bounds_scratch p) (fun () ->
-             Gcd_test.run_eqs ~budget p))
+      s.memo_lookups_nobounds <- s.memo_lookups_nobounds + 1;
+      let out, hit =
+        st.cache.find_or_add_gcd (Problem.key_without_bounds_scratch p) (fun () ->
+            Gcd_test.run_eqs ~budget p)
+      in
+      if hit then s.memo_hits_nobounds <- s.memo_hits_nobounds + 1;
+      out
   in
   match gcd_outcome with
   | Gcd_test.Independent _ ->
@@ -364,8 +354,8 @@ let compute_inner st budget (p : Problem.t) ~self =
     end
     else begin
       let r = Cascade.run ~budget ~fm_tighten:st.cfg.fm_tighten red.Gcd_test.system in
-      st.stats.plain_by_test.(test_index r.decided_by) <-
-        st.stats.plain_by_test.(test_index r.decided_by) + 1;
+      let i = Cascade.test_index r.decided_by in
+      st.stats.plain_by_test.(i) <- st.stats.plain_by_test.(i) + 1;
       let dependent, unknown, degraded =
         match r.verdict with
         | Cascade.Independent _ -> (false, false, None)
@@ -539,38 +529,32 @@ and analyze_problem st ~self ~finish problem =
               | exception Problem.Unkeyable ->
                 direct { st with cfg = { st.cfg with memo = Memo_off } }
               | key ->
-                let value, _hit =
+                let s = st.stats in
+                s.memo_lookups_full <- s.memo_lookups_full + 1;
+                let value, hit =
                   st.cache.find_or_add_full key (fun () ->
                       compute st info.Canonical.problem ~self)
                 in
+                if hit then s.memo_hits_full <- s.memo_hits_full + 1;
                 deliver value)
 
-let analyze_pair st s1 s2 =
-  Dda_obs.Metrics.incr m_pairs;
-  Dda_obs.Trace.wrap ~name:"pair"
-    ~args:(fun (r : pair_report) ->
-        [ ( "outcome",
-            match r.outcome with
-            | Constant _ -> 0
-            | Assumed_dependent -> 1
-            | Gcd_independent -> 2
-            | Tested _ -> 3 );
-          ( "dependent",
-            match r.outcome with
-            | Constant d -> if d then 1 else 0
-            | Assumed_dependent -> 1
-            | Gcd_independent -> 0
-            | Tested t -> if t.dependent then 1 else 0 ) ])
-    (fun () -> analyze_pair_inner st s1 s2)
+let pair_probe =
+  Dda_obs.Probe.make ~span:"pair" ~calls:"analyzer.pairs"
+    [ Dda_obs.Probe.field "outcome" (fun (r : pair_report) ->
+          match r.outcome with
+          | Constant _ -> 0
+          | Assumed_dependent -> 1
+          | Gcd_independent -> 2
+          | Tested _ -> 3);
+      Dda_obs.Probe.field "dependent" (fun (r : pair_report) ->
+          match r.outcome with
+          | Constant d -> Bool.to_int d
+          | Assumed_dependent -> 1
+          | Gcd_independent -> 0
+          | Tested t -> Bool.to_int t.dependent) ]
 
-let finalize st =
-  let gcd, full = st.cache.cache_stats () in
-  st.stats.memo_lookups_nobounds <- gcd.Memo_table.lookups;
-  st.stats.memo_hits_nobounds <- gcd.Memo_table.hits;
-  st.stats.memo_unique_nobounds <- gcd.Memo_table.size;
-  st.stats.memo_lookups_full <- full.Memo_table.lookups;
-  st.stats.memo_hits_full <- full.Memo_table.hits;
-  st.stats.memo_unique_full <- full.Memo_table.size
+let analyze_pair st s1 s2 =
+  Dda_obs.Probe.run pair_probe (fun () -> analyze_pair_inner st s1 s2)
 
 let fresh_state ?(cancel = fun () -> false) ?cache cfg =
   {
@@ -663,21 +647,12 @@ let site_pairs cfg sites =
 
 let analyze_sites ?(config = default_config) ?cancel ?cache pairs =
   let st = fresh_state ?cancel ?cache config in
-  (* Lookups/hits are reported as this call's delta: with the default
-     fresh in-memory cache the snapshot is zero and the delta is the
-     absolute count, but a caller-supplied cache (the serve daemon's
-     durable one) carries counters from earlier queries. Unique counts
-     stay absolute: they are the tables' sizes. *)
-  let gcd0, full0 = st.cache.cache_stats () in
   let reports = List.map (fun (s1, s2) -> analyze_pair st s1 s2) pairs in
-  finalize st;
-  st.stats.memo_lookups_nobounds <-
-    st.stats.memo_lookups_nobounds - gcd0.Memo_table.lookups;
-  st.stats.memo_hits_nobounds <-
-    st.stats.memo_hits_nobounds - gcd0.Memo_table.hits;
-  st.stats.memo_lookups_full <-
-    st.stats.memo_lookups_full - full0.Memo_table.lookups;
-  st.stats.memo_hits_full <- st.stats.memo_hits_full - full0.Memo_table.hits;
+  (* Unique counts are the backend's sizes: absolute for a cache that
+     outlives the call (the serve daemon's durable one). *)
+  let gcd, full = st.cache.cache_sizes () in
+  st.stats.memo_unique_nobounds <- gcd;
+  st.stats.memo_unique_full <- full;
   { pair_reports = reports; stats = st.stats }
 
 type front = {

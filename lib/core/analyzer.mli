@@ -171,8 +171,8 @@ type cache = {
           must copy it {e before} invoking [compute] (nested lookups
           during [compute] reuse the buffer) *)
   find_or_add_full : int array -> (unit -> outcome) -> outcome * bool;
-  cache_stats : unit -> Memo_table.stats * Memo_table.stats;
-      (** [(gcd, full)] occupancy and lookup/hit counters *)
+  cache_sizes : unit -> int * int;
+      (** [(gcd, full)] entries: the report's unique counts *)
   cache_flush : unit -> unit;
       (** push write-through state to stable storage (no-op for
           in-memory backends) *)
@@ -196,20 +196,15 @@ type shared = {
 val create_shared : ?stripes:int -> unit -> shared
 
 val shared_cache : shared -> cache
-(** The shared tables as a {!cache}. [cache_stats] aggregates across
-    stripes and across every domain that used the cache — do not feed
-    it to {!analyze} directly (its per-item delta arithmetic is racy on
-    a shared backend); wrap it in {!counted_cache} per item instead. *)
+(** The shared tables as a {!cache}. [cache_sizes] counts every
+    domain's entries; wrap the cache in {!counted_cache} per item for
+    per-item unique counts. *)
 
 val counted_cache : cache -> cache
-(** Wrap a cache with query-local counters, for per-item reporting
-    over a shared backend: full-table lookups are a pure function of
-    the item and stay jobs-invariant; hits — and with them the gcd
-    traffic, which only happens on full-table misses — depend on what
-    the shared tables already held (scheduling-dependent at
-    [--jobs > 1]); the occupancy slot counts this wrapper's completed
-    misses. The wrapper is not itself domain-safe — one wrapper per
-    item. *)
+(** Wrap a cache so that [cache_sizes] counts this wrapper's completed
+    misses: one item's unique counts over a shared backend. (Lookups
+    and hits are always counted per call by the analyzer itself.) The
+    wrapper is not itself domain-safe — one wrapper per item. *)
 
 val shared_table_stats : shared -> Memo_table.stats * Memo_table.stats
 (** [(gcd, full)] aggregated over stripes. Sizes (distinct problems)
@@ -236,7 +231,8 @@ val analyze :
     priming a standard table from a benchmark suite) is a persistent
     [cache]: [ddtest analyze --memo-file] and [ddtest prime] pass a
     [Dda_cache.Durable] store. The report's memo lookups and hits are
-    this call's delta; unique counts are the tables' sizes. Degraded
+    this call's own, counted by the call even while other queries use
+    the same cache; unique counts are the tables' sizes. Degraded
     verdicts are memoized like any other (they are deterministic under
     the step/row/coefficient caps); a [Deadline]-degraded verdict,
     however, depends on wall time, so a cache kept across runs with

@@ -29,29 +29,29 @@ let dependent sys w decided_by =
   assert (Consys.satisfies_all w sys);
   { verdict = Dependent w; decided_by }
 
-let m_runs = Dda_obs.Metrics.counter "cascade.runs"
-
-let m_dec_svpc = Dda_obs.Metrics.counter "cascade.decided.svpc"
-let m_dec_acyclic = Dda_obs.Metrics.counter "cascade.decided.acyclic"
-let m_dec_loop_residue = Dda_obs.Metrics.counter "cascade.decided.loop_residue"
-let m_dec_fourier = Dda_obs.Metrics.counter "cascade.decided.fourier"
-
-let m_decided = function
-  | T_svpc -> m_dec_svpc
-  | T_acyclic -> m_dec_acyclic
-  | T_loop_residue -> m_dec_loop_residue
-  | T_fourier -> m_dec_fourier
-
-let m_independent = Dda_obs.Metrics.counter "cascade.verdict.independent"
-let m_dependent = Dda_obs.Metrics.counter "cascade.verdict.dependent"
-let m_unknown = Dda_obs.Metrics.counter "cascade.verdict.unknown"
-let m_exhausted = Dda_obs.Metrics.counter "cascade.verdict.exhausted"
-
-let test_code = function
+let test_index = function
   | T_svpc -> 0
   | T_acyclic -> 1
   | T_loop_residue -> 2
   | T_fourier -> 3
+
+let probe =
+  Dda_obs.Probe.make ~span:"cascade" ~calls:"cascade.runs"
+    [ Dda_obs.Probe.field "decided_by"
+        ~counters:
+          [ "cascade.decided.svpc"; "cascade.decided.acyclic";
+            "cascade.decided.loop_residue"; "cascade.decided.fourier" ]
+        (fun res -> test_index res.decided_by);
+      Dda_obs.Probe.field "verdict"
+        ~counters:
+          [ "cascade.verdict.independent"; "cascade.verdict.dependent";
+            "cascade.verdict.unknown"; "cascade.verdict.exhausted" ]
+        (fun res ->
+           match res.verdict with
+           | Independent _ -> 0
+           | Dependent _ -> 1
+           | Unknown -> 2
+           | Exhausted _ -> 3) ]
 
 let run_inner ?budget ?(fm_tighten = false) (sys : Consys.t) =
   (* [stage] tracks how far the cascade got, so a budget blow-up can
@@ -98,24 +98,4 @@ let run_inner ?budget ?(fm_tighten = false) (sys : Consys.t) =
   with Budget.Exhausted r -> { verdict = Exhausted r; decided_by = !stage }
 
 let run ?budget ?fm_tighten (sys : Consys.t) =
-  Dda_obs.Metrics.incr m_runs;
-  let res =
-    Dda_obs.Trace.wrap ~name:"cascade"
-      ~args:(fun res ->
-          [ ("decided_by", test_code res.decided_by);
-            ( "verdict",
-              match res.verdict with
-              | Independent _ -> 0
-              | Dependent _ -> 1
-              | Unknown -> 2
-              | Exhausted _ -> 3 ) ])
-      (fun () -> run_inner ?budget ?fm_tighten sys)
-  in
-  Dda_obs.Metrics.incr (m_decided res.decided_by);
-  Dda_obs.Metrics.incr
-    (match res.verdict with
-     | Independent _ -> m_independent
-     | Dependent _ -> m_dependent
-     | Unknown -> m_unknown
-     | Exhausted _ -> m_exhausted);
-  res
+  Dda_obs.Probe.run probe (fun () -> run_inner ?budget ?fm_tighten sys)

@@ -15,6 +15,11 @@ type test =
   | T_fourier
 
 val test_name : test -> string
+
+val test_index : test -> int
+(** [0] for SVPC through [3] for Fourier-Motzkin: the index of the
+    per-test count arrays and the trace's ["decided_by"] arg. *)
+
 val pp_test : Format.formatter -> test -> unit
 
 type verdict =

@@ -58,20 +58,14 @@ type counts = {
 
 let fresh_counts () = { by_test = Array.make 4 0; indep_by_test = Array.make 4 0 }
 
-let test_index = function
-  | Cascade.T_svpc -> 0
-  | Cascade.T_acyclic -> 1
-  | Cascade.T_loop_residue -> 2
-  | Cascade.T_fourier -> 3
-
 let merge_counts ~into src =
   Array.iteri (fun i v -> into.by_test.(i) <- into.by_test.(i) + v) src.by_test;
   Array.iteri
     (fun i v -> into.indep_by_test.(i) <- into.indep_by_test.(i) + v)
     src.indep_by_test
 
-let count_of c t = c.by_test.(test_index t)
-let indep_count_of c t = c.indep_by_test.(test_index t)
+let count_of c t = c.by_test.(Cascade.test_index t)
+let indep_count_of c t = c.indep_by_test.(Cascade.test_index t)
 
 type result = {
   dependent : bool;
@@ -184,7 +178,7 @@ let refine ?budget ?(prune = full_pruning) ?(fm_tighten = false) ?counts
   let dir_rows_tr = make_dir_row_cache problem red in
   let run_test vector =
     let r = Cascade.run ?budget ~fm_tighten (system_for red dir_rows_tr vector) in
-    let i = test_index r.decided_by in
+    let i = Cascade.test_index r.decided_by in
     counts.by_test.(i) <- counts.by_test.(i) + 1;
     (match r.verdict with
      | Cascade.Independent _ -> counts.indep_by_test.(i) <- counts.indep_by_test.(i) + 1

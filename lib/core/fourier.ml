@@ -366,8 +366,13 @@ and back_substitute ws ~budget ~tighten ~stats ~depth ~ncuts ~nvars ~original st
   in
   assign ~first:true (List.rev steps)
 
-let m_calls = Dda_obs.Metrics.counter "test.fourier.calls"
-let m_indep = Dda_obs.Metrics.counter "test.fourier.independent"
+let probe =
+  Dda_obs.Probe.stage ~span:"fourier-motzkin" Dda_obs.Attrib.Fourier (function
+    | Infeasible _ -> 0
+    | Feasible _ -> 1
+    | Unknown -> 2
+    | Exhausted _ -> 3)
+
 let m_elims = Dda_obs.Metrics.counter "test.fourier.eliminations"
 let m_branches = Dda_obs.Metrics.counter "test.fourier.branches"
 
@@ -393,26 +398,16 @@ let run_inner ?budget ?(tighten = false) ?stats (sys : Consys.t) =
   | exception Budget.Exhausted reason -> Exhausted reason
 
 let run ?budget ?(tighten = false) ?stats (sys : Consys.t) =
-  Dda_obs.Metrics.incr m_calls;
   let stats = match stats with Some s -> s | None -> fresh_stats () in
   let e0 = stats.eliminations and b0 = stats.branches in
   let out =
-    Dda_obs.Trace.wrap ~name:"fourier-motzkin"
-      ~args:(fun out ->
-          [ ( "verdict",
-              match out with
-              | Infeasible _ -> 0
-              | Feasible _ -> 1
-              | Unknown -> 2
-              | Exhausted _ -> 3 );
-            ("eliminations", stats.eliminations - e0);
+    Dda_obs.Probe.run probe
+      ~args:(fun _ ->
+          [ ("eliminations", stats.eliminations - e0);
             ("branches", stats.branches - b0);
             ("max_rows", stats.max_rows) ])
-      (fun () ->
-         Dda_obs.Attrib.time Dda_obs.Attrib.Fourier (fun () ->
-             run_inner ?budget ~tighten ~stats sys))
+      (fun () -> run_inner ?budget ~tighten ~stats sys)
   in
   Dda_obs.Metrics.add m_elims (stats.eliminations - e0);
   Dda_obs.Metrics.add m_branches (stats.branches - b0);
-  (match out with Infeasible _ -> Dda_obs.Metrics.incr m_indep | _ -> ());
   out

@@ -41,8 +41,10 @@ let transform_row red (r : Consys.row) =
     r.coeffs;
   Consys.normalize_row { Consys.coeffs; rhs = Zint.sub r.rhs !const }
 
-let m_calls = Dda_obs.Metrics.counter "test.gcd.calls"
-let m_indep = Dda_obs.Metrics.counter "test.gcd.independent"
+let probe =
+  Dda_obs.Probe.stage ~span:"gcd" Dda_obs.Attrib.Gcd (function
+    | Independent _ -> 0
+    | Reduced _ -> 1)
 
 let run_eqs_inner ?budget (p : Problem.t) =
   Failpoint.hit "gcd.run_eqs";
@@ -117,18 +119,7 @@ let run_eqs_inner ?budget (p : Problem.t) =
   end
 
 let run_eqs ?budget (p : Problem.t) =
-  Dda_obs.Metrics.incr m_calls;
-  let out =
-    Dda_obs.Trace.wrap ~name:"gcd"
-      ~args:(fun out ->
-          [ ( "verdict",
-              match out with Independent _ -> 0 | Reduced _ -> 1 ) ])
-      (fun () ->
-         Dda_obs.Attrib.time Dda_obs.Attrib.Gcd (fun () ->
-             run_eqs_inner ?budget p))
-  in
-  (match out with Independent _ -> Dda_obs.Metrics.incr m_indep | _ -> ());
-  out
+  Dda_obs.Probe.run probe (fun () -> run_eqs_inner ?budget p)
 
 let attach_bounds (p : Problem.t) red =
   let rows = List.map (transform_row red) (Problem.ineq_rows p) in

@@ -74,16 +74,18 @@ val member : string -> t -> t option
     absent or when the value is not an object. *)
 
 val report : Analyzer.report -> t
-(** The whole report: one object per pair (locations, roles, outcome,
-    direction vectors with dependence kinds, distance) plus the
-    statistics block, as [Obj [("pairs", Raw _); ("stats", _)]]. The
-    pair list is written straight into the {!render} buffer, byte for
-    byte what [List (List.map pair pairs)] renders to. *)
+(** The whole report: {!pairs} plus the statistics block, as
+    [Obj [("pairs", Raw _); ("stats", _)]]. *)
+
+val pairs : Analyzer.pair_report list -> t
+(** The pair list, one object per pair (locations, roles, outcome,
+    direction vectors with dependence kinds, distance), written
+    straight into the {!render} buffer and returned as [Raw]: byte for
+    byte what [List (List.map pair prs)] renders to. *)
 
 val pair : Analyzer.pair_report -> t
-(** One pair object, as embedded in {!report}, built as a tree (the
-    server's rendering, and the reference the direct writer of
-    {!report} is tested against). *)
+(** One pair object built as a tree: the reference {!pairs} is tested
+    against, and a tree that tests can edit. *)
 
 val stats : Analyzer.stats -> t
 (** The statistics block alone (used for the batch driver's merged

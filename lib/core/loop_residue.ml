@@ -78,8 +78,11 @@ let cycle_cert cycle =
   assert (Zint.is_negative weight);
   Cert.Refute (Cert.Comb terms)
 
-let m_calls = Dda_obs.Metrics.counter "test.loop_residue.calls"
-let m_indep = Dda_obs.Metrics.counter "test.loop_residue.independent"
+let probe =
+  Dda_obs.Probe.stage ~span:"loop-residue" Dda_obs.Attrib.Loop_residue (function
+    | Some (Infeasible _) -> 0
+    | Some (Feasible _) -> 1
+    | None -> 2)
 
 let run_inner ?budget box rows =
   Failpoint.hit "loop_residue.run";
@@ -147,23 +150,7 @@ let run_inner ?budget box rows =
   end
 
 let run ?budget box rows =
-  Dda_obs.Metrics.incr m_calls;
-  let out =
-    Dda_obs.Trace.wrap ~name:"loop-residue"
-      ~args:(fun out ->
-          [ ( "verdict",
-              match out with
-              | Some (Infeasible _) -> 0
-              | Some (Feasible _) -> 1
-              | None -> 2 ) ])
-      (fun () ->
-         Dda_obs.Attrib.time Dda_obs.Attrib.Loop_residue (fun () ->
-             run_inner ?budget box rows))
-  in
-  (match out with
-   | Some (Infeasible _) -> Dda_obs.Metrics.incr m_indep
-   | _ -> ());
-  out
+  Dda_obs.Probe.run probe (fun () -> run_inner ?budget box rows)
 
 let to_dot box rows =
   let nvars = Bounds.nvars box in

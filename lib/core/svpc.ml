@@ -5,8 +5,11 @@ type outcome =
 
 exception Row_false of Cert.deriv
 
-let m_calls = Dda_obs.Metrics.counter "test.svpc.calls"
-let m_indep = Dda_obs.Metrics.counter "test.svpc.independent"
+let probe =
+  Dda_obs.Probe.stage ~span:"svpc" Dda_obs.Attrib.Svpc (function
+    | Infeasible _ -> 0
+    | Feasible _ -> 1
+    | Partial _ -> 2)
 
 let run_inner ?budget (sys : Consys.t) =
   Failpoint.hit "svpc.run";
@@ -35,18 +38,4 @@ let run_inner ?budget (sys : Consys.t) =
     | None -> if multi = [] then Feasible box else Partial (box, multi))
 
 let run ?budget (sys : Consys.t) =
-  Dda_obs.Metrics.incr m_calls;
-  let out =
-    Dda_obs.Trace.wrap ~name:"svpc"
-      ~args:(fun out ->
-          [ ( "verdict",
-              match out with
-              | Infeasible _ -> 0
-              | Feasible _ -> 1
-              | Partial _ -> 2 ) ])
-      (fun () ->
-         Dda_obs.Attrib.time Dda_obs.Attrib.Svpc (fun () ->
-             run_inner ?budget sys))
-  in
-  (match out with Infeasible _ -> Dda_obs.Metrics.incr m_indep | _ -> ());
-  out
+  Dda_obs.Probe.run probe (fun () -> run_inner ?budget sys)

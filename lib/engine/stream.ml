@@ -209,8 +209,7 @@ let process ~config ~cache ~verify ~lint ~retries ~backoff_ms ~item_timeout_ms
             Analyzer.front_end config program
           in
           (* Live-shared memo tables: each item wraps the shared backend
-             with its own counters so its reported lookup totals stay a
-             pure function of the item. *)
+             so its unique counts are its own misses. *)
           let cache = Option.map Analyzer.counted_cache cache in
           let report = Analyzer.analyze_sites ~config ~cancel ?cache pairs in
           let verification =

@@ -5,8 +5,9 @@
     live server wants that escalation profile visible {e per request},
     not only as process-wide counters. This module is a scoped,
     per-domain collector: the serve daemon opens a {!collect} window
-    around one analysis call, the solver stages charge their wall time
-    into it through {!time}, and the window's {!snapshot} becomes the
+    around one analysis call, each solver stage's {!Probe} charges the
+    stage's calls and wall time into it (the probe runs the stage
+    inside {!time}), and the window's {!snapshot} becomes the
     response's ["explain"] block.
 
     Like {!Trace}, the collector is a pure observer and is never

@@ -300,10 +300,7 @@ let analyze_task t conn req id ~rid ~t0 () =
                    ([
                       ("id", id);
                       ("ok", Json_out.Bool true);
-                      ( "pairs",
-                        Json_out.List
-                          (List.map Json_out.pair report.Analyzer.pair_reports)
-                      );
+                      ("pairs", Json_out.pairs report.Analyzer.pair_reports);
                     ]
                     @ (if want_stats then
                          [ ("stats", Json_out.stats stats) ]

@@ -755,10 +755,10 @@ let test_perfect_one_front () =
     items batch.outcomes
 
 (* Two persistent caches advanced in lockstep over the same programs:
-   each call's memo statistics must be the per-call delta of that
-   cache's own tables — never polluted by the other cache's interleaved
-   activity — and the deltas must sum back to the lifetime counters
-   [Durable.table_stats] reports. *)
+   each call's memo statistics must be that call's own traffic on its
+   cache — never polluted by the other cache's interleaved activity —
+   and must sum back to the lifetime counters [Durable.table_stats]
+   reports. *)
 let test_interleaved_session_stats () =
   let config =
     { Analyzer.default_config with Analyzer.memo = Analyzer.Memo_improved }
@@ -825,6 +825,49 @@ let test_interleaved_session_stats () =
   Alcotest.(check int) "lifetime gcd hits equal across caches"
     gcd_stats.Memo_table.hits gcd2.Memo_table.hits
 
+(* Two queries on one shared cache at once, as two serve workers on
+   one durable store: the cache below starts a second analysis on the
+   same tables inside the first query's first miss. The outer report's
+   lookups and hits must be its own — equal to a solo run's on fresh
+   tables — however much the inner query moved the tables' counters. *)
+let test_nested_query_keeps_its_memo_counts () =
+  let config = Analyzer.default_config in
+  let outer = parse "for i = 1 to 10 do a[i] = a[i+1] + a[2*i] end" in
+  let inner =
+    parse
+      "for i = 1 to 8 do for j = 1 to 8 do\n\
+      \  d[3*i+5*j+7] = d[5*i+3*j+2] + e[7*i][j]\n\
+      \  e[7*i+3][j+4] = d[i]\n\
+       end end"
+  in
+  let fresh () = Analyzer.shared_cache (Analyzer.create_shared ()) in
+  let solo = (Analyzer.analyze ~config ~cache:(fresh ()) outer).Analyzer.stats in
+  let base = fresh () in
+  let inner_stats = ref None in
+  let cache =
+    {
+      base with
+      Analyzer.find_or_add_full =
+        (fun key compute ->
+           base.Analyzer.find_or_add_full key (fun () ->
+               if !inner_stats = None then
+                 inner_stats :=
+                   Some (Analyzer.analyze ~config ~cache:base inner).Analyzer.stats;
+               compute ()));
+    }
+  in
+  let got = (Analyzer.analyze ~config ~cache outer).Analyzer.stats in
+  (match !inner_stats with
+   | Some (s : Analyzer.stats) ->
+     Alcotest.(check bool) "the inner query used the tables" true
+       (s.memo_lookups_full > 0 && s.memo_lookups_nobounds > 0)
+   | None -> Alcotest.fail "the outer query never missed");
+  let same what f = Alcotest.(check int) what (f solo) (f got) in
+  same "full-table lookups" (fun (s : Analyzer.stats) -> s.memo_lookups_full);
+  same "full-table hits" (fun (s : Analyzer.stats) -> s.memo_hits_full);
+  same "gcd-table lookups" (fun (s : Analyzer.stats) -> s.memo_lookups_nobounds);
+  same "gcd-table hits" (fun (s : Analyzer.stats) -> s.memo_hits_nobounds)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "analyzer"
@@ -854,6 +897,8 @@ let () =
         [
           Alcotest.test_case "interleaved sessions keep per-call deltas" `Quick
             test_interleaved_session_stats;
+          Alcotest.test_case "a nested query keeps its memo counts" `Quick
+            test_nested_query_keeps_its_memo_counts;
         ] );
       ( "oracle-properties",
         [

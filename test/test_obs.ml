@@ -546,6 +546,103 @@ let test_attrib_solver_integration () =
   Alcotest.(check bool) "gcd ran" true (gcd.Attrib.calls > 0);
   Alcotest.(check bool) "steps charged" true (snap.Attrib.budget_steps > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Probes: the sinks cannot disagree                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Each solver layer reports through one probe, so its three sinks —
+   trace spans, registry counters, the attribution window — must count
+   the same calls: run the analysis with all three live and compare
+   them span by span. *)
+let span_name = function
+  | Attrib.Gcd -> "gcd"
+  | Attrib.Svpc -> "svpc"
+  | Attrib.Acyclic -> "acyclic"
+  | Attrib.Loop_residue -> "loop-residue"
+  | Attrib.Fourier -> "fourier-motzkin"
+
+(* Trace, metrics and a window, all fresh, around [f]. *)
+let with_all_sinks f =
+  with_trace (fun () ->
+      Metrics.reset ();
+      let (), snap = Attrib.collect f in
+      Alcotest.(check int) "no span lost to the ring" 0 (Trace.dropped ());
+      (Trace.events (), Metrics.snapshot (), snap))
+
+let check_channels what (events, metrics, (snap : Attrib.snapshot)) =
+  let spans ?verdict name =
+    List.length
+      (List.filter
+         (fun (e : Trace.event) ->
+            e.Trace.name = name
+            && match verdict with
+            | None -> true
+            | Some v -> List.assoc_opt "verdict" e.Trace.args = Some v)
+         events)
+  in
+  let counter = Metrics.find_counter metrics in
+  let same label a b = Alcotest.(check int) (what ^ ": " ^ label) a b in
+  List.iter
+    (fun stage ->
+       let name = Attrib.stage_name stage in
+       let calls = spans (span_name stage) in
+       same (name ^ " spans = calls counter") calls
+         (counter ("test." ^ name ^ ".calls"));
+       same (name ^ " spans = window calls") calls
+         (List.assoc stage snap.Attrib.stages).Attrib.calls;
+       same (name ^ " independent spans = independent counter")
+         (spans ~verdict:0 (span_name stage))
+         (counter ("test." ^ name ^ ".independent")))
+    Attrib.all_stages;
+  same "cascade spans = cascade.runs" (spans "cascade") (counter "cascade.runs");
+  same "pair spans = analyzer.pairs" (spans "pair") (counter "analyzer.pairs")
+
+let analyze_perfect config (spec : Dda_perfect.Programs.spec) =
+  let prog = Dda_lang.Parser.parse_program (Dda_perfect.Programs.source spec) in
+  ignore (Dda_core.Analyzer.analyze ~config prog)
+
+let test_probe_channels_agree () =
+  let module A = Dda_core.Analyzer in
+  let starved =
+    { A.default_config with
+      A.limits = { Dda_core.Budget.default_limits with max_steps = Some 5 } }
+  in
+  List.iter
+    (fun (label, config) ->
+       List.iter
+         (fun (spec : Dda_perfect.Programs.spec) ->
+            let sinks = with_all_sinks (fun () -> analyze_perfect config spec) in
+            let events, _, _ = sinks in
+            Alcotest.(check bool) "the stages ran" true
+              (List.exists (fun (e : Trace.event) -> e.Trace.name = "svpc") events);
+            check_channels (label ^ " " ^ spec.name) sinks)
+         Dda_perfect.Programs.all)
+    [ ("full budget", A.default_config); ("5-step budget", starved) ]
+
+(* A stage that raises is still one call in every sink. *)
+let test_probe_raise_charged () =
+  let module Failpoint = Dda_core.Failpoint in
+  Failpoint.set "svpc.run=raise@1";
+  let sinks =
+    Fun.protect ~finally:Failpoint.clear (fun () ->
+        with_all_sinks (fun () ->
+            match
+              analyze_perfect Dda_core.Analyzer.default_config
+                (List.hd Dda_perfect.Programs.all)
+            with
+            | () -> Alcotest.fail "the failpoint did not fire"
+            | exception Failpoint.Injected _ -> ()))
+  in
+  let events, _, snap = sinks in
+  Alcotest.(check bool) "the svpc span closed as raised" true
+    (List.exists
+       (fun (e : Trace.event) ->
+          e.Trace.name = "svpc" && List.mem ("raised", 1) e.Trace.args)
+       events);
+  Alcotest.(check int) "the window was charged" 1
+    (List.assoc Attrib.Svpc snap.Attrib.stages).Attrib.calls;
+  check_channels "svpc raise" sinks
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "obs"
@@ -594,6 +691,13 @@ let () =
             test_attrib_nested_and_raise;
           Alcotest.test_case "solver integration" `Quick
             test_attrib_solver_integration;
+        ] );
+      ( "probe",
+        [
+          Alcotest.test_case "sinks agree over PERFECT" `Quick
+            test_probe_channels_agree;
+          Alcotest.test_case "a raise is charged in every sink" `Quick
+            test_probe_raise_charged;
         ] );
       ( "batch",
         [ qt prop_batch_metrics_jobs_invariant ] );

@@ -56,9 +56,19 @@ let with_server ?(jobs = 2) ?(queue_limit = 64) ?cache_name ?(admin = false)
         end
       in
       wait 250;
+      (* The socket file appears at bind, just before listen: a
+         connect in between is refused, so retry that briefly. *)
       let connect () =
-        let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-        Unix.connect fd (ADDR_UNIX socket);
+        let rec go n =
+          let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+          match Unix.connect fd (ADDR_UNIX socket) with
+          | () -> fd
+          | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when n > 0 ->
+            Unix.close fd;
+            Unix.sleepf 0.01;
+            go (n - 1)
+        in
+        let fd = go 100 in
         (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
       in
       Fun.protect
