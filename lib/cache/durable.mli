@@ -34,7 +34,8 @@ val cache : t -> Dda_core.Analyzer.cache
 (** The analyzer-facing view. Every miss computed through it is added
     to the tables and appended to the store (when present) before the
     query returns. Lookups hit the [memo.find_or_add] failpoint site,
-    as every memo table does. *)
+    as every memo table does. Its [probe_full] is the shared tables'
+    own: it never computes and never appends. *)
 
 val table_sizes : t -> int * int
 (** [(gcd_entries, full_entries)] currently held. *)

@@ -221,7 +221,7 @@ type memo_value = outcome
 
 (* The pluggable memo backend. The analyzer is a pure query layer over
    this record: every cached lookup in the pipeline goes through these
-   two functions, so a backend can be a pair of in-process tables (the
+   functions, so a backend can be a pair of in-process tables (the
    default), a write-through durable store, or a mutex-guarded shared
    table — without the analyzer knowing. Contract: [find_or_add_*] may
    run [compute] outside any lock but must never store a value whose
@@ -230,6 +230,8 @@ type cache = {
   find_or_add_gcd :
     int array -> (unit -> Gcd_test.outcome) -> Gcd_test.outcome * bool;
   find_or_add_full : int array -> (unit -> memo_value) -> memo_value * bool;
+  probe_full : int array -> memo_value option;
+      (* quiet on a miss; a hit counts as a [find_or_add_full] hit *)
   cache_sizes : unit -> int * int;  (* (gcd, full) entries *)
   cache_flush : unit -> unit;
       (* push write-through state to stable storage; no-op in memory *)
@@ -239,6 +241,7 @@ let table_cache gcd_table full_table =
   {
     find_or_add_gcd = Memo_table.find_or_add gcd_table;
     find_or_add_full = Memo_table.find_or_add full_table;
+    probe_full = Memo_table.probe full_table;
     cache_sizes =
       (fun () -> (Memo_table.length gcd_table, Memo_table.length full_table));
     cache_flush = (fun () -> ());
@@ -263,6 +266,7 @@ let shared_cache sh =
   {
     find_or_add_gcd = Sharded_table.find_or_add sh.sh_gcd;
     find_or_add_full = Sharded_table.find_or_add sh.sh_full;
+    probe_full = Sharded_table.probe sh.sh_full;
     cache_sizes =
       (fun () ->
          (Sharded_table.length sh.sh_gcd, Sharded_table.length sh.sh_full));
@@ -394,14 +398,14 @@ let compute st (p : Problem.t) ~self =
     settle ();
     raise e
 
-let reinsert_outcome info = function
-  | Tested t ->
+let reinsert_outcome (info : Canonical.info) = function
+  | Tested t when info.dropped_any ->
     Tested
       {
         t with
         directions = List.map (Canonical.reinsert_vector info) t.directions;
       }
-  | (Constant _ | Assumed_dependent | Gcd_independent) as o -> o
+  | (Tested _ | Constant _ | Assumed_dependent | Gcd_independent) as o -> o
 
 (* A memo hit under the swapped orientation answers the mirror-image
    question: flip every direction and negate distances. *)
@@ -414,6 +418,32 @@ let mirror_outcome = function
         distance = Option.map (Array.map Zint.neg) t.distance;
       }
   | (Constant _ | Assumed_dependent | Gcd_independent) as o -> o
+
+(* The full table's answer for the pair's problem as built, from a key
+   written straight from the two sites: a hit needs no build,
+   canonicalization or reinsertion (see [cache.probe_full]). Under the
+   symmetric scheme the built orientation is the one a hit can be
+   stored under: its mirror keys no smaller. A miss, or a pair with no
+   direct key, takes the build path, which looks up again. *)
+let probe_full st ~self s1 s2 =
+  match st.cfg.memo with
+  | Memo_off -> None
+  | Memo_simple | Memo_improved | Memo_symmetric ->
+    let key = Build_problem.key ~tag:(if self then 1 else 0) s1 s2 in
+    if Array.length key = 0 then None
+    else begin
+      let s = st.stats in
+      match st.cache.probe_full key with
+      | Some _ as hit ->
+        s.memo_lookups_full <- s.memo_lookups_full + 1;
+        s.memo_hits_full <- s.memo_hits_full + 1;
+        hit
+      | None -> None
+      | exception e ->
+        (* the hit's failpoint fired: a lookup, as in [find_or_add] *)
+        s.memo_lookups_full <- s.memo_lookups_full + 1;
+        raise e
+    end
 
 let rec analyze_pair_inner st (s1 : Affine.site) (s2 : Affine.site) =
   Failpoint.hit "analyzer.pair";
@@ -459,29 +489,32 @@ let rec analyze_pair_inner st (s1 : Affine.site) (s2 : Affine.site) =
     st.stats.constant_cases <- st.stats.constant_cases + 1;
     finish (Constant (List.for_all2 Zint.equal c1 c2))
   | _ -> (
-      match Build_problem.build s1 s2 with
-      | None ->
-        st.stats.assumed <- st.stats.assumed + 1;
-        finish Assumed_dependent
-      | Some problem -> (
-          (* Backstop for exhaustion paths the cascade and the
-             refinement could not absorb (a tick in Extended GCD, an
-             injected exhaustion): an unmemoized, fully conservative
-             degraded verdict. Nothing half-computed is cached —
-             [Memo_table.find_or_add] stores only on normal return. *)
-          try analyze_problem st ~self ~finish problem
-          with Budget.Exhausted reason ->
-            finish
-              (Tested
-                 {
-                   dependent = true;
-                   unknown = true;
-                   decided_by = None;
-                   directions = [];
-                   distance = None;
-                   implicit_bb = false;
-                   degraded = Some reason;
-                 })))
+      (* Backstop for exhaustion paths the cascade and the refinement
+         could not absorb (a tick in Extended GCD, an injected
+         exhaustion): an unmemoized, fully conservative degraded
+         verdict. Nothing half-computed is cached —
+         [Memo_table.find_or_add] stores only on normal return. *)
+      try
+        match probe_full st ~self s1 s2 with
+        | Some value -> finish value
+        | None -> (
+            match Build_problem.build s1 s2 with
+            | None ->
+              st.stats.assumed <- st.stats.assumed + 1;
+              finish Assumed_dependent
+            | Some problem -> analyze_problem st ~self ~finish problem)
+      with Budget.Exhausted reason ->
+        finish
+          (Tested
+             {
+               dependent = true;
+               unknown = true;
+               decided_by = None;
+               directions = [];
+               distance = None;
+               implicit_bb = false;
+               degraded = Some reason;
+             }))
 
 and analyze_problem st ~self ~finish problem =
           let info_of prob =

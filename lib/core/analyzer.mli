@@ -171,6 +171,19 @@ type cache = {
           must copy it {e before} invoking [compute] (nested lookups
           during [compute] reuse the buffer) *)
   find_or_add_full : int array -> (unit -> outcome) -> outcome * bool;
+  probe_full : int array -> outcome option;
+      (** The full table's binding of a key, without storing: quiet on
+          a miss (no failpoint, no counters, no store append), and on a
+          hit counted exactly as a [find_or_add_full] hit (the
+          [memo.find_or_add] failpoint, then the lookup and hit
+          counters). The analyzer probes with the key
+          {!Build_problem.key} writes from a pair's two sites, before
+          it builds the problem; the key is a scratch buffer and must
+          not be retained. A hit is the answer as it stands: a stored
+          key is a canonical problem's, {!Canonical.reduce} is
+          idempotent, so canonicalizing a problem with that key would
+          drop nothing and the pair's own lookup would find the same
+          binding. *)
   cache_sizes : unit -> int * int;
       (** [(gcd, full)] entries: the report's unique counts *)
   cache_flush : unit -> unit;
