@@ -21,3 +21,7 @@ val category_name : category -> string
 
 val generate : Prng.t -> category -> string
 (** One self-contained loop nest (source text) of the given flavor. *)
+
+val write : Buffer.t -> Prng.t -> category -> unit
+(** [generate]'s nest, appended to the buffer: the same draws, the
+    same text. *)

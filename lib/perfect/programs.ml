@@ -127,13 +127,36 @@ let shuffle rng arr =
     arr.(j) <- t
   done
 
+(* The nests are drawn in mix order into one buffer, nest [i] being
+   its bytes from [starts.(i)] up to [starts.(i + 1)]; the shuffle
+   permutes their indices, and the program is the nests in that order
+   joined by newlines. *)
 let source spec =
   let rng = Prng.create spec.seed in
-  let nests =
-    List.concat_map
-      (fun (cat, count) -> List.init count (fun _ -> Patterns.generate rng cat))
-      spec.mix
-  in
-  let arr = Array.of_list nests in
-  shuffle rng arr;
-  String.concat "\n" (Array.to_list arr)
+  let n = List.fold_left (fun acc (_, count) -> acc + count) 0 spec.mix in
+  let b = Buffer.create (64 * n) in
+  let starts = Array.make (n + 1) 0 in
+  let i = ref 0 in
+  List.iter
+    (fun (cat, count) ->
+       for _ = 1 to count do
+         Patterns.write b rng cat;
+         incr i;
+         starts.(!i) <- Buffer.length b
+       done)
+    spec.mix;
+  let order = Array.init n Fun.id in
+  shuffle rng order;
+  let out = Bytes.create (Buffer.length b + max 0 (n - 1)) in
+  let pos = ref 0 in
+  Array.iteri
+    (fun k j ->
+       if k > 0 then begin
+         Bytes.set out !pos '\n';
+         incr pos
+       end;
+       let len = starts.(j + 1) - starts.(j) in
+       Buffer.blit b starts.(j) out !pos len;
+       pos := !pos + len)
+    order;
+  Bytes.unsafe_to_string out

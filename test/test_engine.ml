@@ -210,6 +210,34 @@ let test_sharded_across_domains () =
   Alcotest.(check bool) "contention counter is sane" true
     (Sharded_table.contended t >= 0)
 
+let test_sharded_probe_failpoint_unlocked () =
+  let t = Sharded_table.create ~stripes:1 () in
+  ignore (Sharded_table.find_or_add t [| 3; 4 |] (fun () -> "v"));
+  Sharded_table.reset_counters t;
+  (* The [kill] action calls the kill handler at the failpoint: from
+     there, look the key up again on the same domain. A stripe lock
+     still held would refuse it (OCaml mutexes are error-checking), so
+     the failpoint must run with no lock held, as in [find_or_add]. *)
+  let inside = ref None in
+  Failpoint.set_kill_handler (fun () -> inside := Some (Sharded_table.find t [| 3; 4 |]));
+  Fun.protect
+    ~finally:(fun () ->
+      Failpoint.clear ();
+      Failpoint.set_kill_handler (fun () -> Stdlib.exit 137))
+    (fun () ->
+      Failpoint.set "memo.find_or_add=kill@1";
+      Alcotest.(check (option string)) "a probe miss is None" None
+        (Sharded_table.probe t [| 9 |]);
+      Alcotest.(check int) "a probe miss passes no failpoint" 0
+        (Failpoint.hits "memo.find_or_add");
+      Alcotest.(check (option string)) "a probe hit is the stored value" (Some "v")
+        (Sharded_table.probe t [| 3; 4 |]);
+      Alcotest.(check (option (option string))) "its failpoint ran unlocked"
+        (Some (Some "v")) !inside;
+      let st = Sharded_table.stats t in
+      Alcotest.(check (pair int int)) "the hit and the lookup inside it counted" (2, 2)
+        (st.Memo_table.lookups, st.Memo_table.hits))
+
 (* ------------------------------------------------------------------ *)
 (* Stats merge                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -413,6 +441,8 @@ let () =
             test_sharded_stats_aggregate;
           Alcotest.test_case "shared across four domains" `Quick
             test_sharded_across_domains;
+          Alcotest.test_case "probe passes its failpoint unlocked" `Quick
+            test_sharded_probe_failpoint_unlocked;
         ] );
       ( "batch",
         [

@@ -23,6 +23,20 @@ let rec rm_rf p =
   end
   else Sys.remove p
 
+(* The socket file appears at bind, just before listen: a connect in
+   between is refused, so retry that briefly. *)
+let connect_unix socket =
+  let rec go n =
+    let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+    match Unix.connect fd (ADDR_UNIX socket) with
+    | () -> fd
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when n > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.01;
+      go (n - 1)
+  in
+  go 100
+
 (* Start a server, run [f client_connect server], then drain and
    join. [admin] binds the HTTP admin plane on an ephemeral port;
    [access_log] names a JSONL file inside the temp dir. *)
@@ -56,19 +70,8 @@ let with_server ?(jobs = 2) ?(queue_limit = 64) ?cache_name ?(admin = false)
         end
       in
       wait 250;
-      (* The socket file appears at bind, just before listen: a
-         connect in between is refused, so retry that briefly. *)
       let connect () =
-        let rec go n =
-          let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-          match Unix.connect fd (ADDR_UNIX socket) with
-          | () -> fd
-          | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when n > 0 ->
-            Unix.close fd;
-            Unix.sleepf 0.01;
-            go (n - 1)
-        in
-        let fd = go 100 in
+        let fd = connect_unix socket in
         (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
       in
       Fun.protect
@@ -289,8 +292,7 @@ let test_drain_is_graceful () =
           end
         in
         wait 250;
-        let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-        Unix.connect fd (ADDR_UNIX socket);
+        let fd = connect_unix socket in
         let ic = Unix.in_channel_of_descr fd in
         let oc = Unix.out_channel_of_descr fd in
         send oc (analyze_req program);
@@ -330,8 +332,7 @@ let test_warm_cache_across_restarts () =
           end
         in
         wait 250;
-        let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-        Unix.connect fd (ADDR_UNIX socket);
+        let fd = connect_unix socket in
         let ic = Unix.in_channel_of_descr fd in
         let oc = Unix.out_channel_of_descr fd in
         send oc (analyze_req program);
@@ -501,8 +502,7 @@ let test_access_log_one_line_per_request () =
         end
       in
       wait 250;
-      let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-      Unix.connect fd (ADDR_UNIX socket);
+      let fd = connect_unix socket in
       let ic = Unix.in_channel_of_descr fd in
       let oc = Unix.out_channel_of_descr fd in
       let requests =
