@@ -443,7 +443,7 @@ let batch_cmd =
           ("error", Json_out.Str q.error);
         ]
   in
-  let render_json o = Json_out.to_string (item_json o) ^ "\n" in
+  let render_json o = Json_out.to_line (item_json o) in
   let summary_text (s : Stream.summary) =
     Format.asprintf "@.== corpus: %d programs ==@." s.total
     ^ (if s.retried > 0 || s.quarantined > 0 then
@@ -1683,7 +1683,7 @@ let query_cmd =
        wins, so one exit code summarizes a whole request mix). *)
     let worst = ref 0 in
     let rpc req =
-      output_string oc (Json_out.to_string req ^ "\n");
+      output_string oc (Json_out.to_line req);
       flush oc;
       match input_line ic with
       | line ->

@@ -70,9 +70,9 @@ val to_text : file:string -> result -> string
 
 val to_json : file:string -> result -> Json_out.t
 (** The summary, findings and counts as one JSON object, written
-    straight into one buffer and returned as a {!Json_out.Raw}. Each
-    witness record's text is rendered once per call, however many
-    blocking entries share it. *)
+    straight into one buffer and returned as a {!Json_out.Raw}. A
+    witness is written out in full in every blocking entry that
+    carries it, even when several entries share one witness record. *)
 
 val to_sarif : file:string -> result -> Json_out.t
 (** SARIF 2.1.0: one run, driver [ddtest-lint], rules

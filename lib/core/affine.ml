@@ -34,19 +34,41 @@ let constant_subscripts s =
    when the same definition reaches both. *)
 let sym_name name version = name ^ "#" ^ string_of_int version
 
-type walk_state = {
-  symbolic : bool;
-  versions : (string, int) Hashtbl.t;
-  mutable next_lid : int;
-  mutable sites : site list;
-  mutable renames : bool;  (* the last conversion classified a symbol [`Var] *)
+(* A scalar's definitions so far, and the name of its current version
+   once a subscript or bound has asked for it ([""] until then), so
+   every use of one version shares one string. *)
+type scalar = {
+  mutable version : int;
+  mutable symbol : string;
 }
 
-let bump st v =
-  let cur = match Hashtbl.find_opt st.versions v with Some n -> n | None -> 0 in
-  Hashtbl.replace st.versions v (cur + 1)
+type walk_state = {
+  symbolic : bool;
+  scalars : (string, scalar) Hashtbl.t;
+  mutable next_lid : int;
+  mutable sites : site list;
+  mutable around : (loop_ctx * string list Lazy.t) list;
+      (* the loops around the expression being converted *)
+  classify : string -> string;  (* one closure per extraction *)
+}
 
-let version st v = match Hashtbl.find_opt st.versions v with Some n -> n | None -> 0
+let scalar st v =
+  match Hashtbl.find st.scalars v with
+  | s -> s
+  | exception Not_found ->
+    let s = { version = 0; symbol = "" } in
+    Hashtbl.add st.scalars v s;
+    s
+
+let bump st v =
+  let s = scalar st v in
+  s.version <- s.version + 1;
+  s.symbol <- ""
+
+let symbol st v =
+  let s = scalar st v in
+  if s.symbol = "" then s.symbol <- sym_name v s.version;
+  s.symbol
 
 (* The walk below runs once per item on every program, so it keeps its
    per-reference work to what it returns: top-level recursions instead
@@ -64,26 +86,16 @@ let rec invariant name = function
   | [] -> true
   | (_, assigned) :: rest -> (not (List.mem name (Lazy.force assigned))) && invariant name rest
 
-let to_symexpr st loops (e : Ast.expr) =
-  st.renames <- false;
-  let classify name =
-    if is_loop_var name loops then `Var
-    else if st.symbolic && invariant name loops then begin
-      st.renames <- true;
-      `Var
-    end
-    else `NonAffine
-  in
-  match Symexpr.of_ast ~classify e with
-  | Some se when st.renames ->
-    (* Rename non-loop variables to their versioned symbol. Most
-       subscripts mention only loop variables, and then no name is
-       classified a symbol and the conversion is returned as is. *)
-    Some
-      (Symexpr.rename
-         (fun name -> if is_loop_var name loops then name else sym_name name (version st name))
-         se)
-  | r -> r
+(* What a scalar stands for in an affine form at the current loops
+   (see [Symexpr.of_ast]). *)
+let classify st name =
+  if is_loop_var name st.around then name
+  else if st.symbolic && invariant name st.around then symbol st name
+  else ""
+
+let to_symexpr st loops e =
+  st.around <- loops;
+  Symexpr.of_ast ~classify:st.classify e
 
 let rec symexprs st loops = function
   | [] -> []
@@ -168,8 +180,15 @@ and walk_list st loops = function
     walk_list st loops rest
 
 let extract ?(symbolic = true) prog =
-  let st =
-    { symbolic; versions = Hashtbl.create 16; next_lid = 0; sites = []; renames = false }
+  let rec st =
+    {
+      symbolic;
+      scalars = Hashtbl.create 16;
+      next_lid = 0;
+      sites = [];
+      around = [];
+      classify = (fun name -> classify st name);
+    }
   in
   walk_list st [] prog;
   List.rev st.sites

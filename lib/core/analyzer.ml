@@ -419,31 +419,36 @@ let mirror_outcome = function
       }
   | (Constant _ | Assumed_dependent | Gcd_independent) as o -> o
 
-(* The full table's answer for the pair's problem as built, from a key
-   written straight from the two sites: a hit needs no build,
-   canonicalization or reinsertion (see [cache.probe_full]). Under the
-   symmetric scheme the built orientation is the one a hit can be
-   stored under: its mirror keys no smaller. A miss, or a pair with no
-   direct key, takes the build path, which looks up again. *)
-let probe_full st ~self s1 s2 =
+(* The key {!Build_problem.key} writes straight from the two sites, for
+   the full table: the empty array when memoization is off or the pair
+   has no direct key. *)
+let direct_key st ~self s1 s2 =
   match st.cfg.memo with
-  | Memo_off -> None
+  | Memo_off -> [||]
   | Memo_simple | Memo_improved | Memo_symmetric ->
-    let key = Build_problem.key ~tag:(if self then 1 else 0) s1 s2 in
-    if Array.length key = 0 then None
-    else begin
-      let s = st.stats in
-      match st.cache.probe_full key with
-      | Some _ as hit ->
-        s.memo_lookups_full <- s.memo_lookups_full + 1;
-        s.memo_hits_full <- s.memo_hits_full + 1;
-        hit
-      | None -> None
-      | exception e ->
-        (* the hit's failpoint fired: a lookup, as in [find_or_add] *)
-        s.memo_lookups_full <- s.memo_lookups_full + 1;
-        raise e
-    end
+    Build_problem.key ~tag:(if self then 1 else 0) s1 s2
+
+(* The full table's answer for the pair's problem as built, from its
+   direct key: a hit needs no build, canonicalization or reinsertion
+   (see [cache.probe_full]). Under the symmetric scheme the built
+   orientation is the one a hit can be stored under: its mirror keys no
+   smaller. A miss, or a pair with no direct key, takes the build
+   path. *)
+let probe_full st key =
+  if Array.length key = 0 then None
+  else begin
+    let s = st.stats in
+    match st.cache.probe_full key with
+    | Some _ as hit ->
+      s.memo_lookups_full <- s.memo_lookups_full + 1;
+      s.memo_hits_full <- s.memo_hits_full + 1;
+      hit
+    | None -> None
+    | exception e ->
+      (* the hit's failpoint fired: a lookup, as in [find_or_add] *)
+      s.memo_lookups_full <- s.memo_lookups_full + 1;
+      raise e
+  end
 
 let rec analyze_pair_inner st (s1 : Affine.site) (s2 : Affine.site) =
   Failpoint.hit "analyzer.pair";
@@ -451,6 +456,7 @@ let rec analyze_pair_inner st (s1 : Affine.site) (s2 : Affine.site) =
   let self = Loc.equal s1.site_loc s2.site_loc in
   let ncommon = Affine.common_loops s1 s2 in
   let ids (s : Affine.site) = List.map (fun c -> c.Affine.lid) s.loops in
+  let ids1 = ids s1 in
   let finish outcome =
     (match outcome with
      | Constant d -> if d then st.stats.dependent_pairs <- st.stats.dependent_pairs + 1
@@ -476,8 +482,8 @@ let rec analyze_pair_inner st (s1 : Affine.site) (s2 : Affine.site) =
       role2 = s2.role;
       self_pair = self;
       ncommon;
-      common_ids = List.filteri (fun i _ -> i < ncommon) (ids s1);
-      enclosing_ids1 = ids s1;
+      common_ids = List.filteri (fun i _ -> i < ncommon) ids1;
+      enclosing_ids1 = ids1;
       enclosing_ids2 = ids s2;
       outcome;
     }
@@ -495,14 +501,15 @@ let rec analyze_pair_inner st (s1 : Affine.site) (s2 : Affine.site) =
          verdict. Nothing half-computed is cached —
          [Memo_table.find_or_add] stores only on normal return. *)
       try
-        match probe_full st ~self s1 s2 with
+        let probed = direct_key st ~self s1 s2 in
+        match probe_full st probed with
         | Some value -> finish value
         | None -> (
             match Build_problem.build s1 s2 with
             | None ->
               st.stats.assumed <- st.stats.assumed + 1;
               finish Assumed_dependent
-            | Some problem -> analyze_problem st ~self ~finish problem)
+            | Some problem -> analyze_problem st ~self ~finish ~probed problem)
       with Budget.Exhausted reason ->
         finish
           (Tested
@@ -516,7 +523,9 @@ let rec analyze_pair_inner st (s1 : Affine.site) (s2 : Affine.site) =
                degraded = Some reason;
              }))
 
-and analyze_problem st ~self ~finish problem =
+(* [probed] is the direct key the probe missed with, or the empty
+   array. *)
+and analyze_problem st ~self ~finish ~probed problem =
           let info_of prob =
             match st.cfg.memo with
             | Memo_improved | Memo_symmetric -> Canonical.reduce ~keep_common:self prob
@@ -553,11 +562,19 @@ and analyze_problem st ~self ~finish problem =
           | Memo_simple | Memo_improved | Memo_symmetric -> (
               (* Borrowed scratch key: every cache backend copies it on
                  a miss before computing, and the hit path discards it.
-                 A problem past the native int range has no key and is
+                 When canonicalization dropped nothing and kept the
+                 built orientation, the lookup key is the probe's: the
+                 problem is the one built, and nothing since the probe
+                 (the build, [Canonical.reduce], the symmetric scheme's
+                 [Problem.to_key] comparison) writes a scratch key. A
+                 problem past the native int range has no key and is
                  computed outside both memo tables. *)
               match
-                Problem.to_key_scratch ~tag:(if self then 1 else 0)
-                  info.Canonical.problem
+                if Array.length probed > 0 && (not info.Canonical.dropped_any) && not mirrored
+                then probed
+                else
+                  Problem.to_key_scratch ~tag:(if self then 1 else 0)
+                    info.Canonical.problem
               with
               | exception Problem.Unkeyable ->
                 direct { st with cfg = { st.cfg with memo = Memo_off } }

@@ -12,11 +12,14 @@ type t =
 
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
-(* Most keys and values need no escaping: those are written as-is,
-   without a copy. *)
+let rec clean_from s i =
+  i = String.length s || ((not (needs_escape (String.unsafe_get s i))) && clean_from s (i + 1))
+
+(* Most keys and values need no escaping: those are checked without a
+   closure and written as-is, without a copy. *)
 let write_string buf s =
   Buffer.add_char buf '"';
-  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  if clean_from s 0 then Buffer.add_string buf s
   else
     String.iter
       (fun c ->
@@ -117,13 +120,6 @@ and write_fields buf = function
     write_field buf field;
     write_fields buf fields
 
-let to_string = function
-  | Raw s -> s
-  | j ->
-    let buf = Buffer.create 256 in
-    write buf j;
-    Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* The reused render buffer                                            *)
 (* ------------------------------------------------------------------ *)
@@ -171,6 +167,15 @@ let render write_to =
       release r;
       raise e
   end
+
+let to_string = function
+  | Raw s -> s
+  | j -> render (fun buf -> write buf j)
+
+let to_line j =
+  render (fun buf ->
+      write buf j;
+      Buffer.add_char buf '\n')
 
 (* ------------------------------------------------------------------ *)
 (* Parsing (the subset this module emits)                              *)

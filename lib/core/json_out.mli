@@ -25,8 +25,12 @@ type t =
           produces it. *)
 
 val to_string : t -> string
-(** Compact rendering with correct string escaping.
-    [to_string (Raw s)] is [s] itself. *)
+(** Compact rendering with correct string escaping, written through
+    {!render}'s buffer. [to_string (Raw s)] is [s] itself. *)
+
+val to_line : t -> string
+(** [to_string j ^ "\n"], rendered in one pass through {!render}'s
+    buffer: one line of a JSON-lines stream. *)
 
 val write : Buffer.t -> t -> unit
 (** {!to_string}, appended to a buffer. *)

@@ -59,17 +59,6 @@ let exists_var p a = Vm.exists (fun v _ -> p v) a.coeffs
 let eval lookup a =
   Vm.fold (fun v c acc -> Zint.add acc (Zint.mul c (lookup v))) a.coeffs a.const
 
-let rename f a =
-  let coeffs =
-    Vm.fold
-      (fun v c m ->
-         let v' = f v in
-         if Vm.mem v' m then invalid_arg "Symexpr.rename: name collision"
-         else put v' c m)
-      a.coeffs Vm.empty
-  in
-  { a with coeffs }
-
 let subst v e t =
   let c = coeff t v in
   if Zint.is_zero c then t
@@ -105,24 +94,69 @@ let pp fmt a =
     else if not (Zint.is_zero a.const) then Format.fprintf fmt " + %a" Zint.pp a.const
   end
 
-let rec of_ast ~classify (e : Dda_lang.Ast.expr) =
+(* [of_ast] in one walk: [k * e] is added into an accumulator, [k]
+   carrying the signs and literal factors met on the way down, so a
+   subscript such as [2*i - j + n] builds no form per node. Only a
+   product or quotient that is not by a literal converts its operands
+   on their own, to learn which one is constant or whether the
+   division is exact. Small coefficients come from [Zint]'s shared
+   cache, so the walk allocates little beyond the result's map. *)
+type acc = {
+  mutable terms : Zint.t Vm.t;
+  mutable c : Zint.t;
+}
+
+let add_term acc v k =
+  acc.terms <- put v (if Vm.mem v acc.terms then Zint.add (Vm.find v acc.terms) k else k) acc.terms
+
+let add_scaled acc k a =
+  Vm.iter (fun v c -> add_term acc v (Zint.mul k c)) a.coeffs;
+  acc.c <- Zint.add acc.c (Zint.mul k a.const)
+
+let rec lin classify acc k (e : Dda_lang.Ast.expr) =
   match e.desc with
-  | Dda_lang.Ast.Int n -> Some (of_int n)
+  | Dda_lang.Ast.Int n ->
+    acc.c <- Zint.add acc.c (Zint.mul_int k n);
+    true
   | Dda_lang.Ast.Var v -> (
-      match classify v with `Var -> Some (var v) | `NonAffine -> None)
-  | Dda_lang.Ast.Neg a -> Option.map neg (of_ast ~classify a)
-  | Dda_lang.Ast.Aref _ -> None
-  | Dda_lang.Ast.Bin (op, a, b) -> (
+      match classify v with
+      | "" -> false
+      | name ->
+        add_term acc name k;
+        true)
+  | Dda_lang.Ast.Neg a -> lin classify acc (Zint.neg k) a
+  | Dda_lang.Ast.Aref _ -> false
+  | Dda_lang.Ast.Bin (Dda_lang.Ast.Add, a, b) -> lin classify acc k a && lin classify acc k b
+  | Dda_lang.Ast.Bin (Dda_lang.Ast.Sub, a, b) ->
+    lin classify acc k a && lin classify acc (Zint.neg k) b
+  | Dda_lang.Ast.Bin (Dda_lang.Ast.Mul, a, { desc = Dda_lang.Ast.Int n; _ }) ->
+    lin classify acc (Zint.mul_int k n) a
+  | Dda_lang.Ast.Bin (Dda_lang.Ast.Mul, { desc = Dda_lang.Ast.Int n; _ }, b) ->
+    lin classify acc (Zint.mul_int k n) b
+  | Dda_lang.Ast.Bin (Dda_lang.Ast.Mul, a, b) -> (
       match (of_ast ~classify a, of_ast ~classify b) with
       | Some ea, Some eb -> (
-          match op with
-          | Dda_lang.Ast.Add -> Some (add ea eb)
-          | Dda_lang.Ast.Sub -> Some (sub ea eb)
-          | Dda_lang.Ast.Mul -> mul ea eb
-          | Dda_lang.Ast.Div -> (
-              (* Only exact division by a constant keeps the expression
-                 affine with the language's truncating semantics. *)
-              match to_const eb with
-              | Some k when not (Zint.is_zero k) -> div_exact ea k
-              | _ -> None))
-      | _ -> None)
+          match mul ea eb with
+          | Some p ->
+            add_scaled acc k p;
+            true
+          | None -> false)
+      | _ -> false)
+  | Dda_lang.Ast.Bin (Dda_lang.Ast.Div, a, b) -> (
+      (* Only exact division by a constant keeps the expression affine
+         with the language's truncating semantics. *)
+      match of_ast ~classify b with
+      | None -> false
+      | Some eb -> (
+          match to_const eb with
+          | Some d when not (Zint.is_zero d) -> (
+              match Option.bind (of_ast ~classify a) (fun ea -> div_exact ea d) with
+              | Some q ->
+                add_scaled acc k q;
+                true
+              | None -> false)
+          | _ -> false))
+
+and of_ast ~classify e =
+  let acc = { terms = Vm.empty; c = Zint.zero } in
+  if lin classify acc Zint.one e then Some { coeffs = acc.terms; const = acc.c } else None

@@ -44,9 +44,6 @@ val is_const : t -> bool
 val to_const : t -> Zint.t option
 
 val eval : (string -> Zint.t) -> t -> Zint.t
-val rename : (string -> string) -> t -> t
-(** @raise Invalid_argument if the renaming merges two variables. *)
-
 val subst : string -> t -> t -> t
 (** [subst v e t] replaces [v] by [e] in [t]. *)
 
@@ -54,8 +51,11 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
-val of_ast : classify:(string -> [ `Var | `NonAffine ]) -> Dda_lang.Ast.expr -> t option
-(** Convert a mini-Fortran expression. [classify] says whether a scalar
-    name may appear as a variable of the affine form (loop variable or
-    symbolic term) or poisons the expression. Array references, products
-    of two non-constant parts, and inexact division yield [None]. *)
+val of_ast : classify:(string -> string) -> Dda_lang.Ast.expr -> t option
+(** Convert a mini-Fortran expression in one walk, coefficients
+    accumulated as the walk meets them. [classify v] is the variable
+    the scalar [v] stands for in the affine form (a loop variable's
+    own name, or a symbolic term's versioned name), or [""] when [v]
+    poisons the expression; it is called once per occurrence, and
+    distinct scalars must get distinct names. Array references, products of two
+    non-constant parts, and inexact division yield [None]. *)

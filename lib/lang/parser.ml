@@ -1,24 +1,29 @@
 exception Error of string * Loc.t
 
-(* A cursor into the token arrays; [i] never passes the final [EOF]. *)
-type state = {
-  lx : Lexer.t;
-  mutable i : int;
-}
+(* The parser reads the lexer's one current token: it matches on its
+   kind, an immediate, and copies an identifier's text only for the
+   AST node that holds it. *)
 
-let peek st = Lexer.token st.lx st.i
-let loc st = Lexer.loc st.lx st.i
-let advance st = if st.i < Lexer.length st.lx - 1 then st.i <- st.i + 1
+let peek = Lexer.kind
+let loc = Lexer.loc
+let advance = Lexer.advance
 
+(* A lexical error anywhere after the syntax error wins, as though the
+   whole input were tokenized first: the message and location are
+   taken before the rest of the input is scanned. *)
 let fail st msg =
-  raise (Error (Printf.sprintf "%s (found '%s')" msg (Token.to_string (peek st)), loc st))
+  let msg = Printf.sprintf "%s (found '%s')" msg (Token.to_string (Lexer.token st))
+  and loc = loc st in
+  Lexer.scan_rest st;
+  raise (Error (msg, loc))
 
-let expect st tok what =
-  if Token.equal (peek st) tok then advance st else fail st (Printf.sprintf "expected %s" what)
+let expect st (kind : Token.kind) what =
+  if peek st = kind then advance st else fail st (Printf.sprintf "expected %s" what)
 
 let expect_ident st what =
   match peek st with
-  | Token.IDENT name ->
+  | Token.Ident ->
+    let name = Lexer.text st in
     advance st;
     name
   | _ -> fail st (Printf.sprintf "expected %s" what)
@@ -34,11 +39,11 @@ let rec parse_expr_p st = expr_rest st (parse_term st)
 
 and expr_rest st acc =
   match peek st with
-  | Token.PLUS ->
+  | Token.Plus ->
     let loc = loc st in
     advance st;
     expr_rest st (node (Ast.Bin (Ast.Add, acc, parse_term st)) loc)
-  | Token.MINUS ->
+  | Token.Minus ->
     let loc = loc st in
     advance st;
     expr_rest st (node (Ast.Bin (Ast.Sub, acc, parse_term st)) loc)
@@ -48,11 +53,11 @@ and parse_term st = term_rest st (parse_factor st)
 
 and term_rest st acc =
   match peek st with
-  | Token.STAR ->
+  | Token.Star ->
     let loc = loc st in
     advance st;
     term_rest st (node (Ast.Bin (Ast.Mul, acc, parse_factor st)) loc)
-  | Token.SLASH ->
+  | Token.Slash ->
     let loc = loc st in
     advance st;
     term_rest st (node (Ast.Bin (Ast.Div, acc, parse_factor st)) loc)
@@ -60,21 +65,21 @@ and term_rest st acc =
 
 and parse_factor st =
   match peek st with
-  | Token.MINUS ->
+  | Token.Minus ->
     let loc = loc st in
     advance st;
     Ast.neg ~loc (parse_factor st)
-  | Token.INT n ->
-    let loc = loc st in
+  | Token.Int ->
+    let n = Lexer.int_value st and loc = loc st in
     advance st;
     node (Ast.Int n) loc
-  | Token.LPAREN ->
+  | Token.Lparen ->
     advance st;
     let e = parse_expr_p st in
-    expect st Token.RPAREN "')'";
+    expect st Token.Rparen "')'";
     e
-  | Token.IDENT name ->
-    let loc = loc st in
+  | Token.Ident ->
+    let name = Lexer.text st and loc = loc st in
     advance st;
     (match parse_subscripts st with
      | [] -> node (Ast.Var name) loc
@@ -83,22 +88,22 @@ and parse_factor st =
 
 and parse_subscripts st =
   match peek st with
-  | Token.LBRACKET ->
+  | Token.Lbracket ->
     advance st;
     let e = parse_expr_p st in
-    expect st Token.RBRACKET "']'";
+    expect st Token.Rbracket "']'";
     e :: parse_subscripts st
   | _ -> []
 
 let parse_relop st =
   let rel =
     match peek st with
-    | Token.EQ -> Ast.Req
-    | Token.NE -> Ast.Rne
-    | Token.LT -> Ast.Rlt
-    | Token.LE -> Ast.Rle
-    | Token.GT -> Ast.Rgt
-    | Token.GE -> Ast.Rge
+    | Token.Eq -> Ast.Req
+    | Token.Ne -> Ast.Rne
+    | Token.Lt -> Ast.Rlt
+    | Token.Le -> Ast.Rle
+    | Token.Gt -> Ast.Rgt
+    | Token.Ge -> Ast.Rge
     | _ -> fail st "expected a relational operator"
   in
   advance st;
@@ -113,37 +118,38 @@ let parse_cond st =
 let rec parse_stmt st =
   let loc = loc st in
   match peek st with
-  | Token.KW_PARALLEL ->
+  | Token.Parallel ->
     advance st;
-    expect st Token.KW_FOR "'for' after 'parallel'";
+    expect st Token.For "'for' after 'parallel'";
     parse_for st loc ~parallel:true
-  | Token.KW_FOR ->
+  | Token.For ->
     advance st;
     parse_for st loc ~parallel:false
-  | Token.KW_IF ->
+  | Token.If ->
     advance st;
     let cond = parse_cond st in
-    expect st Token.KW_THEN "'then'";
+    expect st Token.Then "'then'";
     let then_ = parse_stmts st in
     let else_ =
       match peek st with
-      | Token.KW_ELSE ->
+      | Token.Else ->
         advance st;
         parse_stmts st
       | _ -> []
     in
-    expect st Token.KW_END "'end'";
+    expect st Token.End "'end'";
     snode (Ast.If (cond, then_, else_)) loc
-  | Token.KW_READ ->
+  | Token.Read ->
     advance st;
-    expect st Token.LPAREN "'('";
+    expect st Token.Lparen "'('";
     let name = expect_ident st "a variable name" in
-    expect st Token.RPAREN "')'";
+    expect st Token.Rparen "')'";
     snode (Ast.Read name) loc
-  | Token.IDENT name ->
+  | Token.Ident ->
+    let name = Lexer.text st in
     advance st;
     let subs = parse_subscripts st in
-    expect st Token.ASSIGN "'='";
+    expect st Token.Assign "'='";
     let rhs = parse_expr_p st in
     let lv = if subs = [] then Ast.Lvar name else Ast.Larr (name, subs) in
     snode (Ast.Assign (lv, rhs)) loc
@@ -151,35 +157,33 @@ let rec parse_stmt st =
 
 and parse_for st loc ~parallel =
   let var = expect_ident st "a loop variable" in
-  expect st Token.ASSIGN "'='";
+  expect st Token.Assign "'='";
   let lo = parse_expr_p st in
-  expect st Token.KW_TO "'to'";
+  expect st Token.To "'to'";
   let hi = parse_expr_p st in
   let step =
     match peek st with
-    | Token.KW_STEP ->
+    | Token.Step ->
       advance st;
       Some (parse_expr_p st)
     | _ -> None
   in
-  expect st Token.KW_DO "'do'";
+  expect st Token.Do "'do'";
   let body = parse_stmts st in
-  expect st Token.KW_END "'end'";
+  expect st Token.End "'end'";
   snode (Ast.For { var; lo; hi; step; parallel; body }) loc
 
 and parse_stmts st =
   match peek st with
-  | Token.KW_END | Token.KW_ELSE | Token.EOF -> []
+  | Token.End | Token.Else | Token.Eof -> []
   | _ ->
     let s = parse_stmt st in
     s :: parse_stmts st
 
-(* The whole input is tokenized first, so a lexical error anywhere wins
-   over a syntax error before it. *)
 let parse_all parse src =
-  let st = { lx = Lexer.tokenize src; i = 0 } in
+  let st = Lexer.create src in
   let v = parse st in
-  if peek st <> Token.EOF then fail st "expected end of input";
+  if peek st <> Token.Eof then fail st "expected end of input";
   v
 
 let parse_program src = parse_all parse_stmts src

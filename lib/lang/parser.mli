@@ -1,4 +1,7 @@
-(** Recursive-descent parser for the mini-Fortran loop language.
+(** Recursive-descent parser for the mini-Fortran loop language, with
+    one token of lookahead: it pulls tokens from a {!Lexer.t} as it
+    goes, matching on their kind, and copies an identifier's text only
+    for the AST node that holds it.
 
     Grammar (EBNF; [{stmt}] means zero or more):
     {v
@@ -20,7 +23,8 @@ exception Error of string * Loc.t
 
 val parse_program : string -> Ast.program
 (** @raise Error on a syntax error; @raise Lexer.Error on a lexical
-    error. *)
+    error, which wins over a syntax error before it: the rest of the
+    input is scanned before a syntax error is raised. *)
 
 val parse_expr : string -> Ast.expr
 (** Parse a single expression (used by tests and the REPL-style

@@ -29,6 +29,37 @@ type t =
   | COMMA
   | EOF
 
+type kind =
+  | Int
+  | Ident
+  | For
+  | Parallel
+  | To
+  | Step
+  | Do
+  | End
+  | If
+  | Then
+  | Else
+  | Read
+  | Plus
+  | Minus
+  | Star
+  | Slash
+  | Assign
+  | Eq
+  | Ne
+  | Lt
+  | Le
+  | Gt
+  | Ge
+  | Lparen
+  | Rparen
+  | Lbracket
+  | Rbracket
+  | Comma
+  | Eof
+
 let equal (a : t) (b : t) = a = b
 
 let to_string = function

@@ -31,6 +31,41 @@ type t =
   | COMMA
   | EOF
 
+type kind =
+  | Int
+  | Ident
+  | For
+  | Parallel
+  | To
+  | Step
+  | Do
+  | End
+  | If
+  | Then
+  | Else
+  | Read
+  | Plus
+  | Minus
+  | Star
+  | Slash
+  | Assign
+  | Eq
+  | Ne
+  | Lt
+  | Le
+  | Gt
+  | Ge
+  | Lparen
+  | Rparen
+  | Lbracket
+  | Rbracket
+  | Comma
+  | Eof
+(** What the lexer reports for its current token: the token without its
+    payload. Every constructor is constant, so a kind is an immediate
+    int: {!Lexer} stores it without a write barrier and the parser
+    matches on it without touching the heap. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

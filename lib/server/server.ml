@@ -92,7 +92,7 @@ let access_line t ~req ~op ~ok ~ns ~(flags : (string * Json_out.t) list) =
   | None -> ()
   | Some oc ->
     let line =
-      Json_out.to_string
+      Json_out.to_line
         (Json_out.Obj
            ([
               ("ts_ms", Json_out.Int (int_of_float (Unix.gettimeofday () *. 1000.)));
@@ -106,7 +106,6 @@ let access_line t ~req ~op ~ok ~ns ~(flags : (string * Json_out.t) list) =
     Mutex.lock t.access_lock;
     (try
        output_string oc line;
-       output_char oc '\n';
        flush oc
      with Sys_error _ -> Metrics.incr m_access_failed);
     Mutex.unlock t.access_lock
@@ -188,7 +187,7 @@ let drain t =
 (* A failed write means the peer is gone: mark the connection for
    reaping, never kill the server. *)
 let respond conn json =
-  let line = Json_out.to_string json ^ "\n" in
+  let line = Json_out.to_line json in
   Mutex.lock conn.wlock;
   (try
      Dda_cache.Record_log.write_all conn.fd line;

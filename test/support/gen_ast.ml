@@ -52,6 +52,38 @@ let rec gen_expr depth : Ast.expr Gen.t =
             (list_size (int_range 1 3) (gen_expr (depth - 1))) );
       ]
 
+(* Expressions that mostly stay affine: sums, differences, negations,
+   products and quotients by small literals over loop and scalar
+   names, with the odd product or quotient of two subexpressions, so
+   that the conversion's exact-division and constant-product rules are
+   exercised, not only its [None]s. *)
+let rec gen_linear_expr depth : Ast.expr Gen.t =
+  let open Gen in
+  let leaf =
+    oneof
+      [
+        map Ast.int_ (gen_small_int (-6) 6);
+        map Ast.var (gen_name scalar_names);
+        map Ast.var (gen_name loop_names);
+      ]
+  in
+  if depth <= 0 then leaf
+  else
+    let sub = gen_linear_expr (depth - 1) in
+    let lit = gen_small_int (-4) 4 in
+    frequency
+      [
+        (2, leaf);
+        (3, map2 (Ast.bin Ast.Add) sub sub);
+        (2, map2 (Ast.bin Ast.Sub) sub sub);
+        (2, map2 (fun k e -> Ast.bin Ast.Mul (Ast.int_ k) e) lit sub);
+        (1, map2 (fun e k -> Ast.bin Ast.Mul e (Ast.int_ k)) sub lit);
+        (2, map2 (fun e k -> Ast.bin Ast.Div e (Ast.int_ k)) sub lit);
+        (1, map2 (Ast.bin Ast.Mul) sub sub);
+        (1, map2 (Ast.bin Ast.Div) sub sub);
+        (1, map Ast.neg sub);
+      ]
+
 let gen_cond depth : Ast.cond Gen.t =
   let open Gen in
   map3

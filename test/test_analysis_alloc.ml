@@ -79,10 +79,11 @@ let config = Analyzer.default_config
    serve benchmark's corpus) over one warm [Durable] cache: every
    full-table lookup hits, so [Analyzer.analyze_sites] does only the
    per-pair work in front of a hit. Words per pair, front ends built
-   outside the measurement. Measured 152.6; bound 168 (about 10% over).
-   Before the direct-key probe (a hit built, canonicalized and keyed
-   the problem first): 456.5. *)
-let warm_pass_words_per_pair = 168.
+   outside the measurement. Measured 149.4; bound 151, about 1% over,
+   so that building a site's loop ids twice (152.6) fails it. Before
+   the direct-key probe (a hit built, canonicalized and keyed the
+   problem first): 456.5. *)
+let warm_pass_words_per_pair = 151.
 
 let test_warm_pass () =
   let fronts =

@@ -54,15 +54,10 @@ let test_symexpr_eval_subst () =
   let e' = subst "i" (add (var "k") (of_int 1)) e in
   Alcotest.check zint "subst coeff k" (z 2) (coeff e' "k");
   Alcotest.check zint "subst const" (z (-3)) (const_part e');
-  Alcotest.check zint "subst leaves j" Zint.one (coeff e' "j");
-  let r = rename (fun v -> v ^ "!") e in
-  Alcotest.check zint "renamed" (z 2) (coeff r "i!");
-  Alcotest.(check bool) "rename collision detected" true
-    (try ignore (rename (fun _ -> "same") e); false
-     with Invalid_argument _ -> true)
+  Alcotest.check zint "subst leaves j" Zint.one (coeff e' "j")
 
 let test_symexpr_of_ast () =
-  let classify = function "i" | "j" | "n" -> `Var | _ -> `NonAffine in
+  let classify = function "i" | "j" | "n" as v -> v | _ -> "" in
   let conv src = Symexpr.of_ast ~classify (Parser.parse_expr src) in
   (match conv "2 * i + j - 3" with
    | Some e ->
@@ -83,6 +78,95 @@ let test_symexpr_of_ast () =
      Alcotest.check zint "neg distributes" Zint.minus_one (Symexpr.coeff e "i");
      Alcotest.check zint "neg distributes n" Zint.one (Symexpr.coeff e "n")
    | None -> Alcotest.fail "negation")
+
+(* The conversion as it was before it accumulated in one walk: a form
+   per AST node from the algebra, then the symbolic terms renamed to
+   their versioned names in a second pass over the result. Kept as the
+   oracle the one-pass [Symexpr.of_ast] must agree with. *)
+module Oracle_symexpr = struct
+  open Symexpr
+
+  let rec of_ast ~classify (e : Ast.expr) =
+    match e.desc with
+    | Ast.Int n -> Some (of_int n)
+    | Ast.Var v -> ( match classify v with `Var -> Some (var v) | `NonAffine -> None)
+    | Ast.Neg a -> Option.map neg (of_ast ~classify a)
+    | Ast.Aref _ -> None
+    | Ast.Bin (op, a, b) -> (
+        match (of_ast ~classify a, of_ast ~classify b) with
+        | Some ea, Some eb -> (
+            match op with
+            | Ast.Add -> Some (add ea eb)
+            | Ast.Sub -> Some (sub ea eb)
+            | Ast.Mul -> mul ea eb
+            | Ast.Div -> (
+                match to_const eb with
+                | Some k when not (Zint.is_zero k) -> div_exact ea k
+                | _ -> None))
+        | _ -> None)
+
+  let rename f a =
+    let out = ref (const (const_part a)) in
+    iter
+      (fun v c ->
+         let v' = f v in
+         if not (Zint.is_zero (coeff !out v')) then invalid_arg "rename: name collision";
+         out := add !out (scale c (var v')))
+      a;
+    !out
+end
+
+(* Random expressions, [Gen_ast]'s syntactic ones and its mostly
+   affine ones, under a random classification: the loop variables in
+   scope keep their names; with [symbolic], the scalars taken as
+   loop-invariant become versioned symbols; anything else poisons.
+   Some expressions are scaled by a literal past the small [Zint]
+   range. *)
+let prop_of_ast_oracle =
+  let names = [ "i"; "j"; "k"; "l"; "n"; "m"; "t"; "u"; "acc" ] in
+  let gen =
+    QCheck.Gen.(
+      let subset = map (fun bits -> List.filteri (fun b _ -> bits land (1 lsl b) <> 0) names)
+          (int_bound 511) in
+      quad
+        (frequency
+           [ (2, Test_support.Gen_ast.gen_expr 3);
+             (3, Test_support.Gen_ast.gen_linear_expr 4);
+             ( 1,
+               map
+                 (fun e -> Ast.bin Ast.Mul e (Ast.int_ ((max_int / 3) + 1)))
+                 (Test_support.Gen_ast.gen_linear_expr 3) ) ])
+        bool subset (pair subset (int_bound 3)))
+  in
+  QCheck.Test.make ~name:"one-pass of_ast agrees with the per-node oracle" ~count:2000
+    (QCheck.make
+       ~print:(fun (e, symbolic, loops, (invariant, version)) ->
+           Printf.sprintf "%s; symbolic %b; loops [%s]; invariant [%s] at #%d"
+             (Pretty.expr_to_string e) symbolic (String.concat " " loops)
+             (String.concat " " invariant) version)
+       gen)
+    (fun (e, symbolic, loops, (invariant, version)) ->
+       let sym v = v ^ "#" ^ string_of_int version in
+       let classify v =
+         if List.mem v loops then v
+         else if symbolic && List.mem v invariant then sym v
+         else ""
+       in
+       let oracle =
+         Oracle_symexpr.of_ast
+           ~classify:(fun v -> if classify v = "" then `NonAffine else `Var)
+           e
+         |> Option.map (Oracle_symexpr.rename (fun v -> if List.mem v loops then v else sym v))
+       in
+       match (Symexpr.of_ast ~classify e, oracle) with
+       | None, None -> true
+       | Some a, Some b when Symexpr.equal a b -> true
+       | got, want ->
+         let show = function
+           | None -> "None"
+           | Some x -> Format.asprintf "%a" Symexpr.pp x
+         in
+         QCheck.Test.fail_reportf "got %s, oracle %s" (show got) (show want))
 
 (* ------------------------------------------------------------------ *)
 (* Memo_table                                                          *)
@@ -412,8 +496,9 @@ let () =
         [
           Alcotest.test_case "algebra" `Quick test_symexpr_algebra;
           Alcotest.test_case "mul/div" `Quick test_symexpr_mul_div;
-          Alcotest.test_case "eval/subst/rename" `Quick test_symexpr_eval_subst;
+          Alcotest.test_case "eval/subst" `Quick test_symexpr_eval_subst;
           Alcotest.test_case "of_ast" `Quick test_symexpr_of_ast;
+          QCheck_alcotest.to_alcotest prop_of_ast_oracle;
         ] );
       ( "memo-table",
         [

@@ -13,8 +13,8 @@ let expr = Alcotest.testable Pretty.pp_expr Ast.equal_expr
 
 (* The lexer as it was before it scanned by index: a [char option] per
    character, a [Loc.t] per loop turn, and the tokens in a list. Kept
-   unchanged as the oracle the index-scanning lexer must agree with,
-   token for token, location for location, and error for error. *)
+   unchanged as the oracle the pull lexer must agree with, token for
+   token, location for location, and error for error. *)
 module Oracle_lexer = struct
   exception Error = Lexer.Error
 
@@ -130,7 +130,7 @@ module Oracle_lexer = struct
     List.rev !toks
 end
 
-let lexed src = Lexer.to_list (Lexer.tokenize src)
+let lexed = Lexer.tokenize
 let toks src = List.map fst (lexed src)
 
 let test_lexer_basics () =
@@ -166,7 +166,7 @@ let test_lexer_errors () =
   Alcotest.(check bool) "huge literal" true
     (fails "999999999999999999999999999999")
 
-(* The index-scanning lexer against the oracle: the same tokens at the
+(* The pull lexer against the oracle: the same tokens at the
    same locations, or the same error message at the same location. *)
 let lex_outcome tokenize src =
   match tokenize src with
@@ -244,15 +244,65 @@ let prop_lexer_oracle =
     (fun (profile, seed, index, (_, mutate), at) ->
        lexers_agree (mutate (Dda_perfect.Fuzz.program profile ~seed ~index) at))
 
-(* The parser lexes the whole input first: a lexical error after a
-   syntax error is the one reported. *)
+(* A lexical error anywhere wins over a syntax error before it, as
+   though the whole input were lexed first: the parser scans the rest
+   of the input before it reports a syntax error. *)
+let lexical_error_wins ~what src ~msg ~loc =
+  match Parser.parse_program src with
+  | _ -> Alcotest.failf "%s: expected an error" what
+  | exception Lexer.Error (m, l) ->
+    Alcotest.(check string) (what ^ ": message") msg m;
+    Alcotest.(check string) (what ^ ": location") loc (Loc.to_string l)
+  | exception Parser.Error (m, _) -> Alcotest.failf "%s: syntax error won: %s" what m
+
 let test_lexical_error_wins () =
-  match Parser.parse_program "a = )\nb = 1 $" with
+  lexical_error_wins ~what:"after a syntax error" "a = )\nb = 1 $"
+    ~msg:"unexpected character '$'" ~loc:"2:7";
+  lexical_error_wins ~what:"after 'expected end of input'" "a = 1 end\nb = c ! d"
+    ~msg:"expected '=' after '!'" ~loc:"2:7";
+  lexical_error_wins ~what:"out-of-range literal after a syntax error"
+    "for i = 1 to do\n  a[i] = 123456789012345678901234567890\nend"
+    ~msg:"integer literal out of range: 123456789012345678901234567890" ~loc:"2:40";
+  (* With nothing to lex wrongly after it, the syntax error stands. *)
+  match Parser.parse_program "a = 1 end\nb = 2" with
   | _ -> Alcotest.fail "expected an error"
-  | exception Lexer.Error (msg, loc) ->
-    Alcotest.(check string) "message" "unexpected character '$'" msg;
-    Alcotest.(check string) "location" "2:7" (Loc.to_string loc)
-  | exception Parser.Error (msg, _) -> Alcotest.failf "syntax error won: %s" msg
+  | exception Parser.Error (msg, loc) ->
+    Alcotest.(check string) "message" "expected end of input (found 'end')" msg;
+    Alcotest.(check string) "location" "1:7" (Loc.to_string loc)
+
+(* On mutated fuzz sources: the parser raises a lexical error exactly
+   where the oracle lexer fails, with its message and location. *)
+let prop_parse_lexical_errors =
+  QCheck.Test.make ~name:"parse errors are lexical exactly where the oracle lexer fails"
+    ~count:400
+    QCheck.(
+      make
+        ~print:(fun (profile, seed, index, (name, _), at) ->
+            Printf.sprintf "%s seed %d index %d, %s at %d"
+              (Dda_perfect.Fuzz.profile_name profile) seed index name at)
+        Gen.(
+          map
+            (fun ((profile, seed, index), (mutation, at)) -> (profile, seed, index, mutation, at))
+            (pair
+               (triple (oneofl Dda_perfect.Fuzz.all_profiles) (int_bound 1000) (int_bound 50))
+               (pair (oneofl mutations) (int_bound 4000)))))
+    (fun (profile, seed, index, (_, mutate), at) ->
+       let src = mutate (Dda_perfect.Fuzz.program profile ~seed ~index) at in
+       let parsed =
+         match Parser.parse_program src with
+         | _ -> None
+         | exception Parser.Error _ -> None
+         | exception Lexer.Error (msg, loc) -> Some (msg, loc)
+       in
+       match (parsed, lex_outcome Oracle_lexer.tokenize src) with
+       | None, Ok _ -> true
+       | Some (m1, l1), Error (m2, l2) when String.equal m1 m2 && Loc.equal l1 l2 -> true
+       | _, want ->
+         QCheck.Test.fail_reportf "parser %s, oracle lexer %s"
+           (match parsed with
+            | None -> "no lexical error"
+            | Some (m, l) -> Printf.sprintf "error %s at %s" m (Loc.to_string l))
+           (show_outcome want))
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
@@ -645,6 +695,7 @@ let () =
           Alcotest.test_case "oracle on PERFECT" `Quick test_lexer_oracle_perfect;
           Alcotest.test_case "lexical error wins" `Quick test_lexical_error_wins;
           qt prop_lexer_oracle;
+          qt prop_parse_lexical_errors;
         ] );
       ( "parser",
         [

@@ -8,8 +8,12 @@
    Programs: generated nests (affine and symbolic), [Fuzz] programs of
    both profiles, and the PERFECT suite, each with symbolic analysis on
    and off. The build path is the same cache with [probe_full] always
-   missing: the analyzer then builds, canonicalizes and keys every
-   pair, as it did before the probe. *)
+   missing: the analyzer then builds and canonicalizes every pair, and
+   keys it again where canonicalization changed it.
+
+   On a miss, the lookup reuses the probe's key when the canonical
+   problem is the one built; a cache that marks each missed probe key
+   checks that no key is written in between. *)
 
 open Dda_numeric
 open Dda_lang
@@ -302,6 +306,59 @@ let test_failpoint_ordinal () =
          (warm_run build_path n) (warm_run Fun.id n))
     [ 1; 7; 40 ]
 
+(* A miss writes one key: the cache below marks every key a probe
+   misses with (its tag overwritten) and restores it at the lookup that
+   follows. A lookup that sees the mark was handed the probe's key
+   untouched; one that does not must have a different key (a variable
+   dropped, or the mirror orientation taken), so no key equal to the
+   probe's is ever written twice. Under [Memo_simple] nothing is
+   dropped or mirrored, so every lookup sees the mark. *)
+let test_miss_writes_one_key () =
+  let progs =
+    List.map snd (perfect ())
+    @ List.init 60 (fun index -> Parser.parse_program (Dda_perfect.Fuzz.program Mixed ~seed:5 ~index))
+  in
+  List.iter
+    (fun memo ->
+       let config = { Analyzer.default_config with memo } in
+       let lookups = ref 0 and reused = ref 0 in
+       List.iter
+         (fun prog ->
+            let inner = Analyzer.memory_cache () in
+            let missed = ref [||] in
+            let cache =
+              {
+                inner with
+                Analyzer.probe_full =
+                  (fun key ->
+                     match inner.probe_full key with
+                     | Some _ as hit -> hit
+                     | None ->
+                       missed := Array.copy key;
+                       key.(0) <- -1;
+                       None);
+                find_or_add_full =
+                  (fun key compute ->
+                     incr lookups;
+                     if key.(0) = -1 then begin
+                       incr reused;
+                       Array.blit !missed 0 key 0 (Array.length key)
+                     end
+                     else if key = !missed then
+                       Alcotest.failf "a miss wrote the probe's key again: %s" (key_string key);
+                     missed := [||];
+                     inner.find_or_add_full key compute);
+              }
+            in
+            ignore
+              (Analyzer.analyze_sites ~config ~cache (Analyzer.front_end config prog).pairs))
+         progs;
+       if !lookups = 0 then Alcotest.fail "no lookups";
+       if memo = Analyzer.Memo_simple then
+         Alcotest.(check int) "Memo_simple: every lookup reuses the probe's key" !lookups !reused
+       else if !reused = 0 then Alcotest.fail "no lookup reused the probe's key")
+    Analyzer.[ Memo_simple; Memo_improved; Memo_symmetric ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "memo_probe"
@@ -321,5 +378,6 @@ let () =
           qt prop_warm_answers;
           Alcotest.test_case "PERFECT" `Quick test_perfect_warm;
           Alcotest.test_case "failpoint ordinal" `Quick test_failpoint_ordinal;
+          Alcotest.test_case "a miss writes one key" `Quick test_miss_writes_one_key;
         ] );
     ]
