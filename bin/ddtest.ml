@@ -87,14 +87,12 @@ let config_term =
              [
                ("none", Direction.no_pruning);
                ("full", Direction.full_pruning);
-               ("separable", Direction.separable_pruning);
              ])
           Direction.full_pruning
       & info [ "prune" ]
           ~doc:
-            "Direction-vector pruning: $(b,none), $(b,full) (the paper's two \
-             rules) or $(b,separable) (plus dimension-by-dimension \
-             treatment).")
+            "Direction-vector pruning: $(b,none) or $(b,full) (the paper's \
+             two rules).")
   in
   let fm_tighten =
     Arg.(value & flag & info [ "fm-tighten" ] ~doc:"Enable Omega-style integer tightening in Fourier-Motzkin.")

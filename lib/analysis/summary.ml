@@ -295,13 +295,7 @@ let find_entry memo p =
    [Error ()] when the budget ran out — that answer says nothing about
    the problem, so it is not cached. *)
 let attempt ~(config : Analyzer.config) ~cancel (p, red) k sign =
-  let base = red.Gcd_test.system in
-  let extra =
-    List.concat (List.init k (fun j -> Direction.dir_rows p j Direction.Deq))
-    @ Direction.dir_rows p k sign
-  in
-  let extra_t = List.map (Gcd_test.transform_row red) extra in
-  let sys = Consys.make ~nvars:base.Consys.nvars (base.Consys.rows @ extra_t) in
+  let sys = Direction.first_difference p red k sign in
   let budget = Budget.create ?cancel config.Analyzer.limits in
   let cas = Cascade.run ~budget ~fm_tighten:config.Analyzer.fm_tighten sys in
   match cas.Cascade.verdict with

@@ -79,19 +79,13 @@ let corrupt_refutation (c : Cert.eq_refutation) = { c with Cert.modulus = Zint.o
    as well ([include_all_eq]) covers the whole space — what the
    verification of a non-self "independent via direction vectors"
    (implicit branch-and-bound) claim needs. *)
-let obligations p ~ncommon ~include_all_eq =
-  let eqs_upto k =
-    List.concat (List.init k (fun j -> Direction.dir_rows p j Direction.Deq))
-  in
+let obligations ~ncommon ~include_all_eq =
   let strict =
     List.concat_map
-      (fun k ->
-         List.map
-           (fun sign -> (Some (k, sign), eqs_upto k @ Direction.dir_rows p k sign))
-           [ Direction.Dlt; Direction.Dgt ])
+      (fun k -> [ Some (k, Direction.Dlt); Some (k, Direction.Dgt) ])
       (List.init ncommon Fun.id)
   in
-  if include_all_eq then strict @ [ (None, eqs_upto ncommon) ] else strict
+  if include_all_eq then strict @ [ None ] else strict
 
 let pp_sign fmt = function
   | Direction.Dlt -> Format.pp_print_string fmt "<"
@@ -139,7 +133,6 @@ let relation_error p x = function
    found_undecided). *)
 let verify_obligations acc ~cancel ~corrupt ~(config : Analyzer.config) ~r
     ~reported_dep p (red : Gcd_test.reduction) ~include_all_eq =
-  let base = red.Gcd_test.system in
   let dependent_found = ref false in
   let fm_warned = ref false and degraded_warned = ref false in
   let standing =
@@ -147,9 +140,12 @@ let verify_obligations acc ~cancel ~corrupt ~(config : Analyzer.config) ~r
     else "the independent verdict is not certified"
   in
   List.iter
-    (fun (tag, extra_rows) ->
-       let extra_t = List.map (Gcd_test.transform_row red) extra_rows in
-       let sys = Consys.make ~nvars:base.Consys.nvars (base.Consys.rows @ extra_t) in
+    (fun tag ->
+       let sys =
+         match tag with
+         | Some (k, sign) -> Direction.first_difference p red k sign
+         | None -> Direction.first_difference p red p.Problem.ncommon Direction.Dany
+       in
        let budget = Budget.create ~cancel config.Analyzer.limits in
        let cas = Cascade.run ~budget ~fm_tighten:config.Analyzer.fm_tighten sys in
        match cas.Cascade.verdict with
@@ -187,7 +183,7 @@ let verify_obligations acc ~cancel ~corrupt ~(config : Analyzer.config) ~r
               budget; %s"
              r.Analyzer.array_name (Budget.reason_name reason) standing
          end)
-    (obligations p ~ncommon:p.Problem.ncommon ~include_all_eq);
+    (obligations ~ncommon:p.Problem.ncommon ~include_all_eq);
   (!dependent_found, !fm_warned || !degraded_warned)
 
 (* ------------------------------------------------------------------ *)

@@ -102,24 +102,6 @@ let sample b =
            | Ext_int.Neg_inf, _ -> Zint.zero
            | Ext_int.Pos_inf, _ -> assert false))
 
-let to_rows b =
-  let n = nvars b in
-  let unit_row i c rhs =
-    let coeffs = Array.make n Zint.zero in
-    coeffs.(i) <- c;
-    { Consys.coeffs; rhs }
-  in
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    (match b.his.(i) with
-     | Ext_int.Fin h -> out := unit_row i Zint.one h :: !out
-     | Ext_int.Neg_inf | Ext_int.Pos_inf -> ());
-    match b.los.(i) with
-    | Ext_int.Fin l -> out := unit_row i Zint.minus_one (Zint.neg l) :: !out
-    | Ext_int.Neg_inf | Ext_int.Pos_inf -> ()
-  done;
-  !out
-
 let pp fmt b =
   Format.fprintf fmt "@[<v>";
   for i = 0 to nvars b - 1 do

@@ -53,7 +53,4 @@ val sample : t -> Zint.t array option
 (** A point inside the box ([None] when inconsistent): the lower bound
     where finite, else the upper bound, else zero. *)
 
-val to_rows : t -> Consys.row list
-(** The box as single-variable rows of width [nvars]. *)
-
 val pp : Format.formatter -> t -> unit

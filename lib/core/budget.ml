@@ -14,8 +14,6 @@ let reason_name = function
   | Deadline -> "deadline"
   | Injected -> "injected"
 
-let pp_reason fmt r = Format.pp_print_string fmt (reason_name r)
-
 type limits = {
   fm_depth : int;
   fm_branches : int;

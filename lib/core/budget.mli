@@ -24,7 +24,6 @@ type reason =
   | Injected  (** a {!Failpoint} forced exhaustion (testing only) *)
 
 val reason_name : reason -> string
-val pp_reason : Format.formatter -> reason -> unit
 
 type limits = {
   fm_depth : int;  (** Fourier branch-and-bound depth (default 32) *)

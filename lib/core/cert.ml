@@ -25,8 +25,6 @@ type drow = {
   why : deriv;
 }
 
-let hyps_of_rows rows = List.mapi (fun i row -> { row; why = Hyp i }) rows
-
 let rec pp_deriv fmt = function
   | Hyp i -> Format.fprintf fmt "h%d" i
   | Cut i -> Format.fprintf fmt "c%d" i

@@ -56,9 +56,6 @@ type drow = {
 }
 (** A row travelling through the cascade with its provenance. *)
 
-val hyps_of_rows : Consys.row list -> drow list
-(** Row [i] justified as [Hyp i]. *)
-
 val pp_deriv : Format.formatter -> deriv -> unit
 val pp_infeasible : Format.formatter -> infeasible -> unit
 

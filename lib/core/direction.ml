@@ -7,7 +7,6 @@ type dir =
   | Dany
 
 let dir_char = function Dlt -> '<' | Deq -> '=' | Dgt -> '>' | Dany -> '*'
-let pp_dir fmt d = Format.pp_print_char fmt (dir_char d)
 
 (* "(<,=,*)": one allocation, no formatter — reports render thousands. *)
 let vector_to_string v =
@@ -44,12 +43,10 @@ let lead v = lead_from v 0
 type prune = {
   unused : bool;
   distance : bool;
-  separable : bool;
 }
 
-let no_pruning = { unused = false; distance = false; separable = false }
-let full_pruning = { unused = true; distance = true; separable = false }
-let separable_pruning = { full_pruning with separable = true }
+let no_pruning = { unused = false; distance = false }
+let full_pruning = { unused = true; distance = true }
 
 type counts = {
   mutable by_test : int array;
@@ -64,9 +61,6 @@ let merge_counts ~into src =
     (fun i v -> into.indep_by_test.(i) <- into.indep_by_test.(i) + v)
     src.indep_by_test
 
-let count_of c t = c.by_test.(Cascade.test_index t)
-let indep_count_of c t = c.indep_by_test.(Cascade.test_index t)
-
 type result = {
   dependent : bool;
   vectors : dir array list;
@@ -77,12 +71,10 @@ type result = {
 
 (* Direction constraint rows for level k, in original-variable space. *)
 let dir_rows problem k d =
-  let nv = Problem.nvars problem in
-  let p = Problem.var1 problem k and q = Problem.var2 problem k in
   let row pc qc rhs =
-    let coeffs = Array.make nv Zint.zero in
-    coeffs.(p) <- Zint.of_int pc;
-    coeffs.(q) <- Zint.of_int qc;
+    let coeffs = Array.make (Problem.nvars problem) Zint.zero in
+    coeffs.(Problem.var1 problem k) <- Zint.of_int pc;
+    coeffs.(Problem.var2 problem k) <- Zint.of_int qc;
     { Consys.coeffs; rhs = Zint.of_int rhs }
   in
   match d with
@@ -90,6 +82,15 @@ let dir_rows problem k d =
   | Deq -> [ row 1 (-1) 0; row (-1) 1 0 ]
   | Dgt -> [ row (-1) 1 (-1) ]
   | Dany -> []
+
+let first_difference problem red k d =
+  let base = red.Gcd_test.system in
+  let rows =
+    List.concat (List.init k (fun j -> dir_rows problem j Deq))
+    @ dir_rows problem k d
+  in
+  Consys.make ~nvars:base.Consys.nvars
+    (base.Consys.rows @ List.map (Gcd_test.transform_row red) rows)
 
 (* Direction rows in reduced (free-variable) space, memoized per
    (level, direction): the refinement tree re-tests each level
@@ -186,60 +187,16 @@ let refine ?budget ?(prune = full_pruning) ?(fm_tighten = false) ?counts
      | Cascade.Dependent _ | Cascade.Unknown -> ());
     r.verdict
   in
-  (* Burke-Cytron dimension-by-dimension treatment: a common level
-     whose variables share no row (equality, bound, or the implicit
-     p-q direction coupling) with any other level's variables can have
-     its three directions decided in isolation; the final vector set is
-     the cross product. Disabled for self pairs: excluding the identity
-     vector is a cross-level constraint. *)
-  let separable =
-    if prune.separable && (not exclude_all_eq) && ncommon > 1 then begin
-      let nv = Problem.nvars problem in
-      let parent = Array.init nv Fun.id in
-      let rec find i =
-        if parent.(i) = i then i
-        else begin
-          let r = find parent.(i) in
-          parent.(i) <- r;
-          r
-        end
-      in
-      let union i j =
-        let ri = find i and rj = find j in
-        if ri <> rj then parent.(ri) <- rj
-      in
-      let union_row (r : Consys.row) =
-        match Consys.nonzero_vars r with
-        | [] -> ()
-        | first :: rest -> List.iter (union first) rest
-      in
-      List.iter union_row problem.Problem.eqs;
-      List.iter (fun (b : Problem.bound) -> union_row b.row) problem.Problem.ineqs;
-      for k = 0 to ncommon - 1 do
-        union (Problem.var1 problem k) (Problem.var2 problem k)
-      done;
-      let comp k = find (Problem.var1 problem k) in
-      Array.init ncommon (fun k ->
-          fixed.(k) = None
-          &&
-          let c = comp k in
-          let rec alone k' =
-            k' >= ncommon || ((k' = k || comp k' <> c) && alone (k' + 1))
-          in
-          alone 0)
-    end
-    else Array.make ncommon false
-  in
   (* Hierarchical refinement. [k] is the next level to expand;
-     pruning-fixed and separable levels are skipped (the former carry
-     their direction in [vector], the latter are combined afterwards). *)
+     pruning-fixed levels are skipped (they carry their direction in
+     [vector]). *)
   let vectors = ref [] in
   let root_vector = Array.init ncommon (fun k -> Option.value fixed.(k) ~default:Dany) in
   let rec expand vector k verdict_known_dependent =
     (* Find next expandable level. *)
     let rec next k =
       if k >= ncommon then None
-      else if fixed.(k) = None && not separable.(k) then Some k
+      else if fixed.(k) = None then Some k
       else next (k + 1)
     in
     match next k with
@@ -307,77 +264,30 @@ let refine ?budget ?(prune = full_pruning) ?(fm_tighten = false) ?counts
       degraded = !degraded;
     }
   | Cascade.Dependent _ | Cascade.Unknown ->
-    (* Isolated 3-direction tests for the separable levels. *)
-    let dir_sets = Array.make ncommon [] in
-    let separable_feasible = ref true in
-    for k = 0 to ncommon - 1 do
-      if separable.(k) then begin
-        let v = Array.copy root_vector in
-        let feasible =
-          List.filter
-            (fun d ->
-               v.(k) <- d;
-               match run_test v with
-               | Cascade.Independent _ -> false
-               | Cascade.Dependent _ | Cascade.Unknown | Cascade.Exhausted _ ->
-                 true)
-            [ Dlt; Deq; Dgt ]
-        in
-        dir_sets.(k) <- feasible;
-        if feasible = [] then separable_feasible := false
-      end
-    done;
-    let cross_product base =
-      let acc = ref base in
-      for k = 0 to ncommon - 1 do
-        if separable.(k) then
-          acc :=
-            List.concat_map
-              (fun v ->
-                 List.map
-                   (fun d ->
-                      let v' = Array.copy v in
-                      v'.(k) <- d;
-                      v')
-                   dir_sets.(k))
-              !acc
-      done;
-      !acc
-    in
-    if not !separable_feasible then
-      (* A separable level admits no direction at all: independent
-         (only possible when the root verdict was not exact). *)
-      { dependent = false; vectors = []; distance = None; implicit_bb = true;
-        degraded = !degraded }
-    else begin
-      let has_expandable =
-        Array.exists Fun.id (Array.init ncommon (fun k -> fixed.(k) = None && not separable.(k)))
-      in
-      if not has_expandable then
-        if exclude_all_eq && all_eq root_vector then
-          { dependent = false; vectors = []; distance = None; implicit_bb = false;
-            degraded = !degraded }
-        else
-          (* Every level pruned or separable: combine. *)
-          {
-            dependent = true;
-            vectors = cross_product [ root_vector ];
-            distance;
-            implicit_bb = false;
-            degraded = !degraded;
-          }
-      else begin
-        let dependent = expand (Array.copy root_vector) 0 false in
-        (* The plain test answered "dependent/unknown" but every refined
-           vector proved independent: the paper's implicit branch and
-           bound (an exact claim only the refinement could make). *)
+    if Array.for_all Option.is_some fixed then
+      if exclude_all_eq && all_eq root_vector then
+        { dependent = false; vectors = []; distance = None; implicit_bb = false;
+          degraded = !degraded }
+      else
+        (* Every level pruned: the root vector is the one answer. *)
         {
-          dependent;
-          vectors = cross_product (List.rev !vectors);
-          distance = (if dependent then distance else None);
-          implicit_bb = not dependent && !degraded = None;
+          dependent = true;
+          vectors = [ root_vector ];
+          distance;
+          implicit_bb = false;
           degraded = !degraded;
         }
-      end
+    else begin
+      let dependent = expand (Array.copy root_vector) 0 false in
+      (* The plain test answered "dependent/unknown" but every refined
+         vector proved independent: the paper's implicit branch and
+         bound (an exact claim only the refinement could make). *)
+      {
+        dependent;
+        vectors = List.rev !vectors;
+        distance = (if dependent then distance else None);
+        implicit_bb = not dependent && !degraded = None;
+        degraded = !degraded;
+      }
     end
   end

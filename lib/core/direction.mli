@@ -29,7 +29,6 @@ type dir =
   | Dgt
   | Dany  (** unrefined ["*"] *)
 
-val pp_dir : Format.formatter -> dir -> unit
 val pp_vector : Format.formatter -> dir array -> unit
 
 val vector_to_string : dir array -> string
@@ -53,25 +52,12 @@ val lead : dir array -> dir
 type prune = {
   unused : bool;
   distance : bool;
-  separable : bool;
-      (** Burke and Cytron's dimension-by-dimension treatment of "nice"
-          cases, which the paper suggests as a further optimization: a
-          common level whose variables share no constraint with any
-          other level's gets its three directions tested in isolation
-          (3 tests) instead of multiplying the hierarchy (3^n); the
-          vector set is the cross product. Exact by independence of the
-          components. Ignored for self pairs (the identity-vector
-          exclusion is a cross-level constraint). *)
 }
 
 val no_pruning : prune
 val full_pruning : prune
 (** [full_pruning] enables the paper's two rules (unused variables,
-    distance); [separable] stays off to match the paper's Table 5
-    configuration. *)
-
-val separable_pruning : prune
-(** [full_pruning] plus the dimension-by-dimension treatment. *)
+    distance), the paper's Table 5 configuration. *)
 
 type counts = {
   mutable by_test : int array;  (** cascade calls decided by each test *)
@@ -81,19 +67,21 @@ type counts = {
 }
 
 val fresh_counts : unit -> counts
-val count_of : counts -> Cascade.test -> int
-val indep_count_of : counts -> Cascade.test -> int
 
 val merge_counts : into:counts -> counts -> unit
 (** Add the second counter set into the first, per test. Used to fold
     per-domain (or per-program) counters into corpus totals. *)
 
-val dir_rows : Problem.t -> int -> dir -> Consys.row list
-(** The constraint rows a direction at common level [k] adds, in
-    original-variable space: [Dlt] is [i_k - i'_k <= -1], [Deq] the two
-    opposite [<= 0] rows, [Dgt] the mirror, [Dany] nothing. Exposed for
-    the verification layer, which re-derives the per-direction systems
-    when certifying self-pair verdicts. *)
+val first_difference :
+  Problem.t -> Gcd_test.reduction -> int -> dir -> Consys.t
+(** [first_difference p red k d] is [red]'s system restricted to the
+    iteration pairs that agree on the common levels before [k] and
+    relate by [d] at level [k] ([Dlt] is [i_k < i'_k]). The rows are
+    [red]'s, then the direction rows level by level, moved into [red]'s
+    free-variable space; certificates and witnesses index them in that
+    order. [k = ncommon] with [d = Dany] is the all-equal cell. Witness
+    replay and the verifier's direction obligations query these
+    systems. *)
 
 type result = {
   dependent : bool;

@@ -88,20 +88,6 @@ let rec iter_stmt f s =
 
 let iter_stmts f prog = List.iter (iter_stmt f) prog
 
-let fold_exprs f acc prog =
-  let acc = ref acc in
-  let stmt_exprs s =
-    match s.sdesc with
-    | Assign (Lvar _, e) -> [ e ]
-    | Assign (Larr (_, subs), e) -> subs @ [ e ]
-    | For { lo; hi; step; _ } -> (
-        match step with None -> [ lo; hi ] | Some st -> [ lo; hi; st ])
-    | If ({ lhs; rhs; _ }, _, _) -> [ lhs; rhs ]
-    | Read _ -> []
-  in
-  iter_stmts (fun s -> List.iter (fun e -> acc := f !acc e) (stmt_exprs s)) prog;
-  !acc
-
 let rec iter_vars f e =
   match e.desc with
   | Int _ -> ()

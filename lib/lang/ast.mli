@@ -87,11 +87,6 @@ val read : ?loc:Loc.t -> string -> stmt
 
 (** {1 Traversal and queries} *)
 
-val fold_exprs : ('a -> expr -> 'a) -> 'a -> program -> 'a
-(** Folds over every top-level expression of every statement (subscript
-    lists, bounds, right-hand sides, conditions), pre-order within each
-    expression. *)
-
 val iter_stmts : (stmt -> unit) -> program -> unit
 (** Visits every statement, outermost first. *)
 

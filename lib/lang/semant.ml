@@ -89,12 +89,3 @@ let check prog =
   in
   List.iter (check_stmt []) prog;
   List.rev !errors
-
-let check_exn prog =
-  match check prog with
-  | [] -> ()
-  | errs ->
-    failwith
-      (Format.asprintf "@[<v>%a@]"
-         (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_error)
-         errs)

@@ -15,7 +15,3 @@ val pp_error : Format.formatter -> error -> unit
 
 val check : Ast.program -> error list
 (** Empty list means the program is well-formed. *)
-
-val check_exn : Ast.program -> unit
-(** @raise Failure with a rendered error list when [check] is
-    non-empty. *)

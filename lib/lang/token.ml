@@ -92,5 +92,3 @@ let to_string = function
   | RBRACKET -> "]"
   | COMMA -> ","
   | EOF -> "<eof>"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

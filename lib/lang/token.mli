@@ -67,5 +67,4 @@ type kind =
     matches on it without touching the heap. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -3,9 +3,6 @@ type direction =
   | Eq
   | Gt
 
-let pp_direction fmt d =
-  Format.pp_print_string fmt (match d with Lt -> "<" | Eq -> "=" | Gt -> ">")
-
 let compare_direction a b =
   let rank = function Lt -> 0 | Eq -> 1 | Gt -> 2 in
   Stdlib.compare (rank a) (rank b)

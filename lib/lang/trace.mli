@@ -10,7 +10,6 @@ type direction =
   | Eq
   | Gt
 
-val pp_direction : Format.formatter -> direction -> unit
 val compare_direction : direction -> direction -> int
 
 type observation = {

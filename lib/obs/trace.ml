@@ -84,7 +84,6 @@ let push ev =
 
 let enable () = Atomic.set on true
 let disable () = Atomic.set on false
-let enabled () = Atomic.get on
 
 let none = min_int
 

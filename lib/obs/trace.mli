@@ -29,7 +29,6 @@ type event = {
 
 val enable : unit -> unit
 val disable : unit -> unit
-val enabled : unit -> bool
 
 val none : int
 (** The sentinel {!start} returns while disabled. *)

@@ -9,11 +9,6 @@ type profile = Mixed | Small
 let all_profiles = [ Mixed; Small ]
 let profile_name = function Mixed -> "mixed" | Small -> "small"
 
-let profile_of_string = function
-  | "mixed" -> Some Mixed
-  | "small" -> Some Small
-  | _ -> None
-
 (* Derive item [index]'s PRNG seed from the corpus seed with an
    avalanche mix, so consecutive indices get unrelated streams. The
    constants are arbitrary odd numbers; only determinism matters. *)

@@ -19,7 +19,6 @@ type profile =
 
 val all_profiles : profile list
 val profile_name : profile -> string
-val profile_of_string : string -> profile option
 
 val program : profile -> seed:int -> index:int -> string
 (** The [index]-th program of the corpus identified by [seed]:

@@ -17,12 +17,8 @@ let configs =
         Analyzer.prune = Direction.no_pruning;
         memo = Analyzer.Memo_simple;
       } );
-    ( "separable, symmetric memo",
-      {
-        Analyzer.default_config with
-        Analyzer.prune = Direction.separable_pruning;
-        memo = Analyzer.Memo_symmetric;
-      } );
+    ( "full pruning, symmetric memo",
+      { Analyzer.default_config with Analyzer.memo = Analyzer.Memo_symmetric } );
     ( "fm tightening",
       { Analyzer.default_config with Analyzer.fm_tighten = true } );
   ]

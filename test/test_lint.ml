@@ -251,16 +251,7 @@ let naive_witness ~(config : Analyzer.config) (s1, s2) (edge : Classify.edge)
       | Gcd_test.Independent _ -> None
       | Gcd_test.Reduced red ->
         let attempt sign =
-          let extra =
-            List.concat
-              (List.init k (fun j -> Direction.dir_rows p j Direction.Deq))
-            @ Direction.dir_rows p k sign
-          in
-          let base = red.Gcd_test.system in
-          let sys =
-            Consys.make ~nvars:base.Consys.nvars
-              (base.Consys.rows @ List.map (Gcd_test.transform_row red) extra)
-          in
+          let sys = Direction.first_difference p red k sign in
           let budget = Budget.create config.Analyzer.limits in
           match
             (Cascade.run ~budget ~fm_tighten:config.Analyzer.fm_tighten sys)
