@@ -13,15 +13,22 @@
      distribute <file>  Allen-Kennedy loop distribution plan
      annotate   <file>  re-emit the source with parallelism annotations
      cc         <file>  compile to C with OpenMP pragmas
-     check      <file>  validate every verdict against actual execution
+     check      <file>  certificate-check every verdict; with --trace,
+                        compare every verdict with one traced run
      lint       <file>  parallelism lint: per-loop doall/vectorizable/
                         reduction/serial verdicts with blocking evidence,
-                        races on `parallel`-annotated loops (text/json/sarif)
+                        races on `parallel`-annotated loops (text/json/sarif);
+                        --differential checks every DOALL loop on one run
      depgraph   <file>  dependence graph (Graphviz)
      graph      <file>  loop-residue graphs (Graphviz)
      passes     <file>  show the program after the optimizer prepass
      perfect    <name>  emit a synthetic PERFECT Club program
-     prime      <file>  build a memo table from the whole suite *)
+     prime      <file>  build a memo table from the whole suite
+     metrics    <files> analyze, then print every registered metric
+     report             print the paper's deterministic tables
+     serve              the analysis daemon; query is its client, top a
+                        live view of its admin plane, cache compact
+                        compacts its durable memo cache *)
 
 open Cmdliner
 open Dda_lang
@@ -1092,21 +1099,19 @@ let cc_cmd =
 let annotate_cmd =
   let run file config =
     let res = Dda_analysis.Lint.run ~config (load file) in
-    let verdicts =
-      Dda_analysis.Summary.doall_loops res.Dda_analysis.Lint.summary
+    let doall loc =
+      List.exists
+        (fun (li : Dda_analysis.Summary.loop_info) ->
+           Loc.equal li.loc loc && li.verdict = Dda_analysis.Summary.Doall)
+        res.Dda_analysis.Lint.summary.loops
     in
-    (* Re-number loops in pre-order while printing, mirroring the
-       summary's numbering — loops under an [if] included. *)
-    let counter = ref 0 in
     let buf = Buffer.create 1024 in
     let rec emit indent (s : Ast.stmt) =
       let pad = String.make indent ' ' in
       match s.Ast.sdesc with
       | Ast.For f ->
-        let lid = !counter in
-        incr counter;
         let tag =
-          if List.assoc lid verdicts then "# PARALLEL\n"
+          if doall s.Ast.sloc then "# PARALLEL\n"
           else "# serial (carries a dependence)\n"
         in
         Buffer.add_string buf (pad ^ tag);
@@ -1148,98 +1153,33 @@ let annotate_cmd =
 (* with --trace, against actual execution)                             *)
 (* ------------------------------------------------------------------ *)
 
-let check_trace prog =
-  (* Full refinement and no prepass: the claims compared to the trace
-     must be concrete. *)
-  let config =
-    {
-      Analyzer.default_config with
-      Analyzer.prune = Direction.no_pruning;
-      memo = Analyzer.Memo_simple;
-      run_pipeline = false;
-    }
-  in
-  let { Analyzer.pairs; _ } = Analyzer.front_end config prog in
-  let report = Analyzer.analyze_sites ~config pairs in
-  (* Statements in an [if] branch run only where the guard holds. *)
-  let guarded = Hashtbl.create 16 in
-  Ast.iter_stmts
-    (fun s ->
-       match s.Ast.sdesc with
-       | Ast.If (_, then_, else_) ->
-         Ast.iter_stmts (fun s -> Hashtbl.replace guarded s.Ast.sloc ()) (then_ @ else_)
-       | Ast.Assign _ | Ast.For _ | Ast.Read _ -> ())
-    prog;
-  (* An exact "dependent" is existential: some values of the symbolic
-     terms, some iterations an [if] leaves out, make the references
-     meet. One run fixes both, so it can refute the claim only for a
-     reference whose subscripts and bounds are loop variables and
-     constants, outside every [if]. *)
-  let fixed (s : Affine.site) =
-    let fixed_expr = function
-      | None -> false
-      | Some e ->
-        not
-          (Symexpr.exists_var
-             (fun v ->
-                not (List.exists (fun (c : Affine.loop_ctx) -> c.lvar = v) s.loops))
-             e)
-    in
-    (not (Hashtbl.mem guarded s.stmt_loc))
-    && List.for_all fixed_expr s.subscripts
-    && List.for_all (fun (c : Affine.loop_ctx) -> fixed_expr c.lb && fixed_expr c.ub)
-         s.loops
-  in
-  (* One execution serves every pair; a program with no pair is not
-     run at all. *)
-  let run =
-    lazy
-      (try Trace.execute ~fuel:5_000_000 prog
-       with Interp.Runtime_error (msg, loc) ->
-         Format.eprintf "cannot execute the program: %s at %a@." msg Loc.pp loc;
-         exit 1)
-  in
-  let failures = ref 0 in
-  let unexercised = ref 0 in
-  List.iter2
-    (fun (s1, s2) (r : Analyzer.pair_report) ->
-       let observed = Trace.dependent_in (Lazy.force run) ~site1:r.loc1 ~site2:r.loc2 in
-       let claim_dep, claim_exact =
-         match r.outcome with
-         | Analyzer.Constant d -> (d, true)
-         | Analyzer.Gcd_independent -> (false, true)
-         | Analyzer.Assumed_dependent -> (true, false)
-         | Analyzer.Tested t -> (t.dependent, not t.unknown)
-       in
-       let refutable = claim_exact && ((not claim_dep) || (fixed s1 && fixed s2)) in
-       let ok = if refutable then claim_dep = observed else claim_dep || not observed in
-       if claim_exact && (not refutable) && not observed then incr unexercised;
-       if not ok then begin
-         incr failures;
-         Format.printf "MISMATCH %s %a x %a: analysis says %s, execution shows %s@."
-           r.array_name Loc.pp r.loc1 Loc.pp r.loc2
-           (if claim_dep then "dependent" else "independent")
-           (if observed then "dependent" else "independent")
-       end)
-    pairs report.pair_reports;
-  if !failures = 0 then
-    Format.printf "OK: all %d pairs agree with the execution trace%s@."
-      (List.length report.pair_reports)
-      (if !unexercised = 0 then ""
-       else
-         Printf.sprintf
-           " (%d dependent claim%s on inputs or guards this run did not exercise)"
-           !unexercised
-           (if !unexercised = 1 then "" else "s"))
-  else begin
-    Format.printf "%d mismatches@." !failures;
-    exit 2
-  end
-
 let check_cmd =
   let run file config format no_oracle corrupt trace =
     let prog = load file in
-    if trace then check_trace prog
+    if trace then begin
+      match Dda_analysis.Exec_check.pairs prog with
+      | Cannot_run (msg, loc) ->
+        Format.eprintf "cannot execute the program: %s at %a@." msg Loc.pp loc;
+        exit 1
+      | Ran { pairs; mismatches = []; unexercised } ->
+        Format.printf "OK: all %d pairs agree with the execution trace%s@." pairs
+          (if unexercised = 0 then ""
+           else
+             Printf.sprintf
+               " (%d dependent claim%s on inputs or guards this run did not exercise)"
+               unexercised
+               (if unexercised = 1 then "" else "s"))
+      | Ran { mismatches; _ } ->
+        List.iter
+          (fun ((r : Analyzer.pair_report), claim_dep) ->
+             let dep b = if b then "dependent" else "independent" in
+             Format.printf "MISMATCH %s %a x %a: analysis says %s, execution shows %s@."
+               r.array_name Loc.pp r.loc1 Loc.pp r.loc2 (dep claim_dep)
+               (dep (not claim_dep)))
+          mismatches;
+        Format.printf "%d mismatches@." (List.length mismatches);
+        exit 2
+    end
     else begin
       let summary =
         Dda_check.Verify.run ~config ~oracle:(not no_oracle) ~corrupt prog
@@ -1280,8 +1220,9 @@ let check_cmd =
       value & flag
       & info [ "trace" ]
           ~doc:
-            "Validate verdicts against the tracing interpreter instead of \
-             against certificates (symbolic inputs read as 0).")
+            "Validate verdicts against one run of the tracing interpreter \
+             instead of against certificates (the prepass off, inputs read \
+             as 0, at most 5,000,000 statement executions).")
   in
   Cmd.v
     (Cmd.info "check"
@@ -1310,16 +1251,20 @@ let lint_cmd =
          (Dda_analysis.Lint.to_sarif ~file res));
     if differential then begin
       match
-        Dda_analysis.Pardiff.check
-          ~prepared:res.Dda_analysis.Lint.prepared
+        Dda_analysis.Exec_check.doall ~prepared:res.Dda_analysis.Lint.prepared
           res.Dda_analysis.Lint.summary
       with
-      | Ok n ->
-        Dda_obs.Log.info "differential: %d permuted runs match sequential \
-                          execution" n
-      | Error msg ->
+      | Cannot_run (msg, loc) ->
+        Dda_obs.Log.warn
+          "differential: cannot execute the program (%s at %a); no DOALL \
+           ruling validated" msg Loc.pp loc
+      | Ran { refuted = Some msg; _ } ->
         Format.eprintf "ddtest lint: differential check failed: %s@." msg;
         exit 1
+      | Ran { doall; executed; refuted = None } ->
+        Dda_obs.Log.info
+          "differential: %d of %d DOALL loops executed, none shows a \
+           dependence" executed doall
     end;
     if res.Dda_analysis.Lint.errors > 0 then exit 2
   in
@@ -1336,10 +1281,11 @@ let lint_cmd =
       value & flag
       & info [ "differential" ]
           ~doc:
-            "Additionally execute every DOALL-marked loop under permuted \
-             iteration order in the reference interpreter and require the \
-             final state to match sequential execution (a failed match is \
-             an analyzer soundness bug and exits 1).")
+            "Additionally run the optimized program once (input n = 6) and \
+             check every DOALL loop on the trace: no array cell touched by \
+             two iterations with one writing, no scalar the loop writes \
+             read before the iteration writes it. A refuted loop exits 1; \
+             a run that cannot complete validates nothing (a warning).")
   in
   Cmd.v
     (Cmd.info "lint"

@@ -87,12 +87,6 @@ let obligations ~ncommon ~include_all_eq =
   in
   if include_all_eq then strict @ [ None ] else strict
 
-let pp_sign fmt = function
-  | Direction.Dlt -> Format.pp_print_string fmt "<"
-  | Direction.Dgt -> Format.pp_print_string fmt ">"
-  | Direction.Deq -> Format.pp_print_string fmt "="
-  | Direction.Dany -> Format.pp_print_string fmt "*"
-
 (* Check, with the checker's own arithmetic, that a witness realizes
    the obligation's iteration relation: equal on the levels before [k],
    strict at [k]. *)
@@ -112,9 +106,8 @@ let relation_error p x = function
         if ok then None
         else
           Some
-            (Format.asprintf
-               "the witness does not realize direction %a at level %d" pp_sign
-               sign k)
+            (Printf.sprintf "the witness does not realize direction %c at level %d"
+               (Direction.dir_char sign) k)
       else if Zint.equal (v1 j) (v2 j) then eqs (j + 1)
       else
         Some

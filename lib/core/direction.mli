@@ -29,6 +29,9 @@ type dir =
   | Dgt
   | Dany  (** unrefined ["*"] *)
 
+val dir_char : dir -> char
+(** ['<'], ['='], ['>'] or ['*']: the one rendering of a direction. *)
+
 val pp_vector : Format.formatter -> dir array -> unit
 
 val vector_to_string : dir array -> string

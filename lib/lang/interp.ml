@@ -2,40 +2,35 @@ exception Runtime_error of string * Loc.t
 
 module Checked = Dda_numeric.Checked
 
+type frame = {
+  var : string;
+  value : int;
+  loop : Loc.t;
+  instance : int;
+}
+
 type access = {
   array : string;
   indices : int list;
   role : [ `Read | `Write ];
   site : Loc.t;
-  iter : (string * int) list;
+  frames : frame list;
   time : int;
 }
 
 type env = {
   scalars : (string, int) Hashtbl.t;
   memory : (string * int list, int) Hashtbl.t;
-  inputs : (string, int) Hashtbl.t;
-  mutable trace : access list;  (* reverse execution order *)
+  inputs : (string * int) list;
+  emit : access -> unit;
   mutable clock : int;
-  mutable loops : (string * int) list;  (* innermost first *)
+  mutable frames : frame list;  (* innermost first *)
+  mutable instances : int;  (* [for] statements executed so far *)
   mutable fuel : int;  (* negative: unlimited *)
-  reorder : Loc.t -> int -> int array option;
-      (* iteration-order hook: given a loop's location and trip count,
-         an optional permutation of [0, n) to execute instead of
-         sequential order *)
 }
 
 let record env array indices role site =
-  env.trace <-
-    {
-      array;
-      indices;
-      role;
-      site;
-      iter = List.rev env.loops;
-      time = env.clock;
-    }
-    :: env.trace;
+  env.emit { array; indices; role; site; frames = env.frames; time = env.clock };
   env.clock <- env.clock + 1
 
 (* Values live in [Checked]'s range, the native ints less [min_int]:
@@ -47,6 +42,7 @@ let rec eval env (e : Ast.expr) =
   match e.desc with
   | Ast.Int n -> n
   | Ast.Var v -> (
+      record env v [] `Read e.eloc;
       match Hashtbl.find_opt env.scalars v with Some n -> n | None -> 0)
   | Ast.Neg a ->
     let x = eval env a in
@@ -85,6 +81,7 @@ let rec exec env (s : Ast.stmt) =
   match s.sdesc with
   | Ast.Assign (Ast.Lvar v, e) ->
     let value = eval env e in
+    record env v [] `Write s.sloc;
     Hashtbl.replace env.scalars v value
   | Ast.Assign (Ast.Larr (name, subs), e) ->
     (* Fortran order: subscripts, then the right-hand side, then the
@@ -94,7 +91,8 @@ let rec exec env (s : Ast.stmt) =
     record env name indices `Write s.sloc;
     Hashtbl.replace env.memory (name, indices) value
   | Ast.Read v ->
-    let value = match Hashtbl.find_opt env.inputs v with Some n -> n | None -> 0 in
+    let value = Option.value ~default:0 (List.assoc_opt v env.inputs) in
+    record env v [] `Write s.sloc;
     Hashtbl.replace env.scalars v value
   | Ast.If (cond, then_, else_) ->
     if eval_cond env cond then List.iter (exec env) then_
@@ -109,14 +107,18 @@ let rec exec env (s : Ast.stmt) =
           | 0 -> raise (Runtime_error ("loop step is zero", s.sloc))
           | n -> n)
     in
+    let instance = env.instances in
+    env.instances <- instance + 1;
+    (* The header writes the loop variable inside each iteration. *)
     let iterate value =
       Hashtbl.replace env.scalars var value;
-      env.loops <- (var, value) :: env.loops;
+      env.frames <- { var; value; loop = s.sloc; instance } :: env.frames;
+      record env var [] `Write s.sloc;
       List.iter (exec env) body;
-      env.loops <- List.tl env.loops
+      env.frames <- List.tl env.frames
     in
-    (* The trip count, and each next value of the loop variable, in
-       the same range as every other value. *)
+    (* The trip count in the same range as every other value; each
+       value of the loop variable then lies between [lo] and [hi]. *)
     let span x y = if Checked.sub_ok x y then x - y else overflow s.sloc in
     let trips d = if Checked.add_ok d 1 then d + 1 else overflow s.sloc in
     let count =
@@ -124,61 +126,26 @@ let rec exec env (s : Ast.stmt) =
       else if hi > lo then 0
       else trips (span lo hi / -step)
     in
-    (match env.reorder s.sloc count with
-     | Some perm ->
-       if Array.length perm <> count then
-         raise (Runtime_error ("reorder permutation has wrong length", s.sloc));
-       Array.iter (fun k -> iterate (lo + (k * step))) perm
-     | None ->
-       (* Sequential fast path: identical to the pre-hook interpreter. *)
-       let v = ref lo and more = ref true in
-       while !more && if step > 0 then !v <= hi else !v >= hi do
-         iterate !v;
-         if Checked.add_ok !v step then v := !v + step else more := false
-       done)
+    for k = 0 to count - 1 do
+      iterate (lo + (k * step))
+    done
 
-let no_reorder _ _ = None
+let make_env ?(fuel = -1) ?(inputs = []) emit =
+  { scalars = Hashtbl.create 16; memory = Hashtbl.create 256; inputs; emit;
+    clock = 0; frames = []; instances = 0; fuel }
 
-let make_env ?(fuel = -1) ?(reorder = no_reorder) inputs =
-  let env =
-    {
-      scalars = Hashtbl.create 16;
-      memory = Hashtbl.create 256;
-      inputs = Hashtbl.create 8;
-      trace = [];
-      clock = 0;
-      loops = [];
-      fuel;
-      reorder;
-    }
-  in
-  List.iter (fun (k, v) -> Hashtbl.replace env.inputs k v) inputs;
-  env
-
-let run ?(fuel = -1) ?(inputs = []) prog =
-  let env = make_env ~fuel inputs in
-  List.iter (exec env) prog;
-  List.rev env.trace
-
-let scalar_value ?(inputs = []) prog name =
-  let env = make_env inputs in
-  List.iter (exec env) prog;
-  Hashtbl.find_opt env.scalars name
+let iter ?fuel ?inputs f prog = List.iter (exec (make_env ?fuel ?inputs f)) prog
 
 type state = {
   scalars : (string * int) list;
   memory : ((string * int list) * int) list;
 }
 
-let final_state ?(fuel = -1) ?(inputs = []) ?reorder prog =
-  let env = make_env ~fuel ?reorder inputs in
+let final_state ?fuel ?inputs prog =
+  let trace = ref [] in
+  let env = make_env ?fuel ?inputs (fun a -> if a.indices <> [] then trace := a :: !trace) in
   List.iter (exec env) prog;
-  let scalars =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) env.scalars []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let memory =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) env.memory []
-    |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-  in
-  ({ scalars; memory }, List.rev env.trace)
+  let sorted t = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []) in
+  ({ scalars = sorted env.scalars; memory = sorted env.memory }, List.rev !trace)
+
+let run ?fuel ?inputs prog = snd (final_state ?fuel ?inputs prog)

@@ -1,39 +1,50 @@
 (** Reference interpreter with memory-access tracing.
 
-    Runs a program and records every array access (reference site,
-    concrete indices, enclosing iteration vector, global timestamp).
-    The trace is the {e ground truth} the dependence analyzer is tested
+    Runs a program and reports every access, array and scalar, with
+    its site, concrete indices, enclosing loop iterations and global
+    timestamp. The trace is the {e ground truth} the analyzer is tested
     against: two references are dependent exactly when their traced
     accesses overlap in memory. *)
 
 exception Runtime_error of string * Loc.t
 
+type frame = {
+  var : string;
+  value : int;
+  loop : Loc.t;  (** the [for] statement *)
+  instance : int;  (** which of the [for] statements started so far *)
+}
+(** One iteration of an enclosing loop. *)
+
 type access = {
-  array : string;
-  indices : int list;
+  array : string;  (** the array, or the scalar *)
+  indices : int list;  (** [[]] for a scalar: arrays have subscripts *)
   role : [ `Read | `Write ];
-  site : Loc.t;  (** location of the reference, its identity *)
-  iter : (string * int) list;  (** enclosing loop variables, outermost first *)
+  site : Loc.t;
+      (** the reference, its identity; a [for] header writes its
+          variable at the start of each iteration *)
+  frames : frame list;  (** innermost first *)
   time : int;  (** global execution order *)
 }
 
-val run : ?fuel:int -> ?inputs:(string * int) list -> Ast.program -> access list
-(** Executes the program with all memory initially zero. [inputs]
-    supplies the values produced by [read] statements (a missing input
-    defaults to 0). [fuel] bounds the number of statement executions
-    (default: unlimited). Returns the access trace in execution order.
+val iter :
+  ?fuel:int -> ?inputs:(string * int) list -> (access -> unit) -> Ast.program -> unit
+(** [iter f prog] executes the program with all memory initially zero
+    and calls [f] on every access as it happens. [inputs] supplies the
+    values produced by [read] statements (a missing input defaults to
+    0). [fuel] bounds the number of statement executions (default:
+    unlimited).
 
     Arithmetic is exact or fails: values are the native ints less
     [min_int] ({!Dda_numeric.Checked}'s range, the one the optimizer
-    prepass folds in), and an operation, trip count or loop-variable
-    step whose exact result leaves that range raises
+    prepass folds in), and an operation or trip count whose exact
+    result leaves that range raises
     [Runtime_error ("integer overflow", loc)] instead of wrapping.
     @raise Runtime_error on division by zero, integer overflow or fuel
     exhaustion. *)
 
-val scalar_value : ?inputs:(string * int) list -> Ast.program -> string -> int option
-(** Runs the program and reports the final value of a scalar, for
-    tests. *)
+val run : ?fuel:int -> ?inputs:(string * int) list -> Ast.program -> access list
+(** The array accesses {!iter} sees, in execution order. *)
 
 type state = {
   scalars : (string * int) list;  (** sorted by name *)
@@ -43,21 +54,7 @@ type state = {
 }
 
 val final_state :
-  ?fuel:int ->
-  ?inputs:(string * int) list ->
-  ?reorder:(Loc.t -> int -> int array option) ->
-  Ast.program ->
-  state * access list
-(** Runs the program and returns both the final machine state and the
-    access trace — the observables that optimizer passes must
-    preserve.
-
-    [reorder] is the iteration-order hook the parallelism lint's
-    differential check uses: it is called once per dynamic execution of
-    each [for] statement with the loop's source location and trip
-    count [n], and may return a permutation of [0, n)] to execute in
-    place of sequential order (return [None] for sequential). A loop
-    whose iterations are independent must produce the same final
-    memory under any permutation.
-    @raise Runtime_error when a returned permutation's length is not
-    the trip count. *)
+  ?fuel:int -> ?inputs:(string * int) list -> Ast.program -> state * access list
+(** Runs the program and returns both the final machine state and
+    {!run}'s trace — the observables that optimizer passes must
+    preserve. *)

@@ -14,12 +14,12 @@ type observation = {
 }
 
 let common_loops (a : Interp.access) (b : Interp.access) =
-  let rec go xs ys =
+  let rec go (xs : Interp.frame list) (ys : Interp.frame list) =
     match (xs, ys) with
-    | (vx, _) :: xs', (vy, _) :: ys' when String.equal vx vy -> vx :: go xs' ys'
+    | x :: xs', y :: ys' when String.equal x.var y.var -> x.var :: go xs' ys'
     | _ -> []
   in
-  go a.iter b.iter
+  go (List.rev a.frames) (List.rev b.frames)
 
 let sort_uniq_vectors cmp vectors = List.sort_uniq (List.compare cmp) vectors
 
@@ -28,17 +28,18 @@ let sort_uniq_vectors cmp vectors = List.sort_uniq (List.compare cmp) vectors
 type cells = (string * int list, Interp.access list) Hashtbl.t
 
 type run = {
-  by_site : (Loc.t, Interp.access list) Hashtbl.t;  (* execution order *)
+  by_site : (Loc.t, Interp.access list) Hashtbl.t;  (* latest first *)
   cells : (Loc.t, cells) Hashtbl.t;
 }
 
-let execute ?(fuel = -1) ?(inputs = []) prog =
+let execute ?fuel ?inputs prog =
   let by_site = Hashtbl.create 64 in
-  List.iter
+  Interp.iter ?fuel ?inputs
     (fun (a : Interp.access) ->
-       let prev = Option.value ~default:[] (Hashtbl.find_opt by_site a.site) in
-       Hashtbl.replace by_site a.site (a :: prev))
-    (List.rev (Interp.run ~fuel ~inputs prog));
+       if a.indices <> [] then
+         let prev = Option.value ~default:[] (Hashtbl.find_opt by_site a.site) in
+         Hashtbl.replace by_site a.site (a :: prev))
+    prog;
   { by_site; cells = Hashtbl.create 64 }
 
 let accesses run site = Option.value ~default:[] (Hashtbl.find_opt run.by_site site)
@@ -79,7 +80,9 @@ let observe_in run ~site1 ~site2 =
               let common = common_loops a1 a2 in
               let n = List.length common in
               let vals (a : Interp.access) =
-                List.filteri (fun i _ -> i < n) a.iter |> List.map snd
+                List.rev a.frames
+                |> List.filteri (fun i _ -> i < n)
+                |> List.map (fun (f : Interp.frame) -> f.value)
               in
               let v1 = vals a1 and v2 = vals a2 in
               let dir =

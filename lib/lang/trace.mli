@@ -31,8 +31,8 @@ type run
     [run] cost the two sites' accesses, not their product. *)
 
 val execute : ?fuel:int -> ?inputs:(string * int) list -> Ast.program -> run
-(** Runs the program once ({!Interp.run}, with the same arguments and
-    the same [Runtime_error]s). *)
+(** Runs the program once ({!Interp.iter}, keeping the array
+    accesses, with the same arguments and the same [Runtime_error]s). *)
 
 val observe_in : run -> site1:Loc.t -> site2:Loc.t -> observation
 (** The dependence ground truth between two reference sites of the

@@ -7,6 +7,10 @@ open Dda_lang
 let program = Alcotest.testable Pretty.pp_program Ast.equal_program
 let expr = Alcotest.testable Pretty.pp_expr Ast.equal_expr
 
+(* The final value of a scalar after running the program. *)
+let scalar_value ?inputs prog name =
+  List.assoc_opt name (fst (Interp.final_state ?inputs prog)).Interp.scalars
+
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -466,12 +470,12 @@ let test_semant_rejects () =
 
 let test_interp_scalars () =
   let prog = Parser.parse_program "t = 2\nu = t * 3 + 1" in
-  Alcotest.(check (option int)) "u = 7" (Some 7) (Interp.scalar_value prog "u")
+  Alcotest.(check (option int)) "u = 7" (Some 7) (scalar_value prog "u")
 
 let test_interp_loop_sum () =
   (* Sum 1..10 into acc. *)
   let prog = Parser.parse_program "acc = 0\nfor i = 1 to 10 do acc = acc + i end" in
-  Alcotest.(check (option int)) "sum" (Some 55) (Interp.scalar_value prog "acc")
+  Alcotest.(check (option int)) "sum" (Some 55) (scalar_value prog "acc")
 
 let test_interp_step_and_if () =
   let prog =
@@ -479,22 +483,22 @@ let test_interp_step_and_if () =
       "acc = 0\nfor i = 1 to 10 step 2 do\n  if i > 5 then acc = acc + i end\nend"
   in
   (* i in {1,3,5,7,9}; those > 5 sum to 16. *)
-  Alcotest.(check (option int)) "sum" (Some 16) (Interp.scalar_value prog "acc");
+  Alcotest.(check (option int)) "sum" (Some 16) (scalar_value prog "acc");
   let down =
     Parser.parse_program "acc = 0\nfor i = 5 to 1 step -2 do acc = acc + i end"
   in
-  Alcotest.(check (option int)) "downward" (Some 9) (Interp.scalar_value down "acc")
+  Alcotest.(check (option int)) "downward" (Some 9) (scalar_value down "acc")
 
 let test_interp_inputs () =
   let prog = Parser.parse_program "read(n)\nt = n + 1" in
   Alcotest.(check (option int)) "input used" (Some 6)
-    (Interp.scalar_value ~inputs:[ ("n", 5) ] prog "t");
-  Alcotest.(check (option int)) "default 0" (Some 1) (Interp.scalar_value prog "t")
+    (scalar_value ~inputs:[ ("n", 5) ] prog "t");
+  Alcotest.(check (option int)) "default 0" (Some 1) (scalar_value prog "t")
 
 let test_interp_memory () =
   let prog = Parser.parse_program "a[3] = 7\nt = a[3] + a[4]" in
   Alcotest.(check (option int)) "load stored and default" (Some 7)
-    (Interp.scalar_value prog "t")
+    (scalar_value prog "t")
 
 let test_interp_trace () =
   let prog = Parser.parse_program "for i = 1 to 3 do a[i] = a[i+1] end" in
@@ -506,7 +510,8 @@ let test_interp_trace () =
   List.iteri
     (fun k (a : Interp.access) ->
        Alcotest.(check (list (pair string int))) "iteration vector"
-         [ ("i", k + 1) ] a.iter;
+         [ ("i", k + 1) ]
+         (List.map (fun (f : Interp.frame) -> (f.var, f.value)) a.frames);
        Alcotest.(check (list int)) "indices" [ k + 1 ] a.indices)
     writes
 
@@ -625,7 +630,9 @@ let cross_product_observe accesses ~site1 ~site2 =
               dependent := true;
               let n = List.length (Trace.common_loops a1 a2) in
               let vals (a : Interp.access) =
-                List.filteri (fun i _ -> i < n) a.iter |> List.map snd
+                List.rev a.frames
+                |> List.filteri (fun i _ -> i < n)
+                |> List.map (fun (f : Interp.frame) -> f.value)
               in
               let v1 = vals a1 and v2 = vals a2 in
               directions :=

@@ -1,7 +1,8 @@
 (* The parallelism linter against its two oracles: every DOALL verdict
-   must survive permuted-order execution (the differential oracle —
-   reordering a truly independent loop's iterations cannot change the
-   final store), and every injected [parallel] annotation must be
+   must agree with one execution (the execution oracle — no two
+   iterations of one execution of the loop touch an array cell with one
+   of them writing, and none reads a scalar the loop writes before
+   writing it), and every injected [parallel] annotation must be
    answered exactly as the evidence warrants — a race error when the
    blocking dependence is exact, a warning when only conservative or
    degraded evidence blocks it. Plus the soundness direction itself:
@@ -25,18 +26,21 @@ let lint_of (profile, seed, index) =
   Lint.run (Parser.parse_program text)
 
 (* ------------------------------------------------------------------ *)
-(* DOALL verdicts vs the permuted-order interpreter                    *)
+(* DOALL verdicts vs one execution                                     *)
 (* ------------------------------------------------------------------ *)
+
+let doall_check (res : Lint.result) =
+  Exec_check.doall ~prepared:res.Lint.prepared res.Lint.summary
 
 let prop_doall_differential =
   QCheck.Test.make
-    ~name:"every DOALL loop survives permuted-order execution" ~count:200
+    ~name:"every DOALL loop agrees with one execution" ~count:200
     arb_fuzzed
     (fun input ->
-       let res = lint_of input in
-       match Pardiff.check ~prepared:res.Lint.prepared res.Lint.summary with
-       | Ok _ -> true
-       | Error msg -> QCheck.Test.fail_reportf "differential failure: %s" msg)
+       match doall_check (lint_of input) with
+       | Exec_check.Ran { refuted = Some msg; _ } ->
+         QCheck.Test.fail_reportf "differential failure: %s" msg
+       | Exec_check.Ran { refuted = None; _ } | Exec_check.Cannot_run _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Injected annotations vs findings                                    *)
@@ -582,6 +586,89 @@ let test_pair_mismatch_keeps_verdicts () =
   Alcotest.(check int) "the mismatched run has none" 0
     (List.length (witnesses bare))
 
+(* ------------------------------------------------------------------ *)
+(* The execution oracle's DOALL check                                  *)
+(* ------------------------------------------------------------------ *)
+
+let check_doall name ~doall ~executed ~refuted res =
+  match doall_check res with
+  | Exec_check.Ran r ->
+    Alcotest.(check (triple int int (option string)))
+      name (doall, executed, refuted)
+      (r.doall, r.executed, r.refuted)
+  | Exec_check.Cannot_run (msg, loc) ->
+    Alcotest.failf "%s: cannot run: %s at %s" name msg (Loc.to_string loc)
+
+(* [t] is written before it is read in every iteration, so the second
+   loop is DOALL; the value it carries out to [c[1]] is the last
+   iteration's, which [lastprivate] copies out and the check does not
+   judge (running the loop reversed would change [c[1]]). *)
+let test_lastprivate_agrees () =
+  let res =
+    Lint.run
+      (parse
+         "for i = 1 to 10 do\n  a[i] = i\nend\n\
+          for i = 1 to 10 do\n  t = a[i]\n  b[i] = t\nend\nc[1] = t\n")
+  in
+  check_doall "two DOALL loops, run, agree" ~doall:2 ~executed:2 ~refuted:None res
+
+(* The summary of each program forced to DOALL: the check must refuse
+   it, naming the loop. *)
+let test_forced_doall_refuted () =
+  List.iter
+    (fun (body, why) ->
+       let res = Lint.run (parse ("for i = 1 to 10 do\n" ^ body ^ "end\n")) in
+       let forced =
+         {
+           res with
+           Lint.summary =
+             {
+               res.Lint.summary with
+               Summary.loops =
+                 List.map
+                   (fun (li : Summary.loop_info) -> { li with verdict = Summary.Doall })
+                   res.Lint.summary.Summary.loops;
+             };
+         }
+       in
+       check_doall body ~doall:1 ~executed:1
+         ~refuted:(Some ("doall loop 'i' at 1:1: " ^ why))
+         forced)
+    [
+      ( "  a[i + 1] = a[i]\n",
+        "iterations i = 1 and i = 2 both touch a[2], one of them writing" );
+      ( "  b[i] = t\n  t = a[i]\n",
+        "iteration i = 1 reads t before writing it, and the loop writes t" );
+    ]
+
+(* Loops whose iterations communicate through a scalar: the summary
+   denies each DOALL, so execution has nothing to refute. A summary
+   that missed the carried scalar would grant one, and the run would
+   refute it. *)
+let test_carried_scalars_agree () =
+  List.iter
+    (fun src ->
+       let res = Lint.run (parse src) in
+       check_doall src ~doall:0 ~executed:0 ~refuted:None res)
+    [
+      "for i = 1 to 10 do\n  s = s + a[i]\nend\n";
+      "s = 0\nfor i = 1 to 10 do\n  s = s + a[i]\n  b[i] = s\nend\n";
+      "for i = 1 to 10 do\n  b[i] = t\n  t = a[i]\nend\n";
+      "for i = 1 to 10 do\n  if i > 5 then\n    t = a[i]\n  end\n  b[i] = t\nend\n";
+    ]
+
+(* Every DOALL loop of every PERFECT program runs (input n = 6) and
+   agrees with the execution. *)
+let test_perfect_doall_agree () =
+  List.iter
+    (fun (spec : Programs.spec) ->
+       let res = Lint.run (parse (Programs.source spec)) in
+       let doall =
+         List.length (List.filter snd (Summary.doall_loops res.Lint.summary))
+       in
+       check_doall spec.name ~doall ~executed:doall ~refuted:None res)
+    Programs.all
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "lint"
@@ -608,6 +695,14 @@ let () =
             test_exhausted_answer_not_cached;
           Alcotest.test_case "PERFECT replay equals the oracle" `Quick
             test_perfect_matches_oracle;
+          Alcotest.test_case "lastprivate DOALL agrees with execution" `Quick
+            test_lastprivate_agrees;
+          Alcotest.test_case "forced DOALL refuted by execution" `Quick
+            test_forced_doall_refuted;
+          Alcotest.test_case "carried scalars agree with execution" `Quick
+            test_carried_scalars_agree;
+          Alcotest.test_case "PERFECT DOALL loops agree with execution" `Quick
+            test_perfect_doall_agree;
         ] );
       ( "fuzzed",
         [

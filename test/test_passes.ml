@@ -10,6 +10,10 @@ open Dda_passes
 let parse = Parser.parse_program
 let program = Alcotest.testable Pretty.pp_program Ast.equal_program
 
+(* The final value of a scalar after running the program. *)
+let scalar_value ?inputs prog name =
+  List.assoc_opt name (fst (Interp.final_state ?inputs prog)).Interp.scalars
+
 (* Observable behaviour: final state plus the (array, indices, role)
    trace; locations and iteration vectors may legitimately change. *)
 let observe ?inputs prog =
@@ -138,7 +142,7 @@ let test_induction_decrement () =
   let prog = parse "iz = 20\nfor i = 1 to 5 do\n  iz = iz - 3\n  a[iz] = 1\nend" in
   let result = Induction.run prog in
   check_equivalent "decrement" prog result;
-  Alcotest.(check (option int)) "final iz" (Some 5) (Interp.scalar_value result "iz")
+  Alcotest.(check (option int)) "final iz" (Some 5) (scalar_value result "iz")
 
 let test_induction_use_before_increment () =
   let prog =
@@ -204,7 +208,7 @@ let test_normalize_positive_step () =
      Alcotest.(check bool) "unit step" true (step = None)
    | _ -> Alcotest.fail "expected guarded loop first");
   Alcotest.(check (option int)) "final i (last executed)" (Some 9)
-    (Interp.scalar_value result "i")
+    (scalar_value result "i")
 
 let test_normalize_negative_step () =
   let prog = parse "for i = 10 to 1 step -3 do a[i] = i end" in
@@ -215,7 +219,7 @@ let test_normalize_zero_trip () =
   let prog = parse "i = 42\nfor i = 10 to 1 step 2 do a[i] = i end" in
   let result = Normalize.run prog in
   check_equivalent "zero trip up" prog result;
-  Alcotest.(check (option int)) "i untouched" (Some 42) (Interp.scalar_value result "i")
+  Alcotest.(check (option int)) "i untouched" (Some 42) (scalar_value result "i")
 
 let test_normalize_symbolic_bounds () =
   let prog = parse "read(n)\nfor i = 1 to n step 2 do a[i] = i end" in
