@@ -335,26 +335,25 @@ let batch_corpus_8x () =
   List.concat_map
     (fun ((spec : Programs.spec), prog) ->
        List.init 8 (fun k ->
-           { Dda_engine.Batch.name = Printf.sprintf "%s#%d" spec.name k; program = prog }))
+           (Printf.sprintf "%s#%d" spec.name k, prog)))
     programs
 
 (* Everything the batch emits: per-item reports and merged stats,
    rendered to one canonical string. *)
-let batch_fingerprint (r : Dda_engine.Batch.result) =
+let batch_fingerprint (outcomes, (summary : Dda_engine.Stream.summary)) =
   String.concat "\n"
     (List.map
        (function
          | Dda_engine.Stream.Analyzed a ->
            a.name ^ " " ^ Dda_core.Json_out.to_string (Dda_core.Json_out.report a.report)
          | Dda_engine.Stream.Quarantined q -> q.name ^ " quarantined")
-       r.Dda_engine.Batch.outcomes)
-  ^ Dda_core.Json_out.to_string
-      (Dda_core.Json_out.stats r.Dda_engine.Batch.summary.Dda_engine.Stream.merged)
+       outcomes)
+  ^ Dda_core.Json_out.to_string (Dda_core.Json_out.stats summary.merged)
 
 (* Reports minus the memo counters: live sharing changes who hits (a
    scheduling fact the stats faithfully record) but must never change
    what any pair's verdict says. This fingerprints exactly the latter. *)
-let verdict_fingerprint (r : Dda_engine.Batch.result) =
+let verdict_fingerprint (outcomes, _) =
   String.concat "\n"
     (List.map
        (function
@@ -366,7 +365,7 @@ let verdict_fingerprint (r : Dda_engine.Batch.result) =
                   (fun p -> Dda_core.Json_out.to_string (Dda_core.Json_out.pair p))
                   a.report.Dda_core.Analyzer.pair_reports)
          | Dda_engine.Stream.Quarantined q -> q.name ^ " quarantined")
-       r.Dda_engine.Batch.outcomes)
+       outcomes)
 
 (* One job count's runs: the independent output's fingerprint, whether
    the live-shared verdicts equal the independent ones, both wall
@@ -394,18 +393,20 @@ let jobs_scaling () =
         %d core(s) -- wall-clock scaling needs real cores)"
        cores);
   let corpus = batch_corpus_8x () in
-  let full_hit_rate (r : Dda_engine.Batch.result) =
-    match r.Dda_engine.Batch.table_stats with
-    | Some (_, full) when full.Memo_table.lookups > 0 ->
-      float_of_int full.Memo_table.hits /. float_of_int full.Memo_table.lookups
-    | Some _ | None -> 0.
+  let full_hit_rate (_, (summary : Dda_engine.Stream.summary)) =
+    let s = summary.merged in
+    if s.memo_lookups_full = 0 then 0.
+    else float_of_int s.memo_hits_full /. float_of_int s.memo_lookups_full
   in
   let runs =
     List.map
       (fun jobs ->
-         let indep, t_indep = time (fun () -> Dda_engine.Batch.run ~jobs corpus) in
+         let indep, t_indep =
+           time (fun () -> Dda_engine.Stream.run_programs ~jobs corpus)
+         in
          let live, t_live =
-           time (fun () -> Dda_engine.Batch.run ~share_memo:true ~jobs corpus)
+           time (fun () ->
+               Dda_engine.Stream.run_programs ~share_memo:true ~jobs corpus)
          in
          {
            jobs;
@@ -500,8 +501,8 @@ let certification () =
 (* ------------------------------------------------------------------ *)
 
 (* The streamed engine holds only a sliding window of in-flight items;
-   the in-memory engine materializes the whole parsed corpus and every
-   report before printing anything. VmHWM is monotonic within a
+   the in-memory figure materializes the whole parsed corpus and hands
+   it to [Stream.run_programs], which keeps every outcome. VmHWM is monotonic within a
    process, so both modes are measured with the GC's own live-word
    count: full_major, then [Gc.stat].live_words. The streamed figure is
    the maximum observed after each emitted item. Both runs analyze the
@@ -534,11 +535,9 @@ let streaming_memory () =
       (Stream.of_perfect ~amplify ())
       (fun it ->
         items :=
-          { Dda_engine.Batch.name = it.Stream.name;
-            program = Parser.parse_program (it.Stream.text ()) }
-          :: !items);
+          (it.Stream.name, Parser.parse_program (it.Stream.text ())) :: !items);
     let items = List.rev !items in
-    let res = Dda_engine.Batch.run ~jobs:1 items in
+    let res = Stream.run_programs ~jobs:1 items in
     let w = live_words () - base in
     ignore (Sys.opaque_identity (items, res));
     w

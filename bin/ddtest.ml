@@ -3,10 +3,10 @@
    Subcommands:
      analyze    <file>  per-pair dependence report (text or JSON; memo
                         tables persist across runs with --memo-file)
-     batch      <files> analyze a whole corpus concurrently (--jobs N);
-                        --stream pulls items in bounded memory, --journal/
-                        --resume checkpoint and continue interrupted runs,
-                        --fuzz/--perfect generate the corpus on the fly
+     batch      <files> analyze a whole corpus concurrently (--jobs N) in
+                        bounded memory; --journal/--resume checkpoint and
+                        continue interrupted runs, --fuzz/--perfect
+                        generate the corpus on the fly
      fuzz       <n>     emit programs from the seeded corpus fuzzer
      parallel   <file>  which loops are parallelizable
      transform  <file>  loop reversal/interchange legality
@@ -272,6 +272,12 @@ let pp_outcome fmt (r : Analyzer.pair_report) =
       | None -> ()
     end
 
+(* One pair's report line, as [analyze] and [batch] print it. *)
+let pp_pair_line fmt (r : Analyzer.pair_report) =
+  Format.fprintf fmt "%s[%s]  %a x %a:  %a@." r.array_name
+    (if r.self_pair then "self" else "pair")
+    Loc.pp r.loc1 Loc.pp r.loc2 pp_outcome r
+
 let pp_stats fmt (s : Analyzer.stats) =
   Format.fprintf fmt "@.-- statistics --@.";
   Format.fprintf fmt "pairs analyzed:      %d@." s.pairs;
@@ -325,12 +331,7 @@ let analyze_cmd =
     in
     (match format with
      | `Text ->
-       List.iter
-         (fun (r : Analyzer.pair_report) ->
-            Format.printf "%s[%s]  %a x %a:  %a@." r.array_name
-              (if r.self_pair then "self" else "pair")
-              Loc.pp r.loc1 Loc.pp r.loc2 pp_outcome r)
-         report.pair_reports;
+       List.iter (Format.printf "%a" pp_pair_line) report.pair_reports;
        if stats then print_stats report.stats;
        Option.iter
          (fun s ->
@@ -394,23 +395,16 @@ let batch_cmd =
      default (independent) mode it is byte-identical whatever --jobs
      is, and the determinism tests compare runs across job counts.
 
-     Both modes render each item and the corpus summary with the
-     functions below, so they are byte-identical on stdout, except for
-     the in-memory JSON layout: one indented document, where streaming
-     JSON is one compact JSONL object per program. The streamed chunk
-     is also what the journal stores, which is what makes a resumed run
-     byte-identical to an uninterrupted one. *)
+     Each item is rendered as one chunk (JSON: one compact JSONL
+     object per program), and the corpus summary follows the last one.
+     The chunk is also what the journal stores, which is what makes a
+     resumed run byte-identical to an uninterrupted one. *)
   let render_text = function
     | Stream.Analyzed a ->
       let buf = Buffer.create 256 in
       let fmt = Format.formatter_of_buffer buf in
       Format.fprintf fmt "== %s ==@." a.name;
-      List.iter
-        (fun (r : Analyzer.pair_report) ->
-          Format.fprintf fmt "%s[%s]  %a x %a:  %a@." r.array_name
-            (if r.self_pair then "self" else "pair")
-            Loc.pp r.loc1 Loc.pp r.loc2 pp_outcome r)
-        a.report.Analyzer.pair_reports;
+      List.iter (pp_pair_line fmt) a.report.Analyzer.pair_reports;
       Option.iter
         (fun s ->
           Format.fprintf fmt "%a" (Dda_check.Verify.pp_text ~file:a.name) s)
@@ -427,7 +421,10 @@ let batch_cmd =
         (if q.attempts = 1 then "" else "s")
         q.error
   in
-  let item_json = function
+  let render_json o =
+    Json_out.to_line
+    @@
+    match o with
     | Stream.Analyzed a ->
       Json_out.Obj
         ([ ("file", Json_out.Str a.name); ("report", Json_out.report a.report) ]
@@ -448,33 +445,9 @@ let batch_cmd =
           ("error", Json_out.Str q.error);
         ]
   in
-  let render_json o = Json_out.to_line (item_json o) in
-  let summary_text (s : Stream.summary) =
-    Format.asprintf "@.== corpus: %d programs ==@." s.total
-    ^ (if s.retried > 0 || s.quarantined > 0 then
-         Format.asprintf "engine: %d retried, %d quarantined@." s.retried
-           s.quarantined
-       else "")
-    ^ Format.asprintf "%a" pp_stats s.merged
-  in
-  let engine_json (s : Stream.summary) =
-    if s.retried = 0 && s.quarantined = 0 then []
-    else
-      [
-        ( "engine",
-          Json_out.Obj
-            [
-              ("retried", Json_out.Int s.retried);
-              ("quarantined", Json_out.Int s.quarantined);
-            ] );
-      ]
-  in
-  let exit_status (s : Stream.summary) =
-    if s.quarantined > 0 then exit 3 else if s.verify_errors > 0 then exit 2
-  in
-  let run_stream ~files ~jobs ~share_memo ~verify ~lint ~retries ~backoff_ms
-      ~item_timeout_ms ~config ~format ~journal ~resume ~fuzz ~fuzz_seed
-      ~fuzz_profile ~perfect ~amplify =
+  let run () files jobs share_memo verify lint retries backoff_ms
+      item_timeout_ms config format journal resume fuzz fuzz_seed
+      fuzz_profile perfect amplify =
     let sources =
       (if files = [] then []
        else
@@ -536,8 +509,14 @@ let batch_cmd =
         (Option.value ~default:"-" journal);
       exit 130
     end;
+    let engine = summary.retried > 0 || summary.quarantined > 0 in
     (match format with
-     | `Text -> print_string (summary_text summary)
+     | `Text ->
+       Format.printf "@.== corpus: %d programs ==@." summary.total;
+       if engine then
+         Format.printf "engine: %d retried, %d quarantined@." summary.retried
+           summary.quarantined;
+       print_stats summary.merged
      | `Json ->
        (* No metrics registry here: replayed items do not re-run, so
           registry counters are not resume-invariant — and the summary
@@ -549,7 +528,17 @@ let batch_cmd =
                   ("corpus", Json_out.Int summary.total);
                   ("merged_stats", Json_out.stats summary.merged);
                 ]
-               @ engine_json summary))
+               @
+               if engine then
+                 [
+                   ( "engine",
+                     Json_out.Obj
+                       [
+                         ("retried", Json_out.Int summary.retried);
+                         ("quarantined", Json_out.Int summary.quarantined);
+                       ] );
+                 ]
+               else []))
          ^ "\n"));
     flush stdout;
     (* The scale CI job greps this line to watch peak memory. *)
@@ -557,85 +546,16 @@ let batch_cmd =
       "stream: %d items (%d replayed), %d retried, %d quarantined, peak rss %d kB"
       summary.total summary.replayed summary.retried summary.quarantined
       (Option.value ~default:0 (Dda_obs.Rusage.peak_rss_kb ()));
-    exit_status summary
-  in
-  let run () files jobs share_memo verify lint retries backoff_ms
-      item_timeout_ms config format stream journal resume fuzz fuzz_seed
-      fuzz_profile perfect amplify =
-    let streaming =
-      stream || journal <> None || resume || fuzz > 0 || perfect || amplify > 1
-    in
-    if streaming then begin
-      run_stream ~files ~jobs ~share_memo ~verify ~lint ~retries ~backoff_ms
-        ~item_timeout_ms ~config ~format ~journal ~resume ~fuzz ~fuzz_seed
-        ~fuzz_profile ~perfect ~amplify
-    end
-    else begin
-    if files = [] then failwith "batch: no input files";
-    (* Every file is parsed before any is analyzed: a malformed one
-       stops the run with its located error. *)
-    let items = List.map (fun f -> { Batch.name = f; program = load f }) files in
-    let result =
-      Batch.run ~config ~share_memo ~verify ~lint ~retries ~backoff_ms
-        ?item_timeout_ms ~jobs items
-    in
-    (match format with
-     | `Text ->
-       List.iter (fun o -> print_string (render_text o)) result.outcomes;
-       print_string (summary_text result.summary);
-       Option.iter
-         (fun (gcd, full) ->
-            let line name (st : Memo_table.stats) =
-              Format.printf
-                "table (%s):  %d entries in %d buckets, %d/%d hits (%.1f%%)@."
-                name st.Memo_table.size st.Memo_table.buckets
-                st.Memo_table.hits st.Memo_table.lookups
-                (if st.Memo_table.lookups = 0 then 0.
-                 else
-                   100. *. float_of_int st.Memo_table.hits
-                   /. float_of_int st.Memo_table.lookups)
-            in
-            line "gcd" gcd;
-            line "full" full)
-         result.table_stats
-     | `Json ->
-       Format.printf "%a@." Json_out.pp
-         (Json_out.Obj
-            ([
-              ("programs", Json_out.List (List.map item_json result.outcomes));
-              ("merged_stats", Json_out.stats result.summary.merged);
-            ]
-            @ (match result.table_stats with
-               | None -> []
-               | Some (gcd, full) ->
-                 let table (st : Memo_table.stats) =
-                   Json_out.Obj
-                     [
-                       ("entries", Json_out.Int st.Memo_table.size);
-                       ("buckets", Json_out.Int st.Memo_table.buckets);
-                       ("lookups", Json_out.Int st.Memo_table.lookups);
-                       ("hits", Json_out.Int st.Memo_table.hits);
-                     ]
-                 in
-                 [
-                   ( "memo_tables",
-                     Json_out.Obj [ ("gcd", table gcd); ("full", table full) ] );
-                 ])
-            (* Registry counters are jobs-invariant (each is a pure
-               function of the per-item work), so embedding them keeps
-               the JSON byte-identical across --jobs values. *)
-            @ [ ("metrics", Json_out.metrics (Dda_obs.Metrics.snapshot ())) ]
-            @ engine_json result.summary)));
-    exit_status result.summary
-    end
+    if summary.quarantined > 0 then exit 3
+    else if summary.verify_errors > 0 then exit 2
   in
   let files_arg =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"FILES"
           ~doc:
-            "Source files to analyze (in streaming mode, directories are \
-             expanded to their $(b,*.dd) files).")
+            "Source files to analyze; directories are expanded to their \
+             $(b,*.dd) files.")
   in
   let jobs_arg =
     Arg.(
@@ -697,17 +617,6 @@ let batch_cmd =
       value
       & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
       & info [ "format" ] ~doc:"Output format: $(b,text) or $(b,json).")
-  in
-  let stream_arg =
-    Arg.(
-      value & flag
-      & info [ "stream" ]
-          ~doc:
-            "Stream the corpus instead of materializing it: items are read \
-             (or generated), analyzed and printed with bounded memory — at \
-             most about twice $(b,--jobs) items in flight. Implied by \
-             $(b,--journal), $(b,--resume), $(b,--fuzz), $(b,--perfect) and \
-             $(b,--amplify).")
   in
   let journal_arg =
     Arg.(
@@ -784,19 +693,20 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "Analyze a corpus of programs concurrently on a pool of domains; \
-          per-program reports come back in input order with merged corpus \
-          statistics, and the default mode is byte-identical for every \
-          $(b,--jobs) value. An item whose worker crashes is retried and \
-          then quarantined — the rest of the corpus still completes; exits \
-          3 when anything was quarantined. With $(b,--stream) (or any of \
-          the flags that imply it) the corpus is pulled item by item in \
-          bounded memory, optionally journaled ($(b,--journal)) and \
-          resumed ($(b,--resume)) after a crash.")
+         "Analyze a corpus of programs concurrently on a pool of domains, \
+          pulled item by item in bounded memory (at most about twice \
+          $(b,--jobs) items in flight); per-program reports come back in \
+          input order with merged corpus statistics, and the default mode \
+          is byte-identical for every $(b,--jobs) value. An item whose \
+          worker crashes is retried and then quarantined, as is a \
+          malformed or unreadable file — the rest of the corpus still \
+          completes; exits 3 when anything was quarantined. The run can \
+          be journaled ($(b,--journal)) and resumed ($(b,--resume)) after \
+          a crash.")
     Term.(
       const run $ obs_term $ files_arg $ jobs_arg $ share_memo_arg
       $ verify_arg $ lint_arg $ retries_arg $ backoff_arg $ timeout_arg
-      $ config_term $ format $ stream_arg $ journal_arg $ resume_arg
+      $ config_term $ format $ journal_arg $ resume_arg
       $ fuzz_arg $ fuzz_seed_arg $ fuzz_profile_arg $ perfect_arg
       $ amplify_arg)
 
@@ -1073,9 +983,7 @@ let cc_cmd =
        summary certifies DOALL (exact dependence refutation, no carried
        scalars, never degraded evidence) are emitted parallel. *)
     let res = Dda_analysis.Lint.run ~config:Analyzer.default_config prog in
-    let parallel =
-      Dda_analysis.Summary.doall_loops res.Dda_analysis.Lint.summary
-    in
+    let parallel = Dda_analysis.Summary.is_doall res.Dda_analysis.Lint.summary in
     match
       Dda_codegen.C_emit.emit ~parallel res.Dda_analysis.Lint.prepared
     with
@@ -1099,12 +1007,7 @@ let cc_cmd =
 let annotate_cmd =
   let run file config =
     let res = Dda_analysis.Lint.run ~config (load file) in
-    let doall loc =
-      List.exists
-        (fun (li : Dda_analysis.Summary.loop_info) ->
-           Loc.equal li.loc loc && li.verdict = Dda_analysis.Summary.Doall)
-        res.Dda_analysis.Lint.summary.loops
-    in
+    let doall = Dda_analysis.Summary.is_doall res.Dda_analysis.Lint.summary in
     let buf = Buffer.create 1024 in
     let rec emit indent (s : Ast.stmt) =
       let pad = String.make indent ' ' in

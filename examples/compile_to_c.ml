@@ -21,7 +21,7 @@ let () =
           else "serial"))
     res.Dda_analysis.Lint.summary.Dda_analysis.Summary.loops;
   print_newline ();
-  let parallel = Dda_analysis.Summary.doall_loops res.Dda_analysis.Lint.summary in
+  let parallel = Dda_analysis.Summary.is_doall res.Dda_analysis.Lint.summary in
   match Dda_codegen.C_emit.emit ~parallel res.Dda_analysis.Lint.prepared with
   | Ok c -> print_string c
   | Error reason -> prerr_endline ("codegen rejected: " ^ reason)

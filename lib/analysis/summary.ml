@@ -42,6 +42,9 @@ let doall_loops t =
   List.map (fun li -> (li.lid, li.verdict = Doall)) t.loops
   |> List.sort compare
 
+let is_doall t loc =
+  List.exists (fun li -> Loc.equal li.loc loc && li.verdict = Doall) t.loops
+
 (* ------------------------------------------------------------------ *)
 (* Loop metadata: ids assigned in the same pre-order as Affine.extract *)
 (* ------------------------------------------------------------------ *)

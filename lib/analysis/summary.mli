@@ -79,9 +79,13 @@ val loop_metas : Ast.program -> loop_meta list
     loops as {!Affine.extract} does. *)
 
 val doall_loops : t -> (int * bool) list
-(** [(lid, is_doall)] per loop, sorted by id: the one parallelism
-    decider, behind [ddtest parallel], [annotate] and the C back end's
-    pragmas, and what the tests compare against ground truth. *)
+(** [(lid, is_doall)] per loop, sorted by id: what the tests compare
+    against ground truth. *)
+
+val is_doall : t -> Loc.t -> bool
+(** Whether the [for] statement at the location is a certified DOALL
+    loop: the one parallelism decider, behind [annotate] and the C
+    back end's pragmas. *)
 
 val compute :
   ?config:Analyzer.config ->

@@ -193,7 +193,7 @@ let relop_c = function
   | Ast.Rgt -> ">"
   | Ast.Rge -> ">="
 
-let emit ?(parallel = []) prog =
+let emit ?(parallel = fun _ -> false) prog =
   match analyze_arrays prog with
   | exception Reject reason -> Error reason
   | arrays ->
@@ -219,7 +219,6 @@ let emit ?(parallel = []) prog =
       incr counter;
       Printf.sprintf "%s%d" prefix !counter
     in
-    let loop_counter = ref 0 in
     let rec stmt indent (s : Ast.stmt) =
       let pad = String.make indent ' ' in
       match s.sdesc with
@@ -247,8 +246,6 @@ let emit ?(parallel = []) prog =
         end;
         out "%s}\n" pad
       | Ast.For f ->
-        let lid = !loop_counter in
-        incr loop_counter;
         let stepc =
           match f.step with
           | None -> 1
@@ -268,32 +265,31 @@ let emit ?(parallel = []) prog =
         out "%s  ll %s = " pad hi;
         emit_expr buf arrays f.hi;
         out ";\n";
-        (match List.assoc_opt lid parallel with
-         | Some true ->
-           (* Every scalar the body writes (inner loop variables,
-              temporaries) is a global too: shared, the threads would
-              overwrite each other's values mid-iteration. Each thread
-              gets its own copy, starting from the pre-loop value, and
-              the last iteration's copy is copied out. *)
-           let written = ref [] in
-           let note v =
-             if v <> f.var && not (List.mem v !written) then
-               written := v :: !written
-           in
-           Ast.iter_stmts
-             (fun s ->
-                match s.Ast.sdesc with
-                | Ast.For g -> note g.var
-                | Ast.Assign (Ast.Lvar v, _) -> note v
-                | _ -> ())
-             f.body;
-           let vars vs = String.concat ", " (List.map (fun v -> "v_" ^ v) vs) in
-           let written = List.rev !written in
-           out "%s  #pragma omp parallel for lastprivate(%s)%s\n" pad
-             (vars (f.var :: written))
-             (if written = [] then ""
-              else Printf.sprintf " firstprivate(%s)" (vars written))
-         | Some false | None -> ());
+        if parallel s.sloc then begin
+          (* Every scalar the body writes (inner loop variables,
+             temporaries) is a global too: shared, the threads would
+             overwrite each other's values mid-iteration. Each thread
+             gets its own copy, starting from the pre-loop value, and
+             the last iteration's copy is copied out. *)
+          let written = ref [] in
+          let note v =
+            if v <> f.var && not (List.mem v !written) then
+              written := v :: !written
+          in
+          Ast.iter_stmts
+            (fun s ->
+               match s.Ast.sdesc with
+               | Ast.For g -> note g.var
+               | Ast.Assign (Ast.Lvar v, _) -> note v
+               | _ -> ())
+            f.body;
+          let vars vs = String.concat ", " (List.map (fun v -> "v_" ^ v) vs) in
+          let written = List.rev !written in
+          out "%s  #pragma omp parallel for lastprivate(%s)%s\n" pad
+            (vars (f.var :: written))
+            (if written = [] then ""
+             else Printf.sprintf " firstprivate(%s)" (vars written))
+        end;
         out "%s  for (ll %s = %s; %s %s %s; %s += %d) {\n" pad c lo c
           (if stepc > 0 then "<=" else ">=")
           hi c stepc;

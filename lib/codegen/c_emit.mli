@@ -17,13 +17,13 @@
 open Dda_lang
 
 val emit :
-  ?parallel:(int * bool) list ->
+  ?parallel:(Loc.t -> bool) ->
   Ast.program ->
   (string, string) result
-(** [parallel] maps pre-order loop numbers (as {!Dda_core.Affine}
-    assigns them) to parallelizability; loops marked [true] receive the
-    OpenMP pragma, with every scalar the loop body writes made private
-    to a thread. The generated [main] executes the program and prints
+(** [parallel] (default: none) rules on each loop by its [for]
+    statement's location; loops it holds parallel receive the OpenMP
+    pragma, with every scalar the loop body writes made private to a
+    thread. The generated [main] executes the program and prints
     every scalar as [name=value] (sorted) and every non-zero array cell
     as [name[i][j]=value] (name-major, index-lexicographic) — the same
     order {!state_dump} produces. *)

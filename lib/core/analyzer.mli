@@ -257,7 +257,7 @@ val analyze :
     globals — so concurrent [analyze] calls are safe from different
     domains. A {!memory_cache} must not be shared across domains;
     cross-domain sharing goes through a {!shared} cache
-    ([Dda_engine.Batch]'s live mode) or a [Dda_cache.Durable] one.
+    ([Dda_engine.Stream]'s [share_memo] mode) or a [Dda_cache.Durable] one.
 
     [cancel] is a cooperative watchdog polled by the per-query budget
     every few dozen solver steps; returning [true] degrades the current

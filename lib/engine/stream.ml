@@ -408,7 +408,8 @@ let hit_journal () = Failpoint.hit "stream.journal"
 
 (* The one driver: [next] pulls the next item's name and input. Only
    {!run} passes a journal, and its items are all [Text]. *)
-let drive ?(config = Analyzer.default_config) ?cache ?(verify = false)
+let drive ?(config = Analyzer.default_config) ?(share_memo = false)
+    ?(verify = false)
     ?(lint = false) ?(retries = 1) ?(backoff_ms = 50) ?item_timeout_ms
     ?journal ?(resume = false) ?(stop = fun () -> false) ~jobs ~render ~emit
     next =
@@ -417,8 +418,13 @@ let drive ?(config = Analyzer.default_config) ?cache ?(verify = false)
   if backoff_ms < 0 then invalid_arg "Stream.run: backoff_ms must be >= 0";
   if resume && journal = None then
     invalid_arg "Stream.run: resume requires a journal";
-  let cfg_digest =
-    config_digest ~lint ~share_memo:(Option.is_some cache) config ~verify
+  let cfg_digest = config_digest ~lint ~share_memo config ~verify in
+  (* The live-shared tables are bounded by the corpus's distinct
+     problems, not its length: the one piece of state that deliberately
+     outlives the sliding window. *)
+  let cache =
+    if share_memo then Some (Analyzer.shared_cache (Analyzer.create_shared ()))
+    else None
   in
   let nreplay =
     match journal with
@@ -440,6 +446,9 @@ let drive ?(config = Analyzer.default_config) ?cache ?(verify = false)
     | _ -> 0
   in
   let merged = Analyzer.fresh_stats () in
+  (* The replayed records' (gcd, full) unique counts, kept apart for
+     the live-shared rule at the end. *)
+  let replayed_unique = ref (0, 0) in
   let total = ref 0 in
   let retried = ref 0 in
   let quarantined = ref 0 in
@@ -486,7 +495,12 @@ let drive ?(config = Analyzer.default_config) ?cache ?(verify = false)
            incr total;
            Dda_obs.Metrics.incr m_replayed;
            (match r.j_stats with
-            | Some s -> Analyzer.merge_stats ~into:merged s
+            | Some s ->
+              Analyzer.merge_stats ~into:merged s;
+              let g, f = !replayed_unique in
+              replayed_unique :=
+                ( g + s.Analyzer.memo_unique_nobounds,
+                  f + s.Analyzer.memo_unique_full )
             | None -> incr quarantined);
            if r.j_attempts > 1 then incr retried;
            verify_errors := !verify_errors + r.j_verrs;
@@ -585,6 +599,18 @@ let drive ?(config = Analyzer.default_config) ?cache ?(verify = false)
             emit out;
             fill ()
           done));
+  (* Live-shared tables already hold the union of every analyzed
+     item's problems, so their sizes are the distinct-problem counts;
+     summed per-item misses over-count a key two domains raced to
+     compute. Replayed records never touched these tables and keep
+     their journaled counts. *)
+  Option.iter
+    (fun (c : Analyzer.cache) ->
+      let gcd, full = c.cache_sizes () in
+      let rg, rf = !replayed_unique in
+      merged.Analyzer.memo_unique_nobounds <- rg + gcd;
+      merged.Analyzer.memo_unique_full <- rf + full)
+    cache;
   {
     total = !total;
     replayed = nreplay;
@@ -595,29 +621,21 @@ let drive ?(config = Analyzer.default_config) ?cache ?(verify = false)
     merged;
   }
 
-let run ?config ?(share_memo = false) ?verify ?lint ?retries ?backoff_ms
+let run ?config ?share_memo ?verify ?lint ?retries ?backoff_ms
     ?item_timeout_ms ?journal ?resume ?stop ~jobs ~render ~emit source =
-  (* The live-shared tables are bounded by the corpus's distinct
-     problems, not its length: the one piece of state that deliberately
-     outlives the sliding window. *)
-  let cache =
-    if share_memo then Some (Analyzer.shared_cache (Analyzer.create_shared ()))
-    else None
-  in
-  drive ?config ?cache ?verify ?lint ?retries ?backoff_ms ?item_timeout_ms
-    ?journal ?resume ?stop ~jobs ~render ~emit (fun () ->
+  drive ?config ?share_memo ?verify ?lint ?retries ?backoff_ms
+    ?item_timeout_ms ?journal ?resume ?stop ~jobs ~render ~emit (fun () ->
       Option.map (fun it -> (it.name, Text it.text)) (source ()))
 
-let run_programs ?config ?shared ?verify ?lint ?retries ?backoff_ms
+let run_programs ?config ?share_memo ?verify ?lint ?retries ?backoff_ms
     ?item_timeout_ms ~jobs programs =
   let rest = ref programs in
   let outcomes = ref [] in
   (* Nothing is journaled or emitted: the outcomes themselves are the
      result. *)
   let summary =
-    drive ?config
-      ?cache:(Option.map Analyzer.shared_cache shared)
-      ?verify ?lint ?retries ?backoff_ms ?item_timeout_ms ~jobs
+    drive ?config ?share_memo ?verify ?lint ?retries ?backoff_ms
+      ?item_timeout_ms ~jobs
       ~render:(fun o ->
         outcomes := o :: !outcomes;
         "")

@@ -9,7 +9,7 @@
     flight, so peak memory is a function of [jobs] and the largest
     single item, never of corpus length. {!run_programs} drives the
     same machinery over programs the caller already parsed and
-    collects their outcomes; {!Batch} is built on it.
+    collects their outcomes.
 
     {b One front end per item.} Each item's {!Analyzer.front_end} is
     built once; the report, its verification and its lint summary all
@@ -19,14 +19,26 @@
     results are emitted in input order, and the per-item counters are
     per-corpus-item events, so output and metrics are byte-identical
     whatever [jobs] is. With [share_memo] every worker queries one
-    live-shared lock-striped table pair ({!Analyzer.shared}) for the whole run: verdicts and
-    direction vectors are unchanged at any [jobs], but per-item
-    memo-{e hit} counts (and so the JSON renderings and the summary's
-    hit totals) depend on cross-domain timing at [jobs > 1], and a
-    resumed run re-analyzes its remaining items against a table that
-    never saw the replayed ones — replayed chunks are still emitted
-    byte-for-byte, and only hit counters can differ from a clean run.
+    live-shared lock-striped table pair ({!Analyzer.shared}) for the
+    whole run: verdicts and direction vectors are unchanged at any
+    [jobs], but per-item memo counts (and so the JSON renderings and
+    the summary's hit totals) depend on cross-domain timing at
+    [jobs > 1], and a resumed run re-analyzes its remaining items
+    against a table that never saw the replayed ones — replayed chunks
+    are still emitted byte-for-byte, and only memo counters can differ
+    from a clean run.
     [share_memo] participates in the journal fingerprint.
+
+    {b Shared unique counts.} With [share_memo] the summary's merged
+    unique counts ([memo_unique_nobounds], [memo_unique_full]) are not
+    summed per item: they are the shared tables' sizes at the end of
+    the run, the corpus's distinct-problem counts, which no [jobs]
+    value changes (summed per-item misses would over-count a key two
+    domains raced to compute). A replayed record never touched the
+    tables, so it adds its journaled unique counts instead: after a
+    resume the merged counts can exceed a clean run's by the problems
+    the re-analyzed items share with the replayed ones. Per-item
+    reports keep their own misses as their unique counts.
 
     {b Journal.} With [journal], every completed item is appended to a
     write-ahead journal, a {!Dda_cache.Record_log} with its own magic
@@ -159,7 +171,7 @@ val run :
     [verify] (default [false]) certificate-checks each item's report
     ({!Dda_check.Verify.verify_report}) and [lint] (default [false])
     summarizes its loops' parallelizability
-    ({!Dda_analysis.Lint.of_report}), both on the item's worker
+    ({!Dda_analysis.Lint.of_front}), both on the item's worker
     domain. [retries] (default [1]) is how many times a failed item is
     retried before quarantine; [backoff_ms] (default [50]) the first
     retry's delay, doubled each further retry. [item_timeout_ms]
@@ -175,8 +187,9 @@ val run :
     [true] no further item is pulled from the source, but everything
     already submitted is finished, journaled and emitted, the journal
     is flushed and fsynced, and the summary comes back with
-    [interrupted = true] — the SIGINT path of [ddtest batch --stream],
-    which leaves a journal a later [resume] continues from.
+    [interrupted = true] — the SIGINT path of [ddtest batch
+    --journal], which leaves a journal a later [resume] continues
+    from.
 
     @raise Invalid_argument on bad knob values, or [resume] without
     [journal].
@@ -188,7 +201,7 @@ val run :
 
 val run_programs :
   ?config:Analyzer.config ->
-  ?shared:Analyzer.shared ->
+  ?share_memo:bool ->
   ?verify:bool ->
   ?lint:bool ->
   ?retries:int ->
@@ -199,9 +212,8 @@ val run_programs :
   outcome list * summary
 (** {!run} over named programs the caller already parsed, so no item
     is parsed twice; returns every item's outcome, in input order. The
-    items have no source text to digest, so there is no journal. With
-    [shared], every worker queries those live-shared tables, which the
-    caller can inspect afterwards ({!Analyzer.shared_table_stats}).
+    items have no source text to digest, so there is no journal.
+    [share_memo] is {!run}'s, merged unique counts included.
     @raise Invalid_argument on bad knob values. *)
 
 (** {1 Journal internals, exposed for tests} *)

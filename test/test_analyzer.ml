@@ -741,16 +741,16 @@ let test_perfect_one_front () =
   let items =
     List.map
       (fun (spec : Dda_perfect.Programs.spec) ->
-         { Dda_engine.Batch.name = spec.name;
-           program = Parser.parse_program (Dda_perfect.Programs.source spec) })
+         (spec.name, Parser.parse_program (Dda_perfect.Programs.source spec)))
       Dda_perfect.Programs.all
   in
-  let batch =
-    Dda_engine.Batch.run ~config ~lint:true ~verify:true ~jobs:1 items
+  let outcomes, _ =
+    Dda_engine.Stream.run_programs ~config ~lint:true ~verify:true ~jobs:1
+      items
   in
   List.iter2
-    (fun (it : Dda_engine.Batch.item) outcome ->
-       let front = Analyzer.front_end config it.program in
+    (fun (name, program) outcome ->
+       let front = Analyzer.front_end config program in
        let report = Analyzer.analyze_sites ~config front.pairs in
        let lint = Dda_analysis.Lint.of_front ~config front report in
        let verification =
@@ -758,27 +758,27 @@ let test_perfect_one_front () =
        in
        let report_s r = Json_out.to_string (Json_out.report r) in
        let lint_s l =
-         Json_out.to_string (Dda_analysis.Lint.to_json ~file:it.name l)
+         Json_out.to_string (Dda_analysis.Lint.to_json ~file:name l)
        in
        let verify_s v =
-         Json_out.to_string (Dda_check.Verify.to_json ~file:it.name v)
+         Json_out.to_string (Dda_check.Verify.to_json ~file:name v)
        in
        let same what want got =
-         Alcotest.(check string) (it.name ^ ": " ^ what) want got
+         Alcotest.(check string) (name ^ ": " ^ what) want got
        in
-       let alone = Dda_analysis.Lint.run ~config it.program in
+       let alone = Dda_analysis.Lint.run ~config program in
        same "Lint.run report" (report_s report) (report_s alone.report);
        same "Lint.run summary and findings" (lint_s lint) (lint_s alone);
        same "Verify.run diagnostics" (verify_s verification)
-         (verify_s (Dda_check.Verify.run ~config it.program));
+         (verify_s (Dda_check.Verify.run ~config program));
        match outcome with
        | Dda_engine.Stream.Analyzed
            { report = r; verification = Some v; lint = Some l; _ } ->
          same "batch report" (report_s report) (report_s r);
          same "batch diagnostics" (verify_s verification) (verify_s v);
          same "batch summary and findings" (lint_s lint) (lint_s l)
-       | _ -> Alcotest.failf "%s: the batch did not analyze, verify and lint it" it.name)
-    items batch.outcomes
+       | _ -> Alcotest.failf "%s: the batch did not analyze, verify and lint it" name)
+    items outcomes
 
 (* Two persistent caches advanced in lockstep over the same programs:
    each call's memo statistics must be that call's own traffic on its

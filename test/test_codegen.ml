@@ -54,7 +54,7 @@ let compile_and_run ?(openmp = false) ?(threads = 1) c_src =
 let parallel_flags prog =
   let res = Dda_analysis.Lint.run prog in
   ( res.Dda_analysis.Lint.prepared,
-    Dda_analysis.Summary.doall_loops res.Dda_analysis.Lint.summary )
+    Dda_analysis.Summary.is_doall res.Dda_analysis.Lint.summary )
 
 let check_against_interp ?(openmp = false) ?(threads = 1) name prog =
   let prepared, parallel = parallel_flags prog in

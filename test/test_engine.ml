@@ -273,38 +273,36 @@ let test_merge_stats () =
 (* ------------------------------------------------------------------ *)
 
 let corpus_of_programs programs =
-  List.mapi
-    (fun i prog -> { Batch.name = Printf.sprintf "p%d" i; program = prog })
-    programs
+  List.mapi (fun i prog -> (Printf.sprintf "p%d" i, prog)) programs
 
 (* Render everything a batch run reports — per-item verdicts, direction
    vectors, distances and merged statistics — to one canonical string. *)
-let fingerprint (r : Batch.result) =
+let fingerprint (outcomes, (summary : Stream.summary)) =
   String.concat "\n"
     (List.map
        (function
          | Stream.Analyzed a ->
            a.name ^ " " ^ Json_out.to_string (Json_out.report a.report)
          | Stream.Quarantined q -> q.name ^ " quarantined: " ^ q.error)
-       r.Batch.outcomes)
-  ^ "\n" ^ Json_out.to_string (Json_out.stats r.Batch.summary.Stream.merged)
+       outcomes)
+  ^ "\n" ^ Json_out.to_string (Json_out.stats summary.merged)
 
-let analyzed_count (r : Batch.result) =
+let analyzed_count (outcomes, _) =
   List.length
     (List.filter
        (function Stream.Analyzed _ -> true | Stream.Quarantined _ -> false)
-       r.Batch.outcomes)
+       outcomes)
 
 let test_batch_empty_and_small () =
-  let r = Batch.run ~jobs:4 [] in
-  Alcotest.(check int) "empty corpus" 0 (List.length r.Batch.outcomes);
-  Alcotest.(check int) "no pairs" 0 r.Batch.summary.Stream.merged.Analyzer.pairs;
+  let outcomes, summary = Stream.run_programs ~jobs:4 [] in
+  Alcotest.(check int) "empty corpus" 0 (List.length outcomes);
+  Alcotest.(check int) "no pairs" 0 summary.Stream.merged.Analyzer.pairs;
   let one = corpus_of_programs [ parse "for i = 1 to 9 do\n  a[i + 1] = a[i] + 1\nend" ] in
-  let r = Batch.run ~jobs:8 one in
+  let r = Stream.run_programs ~jobs:8 one in
   Alcotest.(check int) "one item, more jobs than items" 1 (analyzed_count r);
   Alcotest.check_raises "jobs must be positive"
     (Invalid_argument "Stream.run: jobs must be >= 1") (fun () ->
-      ignore (Batch.run ~jobs:0 one))
+      ignore (Stream.run_programs ~jobs:0 one))
 
 let arb_corpus =
   QCheck.make
@@ -332,7 +330,7 @@ let prop_batch_deterministic =
        let sequential =
          (* The sequential path, no pool involved. *)
          let reports =
-           List.map (fun (it : Batch.item) -> Analyzer.analyze it.program) corpus
+           List.map (fun (_, program) -> Analyzer.analyze program) corpus
          in
          let merged = Analyzer.fresh_stats () in
          List.iter
@@ -341,23 +339,23 @@ let prop_batch_deterministic =
            reports;
          String.concat "\n"
            (List.map2
-              (fun (it : Batch.item) report ->
-                 it.name ^ " " ^ Json_out.to_string (Json_out.report report))
+              (fun (name, _) report ->
+                 name ^ " " ^ Json_out.to_string (Json_out.report report))
               corpus reports)
          ^ "\n" ^ Json_out.to_string (Json_out.stats merged)
        in
        let oracles =
          List.map
-           (fun (it : Batch.item) ->
+           (fun (name, program) ->
               ( Json_out.to_string
-                  (Dda_check.Verify.to_json ~file:it.name
-                     (Dda_check.Verify.run it.program)),
+                  (Dda_check.Verify.to_json ~file:name
+                     (Dda_check.Verify.run program)),
                 Json_out.to_string
-                  (Dda_analysis.Lint.to_json ~file:it.name
-                     (Dda_analysis.Lint.run it.program)) ))
+                  (Dda_analysis.Lint.to_json ~file:name
+                     (Dda_analysis.Lint.run program)) ))
            corpus
        in
-       let checked (r : Batch.result) =
+       let checked (outcomes, _) =
          List.map
            (function
              | Stream.Analyzed
@@ -366,12 +364,12 @@ let prop_batch_deterministic =
                  Json_out.to_string (Dda_analysis.Lint.to_json ~file:name l) )
              | Stream.Analyzed { name; _ } -> (name, "no verification or lint")
              | Stream.Quarantined q -> (q.name, q.error))
-           r.Batch.outcomes
+           outcomes
        in
        List.for_all
          (fun jobs ->
-            let r = Batch.run ~verify:true ~lint:true ~jobs corpus in
-            fingerprint (Batch.run ~jobs corpus) = sequential
+            let r = Stream.run_programs ~verify:true ~lint:true ~jobs corpus in
+            fingerprint (Stream.run_programs ~jobs corpus) = sequential
             && fingerprint r = sequential
             && checked r = oracles)
          [ 1; 2; 4 ])
@@ -383,35 +381,61 @@ let prop_batch_share_memo_verdicts =
     arb_corpus
     (fun programs ->
        let corpus = corpus_of_programs programs in
-       let pairs_only (r : Batch.result) =
+       let pairs_only (outcomes, _) =
          List.map
            (function
              | Stream.Analyzed a ->
                List.map Json_out.pair a.report.Analyzer.pair_reports
              | Stream.Quarantined _ -> [])
-           r.Batch.outcomes
+           outcomes
        in
-       let isolated = pairs_only (Batch.run ~jobs:1 corpus) in
+       let isolated = pairs_only (Stream.run_programs ~jobs:1 corpus) in
        List.for_all
          (fun jobs ->
-            pairs_only (Batch.run ~share_memo:true ~jobs corpus) = isolated)
+            pairs_only (Stream.run_programs ~share_memo:true ~jobs corpus)
+            = isolated)
          [ 1; 3 ])
 
 let test_batch_share_memo_unique_counts () =
-  (* Two copies of the same program: whichever domain analyzes which
-     copy, the shared tables hold each distinct problem once, and the
-     merged unique counts must not double-count. *)
-  let prog = parse "for i = 1 to 10 do\n  a[i + 2] = a[i] + 1\nend" in
-  let corpus = corpus_of_programs [ prog; prog ] in
-  let solo = Batch.run ~share_memo:true ~jobs:1 (corpus_of_programs [ prog ]) in
-  let r1 = Batch.run ~share_memo:true ~jobs:1 corpus in
-  let r2 = Batch.run ~share_memo:true ~jobs:2 corpus in
-  Alcotest.(check int) "jobs=1: second copy adds no unique problems"
-    solo.Batch.summary.Stream.merged.Analyzer.memo_unique_full
-    r1.Batch.summary.Stream.merged.Analyzer.memo_unique_full;
-  Alcotest.(check int) "jobs=2: union across domains deduplicates"
-    solo.Batch.summary.Stream.merged.Analyzer.memo_unique_full
-    r2.Batch.summary.Stream.merged.Analyzer.memo_unique_full
+  (* Copies of the same programs: whichever domain analyzes which
+     copy, the shared tables hold each distinct problem once, so the
+     merged unique counts are the corpus's distinct problems — what
+     one cache fed every program in turn ends up holding — at any
+     [jobs], parsed in process or streamed from text. *)
+  let texts =
+    [ "for i = 1 to 10 do\n  a[i + 2] = a[i] + 1\nend";
+      "for i = 1 to 10 do\n  a[i + 2] = a[i] + 1\n  b[i] = b[i + 1]\nend" ]
+  in
+  let texts = texts @ texts @ texts in
+  let distinct =
+    let cache = Analyzer.memory_cache () in
+    List.iter (fun t -> ignore (Analyzer.analyze ~cache (parse t))) texts;
+    cache.Analyzer.cache_sizes ()
+  in
+  let unique (s : Stream.summary) =
+    (s.merged.Analyzer.memo_unique_nobounds, s.merged.Analyzer.memo_unique_full)
+  in
+  let streamed jobs =
+    let rest = ref (List.mapi (fun i t -> (Printf.sprintf "p%d" i, t)) texts) in
+    Stream.run ~share_memo:true ~jobs ~render:(fun _ -> "") ~emit:ignore
+      (fun () ->
+        match !rest with
+        | [] -> None
+        | (name, t) :: tl ->
+          rest := tl;
+          Some { Stream.name; text = (fun () -> t) })
+  in
+  let corpus = corpus_of_programs (List.map parse texts) in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "run_programs, jobs=%d: distinct problems" jobs)
+        distinct
+        (unique (snd (Stream.run_programs ~share_memo:true ~jobs corpus)));
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "run over text, jobs=%d: distinct problems" jobs)
+        distinct (unique (streamed jobs)))
+    [ 1; 2 ]
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

@@ -246,7 +246,7 @@ let test_chrome_export_well_formed () =
 
 let corpus_of_programs programs =
   List.mapi
-    (fun i program -> { Batch.name = Printf.sprintf "p%d" i; program })
+    (fun i program -> (Printf.sprintf "p%d" i, program))
     programs
 
 let arb_corpus =
@@ -268,7 +268,7 @@ let prop_batch_metrics_jobs_invariant =
        let corpus = corpus_of_programs programs in
        let registry_of jobs =
          Metrics.reset ();
-         ignore (Batch.run ~jobs corpus);
+         ignore (Stream.run_programs ~jobs corpus);
          Metrics.to_json_string (Metrics.snapshot ())
        in
        let solo = registry_of 1 in

@@ -229,7 +229,7 @@ let test_deadline_degrades () =
 
 let corpus () =
   List.map
-    (fun (name, src) -> { Batch.name; program = parse src })
+    (fun (name, src) -> (name, parse src))
     [
       ("one.dd", "for i = 1 to 10 do\n  a[i + 1] = a[i] + 1\nend");
       ("two.dd", "for i = 1 to 10 do\n  b[2 * i] = b[i] + 1\nend");
@@ -237,37 +237,39 @@ let corpus () =
     ]
 
 (* Each outcome's name and attempt count, in input order. *)
-let attempts (r : Batch.result) =
+let attempts outcomes =
   List.map
     (function
       | Stream.Analyzed a -> (a.name, a.attempts)
       | Stream.Quarantined q -> (q.name, q.attempts))
-    r.Batch.outcomes
+    outcomes
 
 let test_batch_retry_recovers () =
   with_failpoints "batch.item=raise@1" (fun () ->
-      let r = Batch.run ~retries:1 ~backoff_ms:0 ~jobs:1 (corpus ()) in
-      Alcotest.(check int) "nothing quarantined" 0
-        r.Batch.summary.Stream.quarantined;
-      Alcotest.(check int) "one retry" 1 r.Batch.summary.Stream.retried;
+      let outcomes, summary =
+        Stream.run_programs ~retries:1 ~backoff_ms:0 ~jobs:1 (corpus ())
+      in
+      Alcotest.(check int) "nothing quarantined" 0 summary.Stream.quarantined;
+      Alcotest.(check int) "one retry" 1 summary.Stream.retried;
       Alcotest.(check (list (pair string int)))
         "all items analyzed, the first in two attempts, the others in one"
         [ ("one.dd", 2); ("two.dd", 1); ("three.dd", 1) ]
-        (attempts r);
+        (attempts outcomes);
       List.iter
         (function
           | Stream.Analyzed _ -> ()
           | Stream.Quarantined q -> Alcotest.failf "%s quarantined" q.name)
-        r.Batch.outcomes)
+        outcomes)
 
 let test_batch_quarantine () =
   (* The first item fails on every attempt; the rest of the corpus
      still completes, in order, with the failure recorded. *)
   with_failpoints "batch.item=raise@1-2" (fun () ->
-      let r = Batch.run ~retries:1 ~backoff_ms:0 ~jobs:1 (corpus ()) in
-      Alcotest.(check int) "one item quarantined" 1
-        r.Batch.summary.Stream.quarantined;
-      (match r.Batch.outcomes with
+      let outcomes, summary =
+        Stream.run_programs ~retries:1 ~backoff_ms:0 ~jobs:1 (corpus ())
+      in
+      Alcotest.(check int) "one item quarantined" 1 summary.Stream.quarantined;
+      (match outcomes with
        | Stream.Quarantined q :: rest ->
          Alcotest.(check string) "the failing item" "one.dd" q.name;
          Alcotest.(check int) "both attempts used" 2 q.attempts;
@@ -289,18 +291,18 @@ let test_batch_quarantine () =
               rest)
        | _ -> Alcotest.fail "expected the first item quarantined");
       (* Merged stats cover survivors only: pairs from 2 programs. *)
-      let solo = Batch.run ~jobs:1 (List.tl (corpus ())) in
+      let _, solo = Stream.run_programs ~jobs:1 (List.tl (corpus ())) in
       Alcotest.(check int) "stats exclude the quarantined item"
-        solo.Batch.summary.Stream.merged.Analyzer.pairs
-        r.Batch.summary.Stream.merged.Analyzer.pairs)
+        solo.Stream.merged.Analyzer.pairs summary.Stream.merged.Analyzer.pairs)
 
 let test_batch_timeout_degrades () =
   (* A 0ms deadline: items still come back (degraded where the cascade
      ran), nothing is quarantined, the batch terminates. *)
-  let r = Batch.run ~item_timeout_ms:0 ~jobs:2 (corpus ()) in
-  Alcotest.(check int) "all items analyzed" 3 (List.length r.Batch.outcomes);
-  Alcotest.(check int) "nothing quarantined" 0
-    r.Batch.summary.Stream.quarantined
+  let outcomes, summary =
+    Stream.run_programs ~item_timeout_ms:0 ~jobs:2 (corpus ())
+  in
+  Alcotest.(check int) "all items analyzed" 3 (List.length outcomes);
+  Alcotest.(check int) "nothing quarantined" 0 summary.Stream.quarantined
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

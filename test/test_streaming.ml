@@ -1,7 +1,7 @@
 (* The streaming batch pipeline and its corpus fuzzer: fuzzed programs
    are always well-formed and deterministic in the seed; streaming a
-   corpus produces exactly the in-memory engine's reports and metric
-   deltas; a run killed at a random item and resumed from its journal
+   corpus from its text produces exactly the reports and metric deltas
+   of [Stream.run_programs] over its parsed programs; a run killed at a random item and resumed from its journal
    reproduces the uninterrupted run byte for byte; and the fuzzer's
    small profile survives the exhaustive-enumeration oracle. *)
 
@@ -60,11 +60,11 @@ let test_fuzz_seed_sensitivity () =
     (List.length distinct > List.length texts / 2)
 
 (* ------------------------------------------------------------------ *)
-(* Streamed == in-memory                                               *)
+(* Streamed from text == run over parsed programs                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The corpus both engines see: exactly what [Stream.of_fuzz] pulls,
-   materialized for the in-memory engine. *)
+(* The corpus both entries see: exactly what [Stream.of_fuzz] pulls,
+   parsed up front for [Stream.run_programs]. *)
 let fuzz_names_and_texts ~seed n =
   List.init n (fun index ->
       ( Printf.sprintf "fuzz:small:%d:%d" seed index,
@@ -89,13 +89,10 @@ let prop_stream_matches_inmem =
     (fun (seed, n) ->
       let corpus = fuzz_names_and_texts ~seed n in
       let items =
-        List.map
-          (fun (name, text) ->
-            { Batch.name; program = Parser.parse_program text })
-          corpus
+        List.map (fun (name, text) -> (name, Parser.parse_program text)) corpus
       in
       let before = Dda_obs.Metrics.snapshot () in
-      let bres = Batch.run ~jobs:2 items in
+      let parsed_outcomes, parsed_summary = Stream.run_programs ~jobs:2 items in
       let mid = Dda_obs.Metrics.snapshot () in
       let streamed = ref [] in
       let summary =
@@ -108,10 +105,10 @@ let prop_stream_matches_inmem =
       in
       let after = Dda_obs.Metrics.snapshot () in
       if deltas before mid <> deltas mid after then
-        QCheck.Test.fail_reportf "metric deltas differ: inmem %s, stream %s"
+        QCheck.Test.fail_reportf "metric deltas differ: parsed %s, stream %s"
           (String.concat "," (List.map string_of_int (deltas before mid)))
           (String.concat "," (List.map string_of_int (deltas mid after)));
-      if summary.Stream.quarantined > 0 || bres.Batch.summary.Stream.quarantined > 0
+      if summary.Stream.quarantined > 0 || parsed_summary.Stream.quarantined > 0
       then
         QCheck.Test.fail_reportf "unexpected quarantine";
       let stream_reports =
@@ -123,16 +120,16 @@ let prop_stream_matches_inmem =
                 q.error)
           !streamed
       in
-      let inmem_reports =
+      let parsed_reports =
         List.map
           (function
             | Stream.Analyzed a -> (a.name, a.report)
             | Stream.Quarantined q ->
               QCheck.Test.fail_reportf "quarantined %s: %s" q.name q.error)
-          bres.Batch.outcomes
+          parsed_outcomes
       in
-      stream_reports = inmem_reports
-      && compare summary.Stream.merged bres.Batch.summary.Stream.merged = 0)
+      stream_reports = parsed_reports
+      && compare summary.Stream.merged parsed_summary.Stream.merged = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Crash at item k, resume                                             *)
@@ -335,6 +332,31 @@ let test_stop_leaves_resumable_journal () =
       Alcotest.(check string) "resumed output equals uninterrupted"
         (Buffer.contents b_clean) (Buffer.contents b_res))
 
+(* With [share_memo], merged unique counts are the shared tables'
+   sizes, and a replayed record, which never touched the tables, adds
+   its journaled counts: resuming a complete journal replays every item
+   and reports the clean run's distinct-problem counts. *)
+let test_shared_unique_counts_replay () =
+  let journal = Filename.temp_file "ddshared" ".journal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove journal)
+    (fun () ->
+      let run ~resume =
+        (Stream.run ~share_memo:true ~jobs:1 ~journal ~resume
+           ~render:render_digest ~emit:ignore
+           (Stream.of_fuzz ~profile:Fuzz.Small ~seed:11 6))
+          .Stream.merged
+      in
+      let unique (m : Analyzer.stats) =
+        (m.Analyzer.memo_unique_nobounds, m.Analyzer.memo_unique_full)
+      in
+      let clean = run ~resume:false in
+      Alcotest.(check bool) "the corpus has problems" true
+        (clean.Analyzer.memo_unique_full > 0);
+      Alcotest.(check (pair int int)) "replayed counts equal the clean run's"
+        (unique clean)
+        (unique (run ~resume:true)))
+
 let test_resume_requires_journal () =
   Alcotest.check_raises "resume without journal"
     (Invalid_argument "Stream.run: resume requires a journal") (fun () ->
@@ -426,6 +448,8 @@ let () =
             test_corrupt_record_refuses;
           Alcotest.test_case "stop leaves a resumable journal" `Quick
             test_stop_leaves_resumable_journal;
+          Alcotest.test_case "shared unique counts survive a replay" `Quick
+            test_shared_unique_counts_replay;
           Alcotest.test_case "config fingerprint" `Quick
             test_config_digest_sensitivity;
           Alcotest.test_case "perfect source amplification" `Quick
