@@ -29,24 +29,32 @@ let conservative_edge (r : Analyzer.pair_report) =
     exact = false;
   }
 
-(* Level [k] may carry [v]: it admits a difference there, and every
-   outer level admits "=". *)
-let carries_at v k =
-  let outer_may_eq j = match v.(j) with Direction.Deq | Direction.Dany -> true | Direction.Dlt | Direction.Dgt -> false in
-  let rec outers j = j >= k || (outer_may_eq j && outers (j + 1)) in
-  (match v.(k) with Direction.Deq -> false | Direction.Dlt | Direction.Dgt | Direction.Dany -> true)
-  && outers 0
+(* The ids of the levels that may carry [v], outermost first: a level
+   admitting a difference, every outer level admitting "=". Level [k]
+   of [v] is the id at the head of [ids]; the first level that must
+   differ carries and ends the walk. *)
+let rec carried_ids v k = function
+  | [] -> []
+  | lid :: rest -> (
+      match v.(k) with
+      | Direction.Deq -> carried_ids v (k + 1) rest
+      | Direction.Dany -> lid :: carried_ids v (k + 1) rest
+      | Direction.Dlt | Direction.Dgt -> [ lid ])
+
+let rec loop_independent v k =
+  k >= Array.length v
+  || (match v.(k) with
+      | Direction.Deq | Direction.Dany -> loop_independent v (k + 1)
+      | Direction.Dlt | Direction.Dgt -> false)
 
 let vector_edge (r : Analyzer.pair_report) ~exact v =
-  let carried_lids = List.filteri (fun k _ -> carries_at v k) r.common_ids in
-  let loop_independent =
-    Array.for_all
-      (function Direction.Deq | Direction.Dany -> true
-              | Direction.Dlt | Direction.Dgt -> false)
-      v
-  in
   { pair = r; kind = Analyzer.vector_kind r v; vector = Some v;
-    carried_lids; loop_independent; exact }
+    carried_lids = carried_ids v 0 r.common_ids;
+    loop_independent = loop_independent v 0; exact }
+
+let rec vector_edges r ~exact = function
+  | [] -> []
+  | v :: rest -> vector_edge r ~exact v :: vector_edges r ~exact rest
 
 let pair_edges (r : Analyzer.pair_report) =
   match r.outcome with
@@ -56,9 +64,7 @@ let pair_edges (r : Analyzer.pair_report) =
   | Analyzer.Tested t when not t.dependent -> []
   | Analyzer.Tested t ->
     if t.directions = [] then [ conservative_edge r ]
-    else
-      let exact = Option.is_none t.degraded in
-      List.map (vector_edge r ~exact) t.directions
+    else vector_edges r ~exact:(Option.is_none t.degraded) t.directions
 
 let edges (report : Analyzer.report) =
   List.concat_map pair_edges report.pair_reports

@@ -227,7 +227,9 @@ let build (s1 : Affine.site) (s2 : Affine.site) =
 (* The direct key: {!Problem.to_key}'s key, laid out by {!Problem}'s
    tag, header and count writers, its rows written as [build] builds them
    (the equality rows sign-normalized) straight into the scratch
-   buffer. *)
+   buffer. The replay key is the same layout untagged, with the
+   equality rows left as built and a [subject] slot before each bound
+   row. *)
 
 (* Add [sign * e]'s coefficients into the key row at [off]; returns
    [sign * e]'s constant. *)
@@ -239,7 +241,7 @@ let accum_key ctx loops base sign off e =
   Symexpr.iter ctx.c_acc_key e;
   sign * small ctx (Symexpr.const_part e)
 
-let rec key_eqs ctx loops1 loops2 n1 width off subs1 subs2 =
+let rec key_eqs ctx ~replay loops1 loops2 n1 width off subs1 subs2 =
   match (subs1, subs2) with
   | [], _ | _, [] -> off
   | e1 :: r1, e2 :: r2 ->
@@ -248,28 +250,40 @@ let rec key_eqs ctx loops1 loops2 n1 width off subs1 subs2 =
     let k1 = accum_key ctx loops1 0 1 off (Option.get e1) in
     let nk2 = accum_key ctx loops2 n1 (-1) off (Option.get e2) in
     a.(off + width - 1) <- -nk2 - k1;
-    Problem.normalize_eq a off (width - 1);
-    key_eqs ctx loops1 loops2 n1 width (off + width) r1 r2
+    if not replay then Problem.normalize_eq a off (width - 1);
+    key_eqs ctx ~replay loops1 loops2 n1 width (off + width) r1 r2
 
-(* [bound_row], written at [off]; returns the offset past it. *)
-let key_bound ctx loops base width k sign off e =
+(* [bound_row], written at [off] (after its subject in a replay key);
+   returns the offset past it. *)
+let key_bound ctx ~replay loops base width k sign off e =
   let a = ctx.c_key in
+  let off =
+    if replay then begin
+      a.(off) <- base + k;
+      off + 1
+    end
+    else off
+  in
   Array.fill a off width 0;
   let const = accum_key ctx loops base sign off e in
   a.(off + base + k) <- a.(off + base + k) - sign;
   a.(off + width - 1) <- -const;
   off + width
 
-let rec key_bounds ctx loops base width k off = function
+let rec key_bounds ctx ~replay loops base width k off = function
   | [] -> off
   | (c : Affine.loop_ctx) :: rest ->
     let off =
-      match c.lb with Some lb -> key_bound ctx loops base width k 1 off lb | None -> off
+      match c.lb with
+      | Some lb -> key_bound ctx ~replay loops base width k 1 off lb
+      | None -> off
     in
     let off =
-      match c.ub with Some ub -> key_bound ctx loops base width k (-1) off ub | None -> off
+      match c.ub with
+      | Some ub -> key_bound ctx ~replay loops base width k (-1) off ub
+      | None -> off
     in
-    key_bounds ctx loops base width (k + 1) off rest
+    key_bounds ctx ~replay loops base width (k + 1) off rest
 
 let rec count_bounds n = function
   | [] -> n
@@ -279,7 +293,7 @@ let rec count_bounds n = function
 
 let no_key = [||]
 
-let key ~tag (s1 : Affine.site) (s2 : Affine.site) =
+let write_key ~replay ~tag (s1 : Affine.site) (s2 : Affine.site) =
   if not (buildable s1 s2) then no_key
   else begin
     let n1 = List.length s1.loops and n2 = List.length s2.loops in
@@ -289,16 +303,23 @@ let key ~tag (s1 : Affine.site) (s2 : Affine.site) =
     let nvars = n1 + n2 + nsym in
     let neqs = List.length s1.subscripts in
     let nineqs = count_bounds (count_bounds 0 s1.loops) s2.loops in
-    let a = Problem.scratch (Problem.key_length ~tagged:true ~nvars ~neqs ~nineqs) in
+    let len = Problem.key_length ~tagged:(not replay) ~nvars ~neqs ~nineqs in
+    let a = Problem.scratch (if replay then len + nineqs else len) in
     ctx.c_key <- a;
     ctx.c_small <- true;
     let off =
       Problem.write_key_header ~nvars ~n1 ~n2 ~nsym ~ncommon:(Affine.common_loops s1 s2)
-        ~neqs a (Problem.write_key_tag a tag)
+        ~neqs a
+        (if replay then 0 else Problem.write_key_tag a tag)
     in
     let width = nvars + 1 in
-    let off = key_eqs ctx s1.loops s2.loops n1 width off s1.subscripts s2.subscripts in
-    let off = key_bounds ctx s1.loops 0 width 0 (Problem.write_key_nineqs a off nineqs) s1.loops in
-    ignore (key_bounds ctx s2.loops n1 width 0 off s2.loops);
+    let off = key_eqs ctx ~replay s1.loops s2.loops n1 width off s1.subscripts s2.subscripts in
+    let off =
+      key_bounds ctx ~replay s1.loops 0 width 0 (Problem.write_key_nineqs a off nineqs) s1.loops
+    in
+    ignore (key_bounds ctx ~replay s2.loops n1 width 0 off s2.loops);
     if ctx.c_small then a else no_key
   end
+
+let key ~tag s1 s2 = write_key ~replay:false ~tag s1 s2
+let replay_key s1 s2 = write_key ~replay:true ~tag:0 s1 s2

@@ -16,3 +16,13 @@ val key : tag:int -> Affine.site -> Affine.site -> int array
     [None], and where a subscript or bound holds a value past
     [Zint.small_capacity]: such a pair is keyed, if at all, by
     building it. *)
+
+val replay_key : Affine.site -> Affine.site -> int array
+(** The witness replay's memo key for [build s1 s2 = Some p]: {!key}'s
+    layout, written the same way into the same scratch buffer, with
+    three differences. There is no tag; each equality row keeps the
+    signs [build] gives it ({!Problem.normalize_eq} is not applied, as
+    a negated row can reduce to a different particular solution); and
+    each bound row is preceded by its [subject]. So two pairs get
+    equal replay keys exactly when their built problems are equal up
+    to variable names. The empty array where {!key} is. *)

@@ -137,12 +137,29 @@ let m_quarantined = Dda_obs.Metrics.counter "batch.quarantined"
 let m_appends = Dda_obs.Metrics.counter "stream.journal.appends"
 let m_replayed = Dda_obs.Metrics.counter "stream.replayed"
 
-exception Parse_error of string
+(* An item whose input cannot be read or parsed: the input is static,
+   so retrying cannot change the answer. *)
+exception Bad_input of string
 
 let () =
   Printexc.register_printer (function
-    | Parse_error msg -> Some msg
+    | Bad_input msg -> Some msg
     | _ -> None)
+
+(* The item's source text. [Sys_error]'s message names the file when
+   opening fails but not when reading does, so the file's name is put
+   in front of the reason alone. *)
+let read name text =
+  match text () with
+  | text -> text
+  | exception Sys_error msg ->
+    let prefix = name ^ ": " in
+    let reason =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+      else msg
+    in
+    raise (Bad_input (Printf.sprintf "%s: cannot read: %s" name reason))
 
 let parse name text =
   match Parser.parse_program text with
@@ -153,10 +170,10 @@ let parse name text =
     prog
   | exception Parser.Error (msg, loc) ->
     raise
-      (Parse_error (Format.asprintf "%s:%a: syntax error: %s" name Loc.pp loc msg))
+      (Bad_input (Format.asprintf "%s:%a: syntax error: %s" name Loc.pp loc msg))
   | exception Lexer.Error (msg, loc) ->
     raise
-      (Parse_error
+      (Bad_input
          (Format.asprintf "%s:%a: lexical error: %s" name Loc.pp loc msg))
 
 let md5_hex s = Digest.to_hex (Digest.string s)
@@ -171,8 +188,9 @@ type input =
 (* One item, with fault isolation: an exception (a worker bug, an
    injected failure, a blown budget escaping some future stage) is
    retried with jittered exponential backoff ({!Retry}), then the item
-   is quarantined — except that a parse or lexical error quarantines
-   immediately: the input is static, retrying cannot change the answer.
+   is quarantined — except that an unreadable input, or a parse or
+   lexical error, quarantines immediately: the input is static,
+   retrying cannot change the answer.
    The watchdog deadline is cooperative — the budget polls [cancel] and
    degrades the verdict — so a stuck item comes back conservative
    rather than killed. Returns the source-text digest alongside the
@@ -198,7 +216,7 @@ let process ~config ~cache ~verify ~lint ~retries ~backoff_ms ~item_timeout_ms
             match input with
             | Program p -> p
             | Text text ->
-              let text = text () in
+              let text = read name text in
               key := md5_hex text;
               parse name text
           in
@@ -226,9 +244,9 @@ let process ~config ~cache ~verify ~lint ~retries ~backoff_ms ~item_timeout_ms
     with
     | report, verification, lint ->
       (!key, Analyzed { name; report; verification; lint; attempts = attempt })
-    | exception Parse_error msg ->
+    | exception Bad_input msg ->
       Dda_obs.Metrics.incr m_quarantined;
-      Dda_obs.Log.info "stream: quarantining %s (malformed): %s" name msg;
+      Dda_obs.Log.info "stream: quarantining %s (bad input): %s" name msg;
       (!key, Quarantined { name; attempts = attempt; error = msg })
     | exception e ->
       if attempt <= retries then begin

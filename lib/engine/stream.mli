@@ -71,9 +71,9 @@
     bug, an injected {!Dda_core.Failpoint} failure — never aborts the
     run: the item is retried with exponential backoff up to [retries]
     times and then {e quarantined}, its error recorded in its outcome
-    while every other item completes normally. Parse and lexical
-    errors quarantine immediately (the input is static; retrying
-    cannot help). A per-item watchdog ([item_timeout_ms]) arms the
+    while every other item completes normally. An unreadable input
+    and parse and lexical errors quarantine immediately (the input is
+    static; retrying cannot help), with a message naming the item. A per-item watchdog ([item_timeout_ms]) arms the
     budget's cooperative deadline, so a stuck item returns a degraded
     conservative report instead of hanging the run. *)
 

@@ -3,7 +3,9 @@
    sites ([Build_problem.key]). These properties pin what makes a hit
    exact: the direct key is the built problem's key, canonicalization
    is idempotent (so a problem whose key is stored would not shrink),
-   and a warm cache answers byte for byte as the build path does.
+   and a warm cache answers byte for byte as the build path does. The
+   witness replay's key ([Build_problem.replay_key]) is pinned beside
+   the direct key: the built problem as written.
 
    Programs: generated nests (affine and symbolic), [Fuzz] programs of
    both profiles, and the PERFECT suite, each with symbolic analysis on
@@ -117,6 +119,50 @@ let test_perfect_keys () =
   List.iter
     (fun (name, prog) ->
        if not (keys_agree prog) then Alcotest.failf "%s: a direct key differs" name)
+    (perfect ())
+
+(* The witness replay's key: where [build] builds, the built problem's
+   header, its equality rows as written (signs kept), the bounds count,
+   then each bound's subject and row; empty exactly where the direct
+   key is. *)
+let written (p : Problem.t) =
+  let row (r : Consys.row) =
+    Array.to_list (Array.map Zint.to_int_exn r.coeffs) @ [ Zint.to_int_exn r.rhs ]
+  in
+  Array.of_list
+    ([ Problem.nvars p; p.n1; p.n2; p.nsym; p.ncommon; List.length p.eqs ]
+     @ List.concat_map row p.eqs
+     @ [ List.length p.ineqs ]
+     @ List.concat_map (fun (b : Problem.bound) -> b.subject :: row b.row) p.ineqs)
+
+let replay_key_agrees (s1, s2) =
+  let replay = Array.copy (Build_problem.replay_key s1 s2) in
+  let no_direct = Build_problem.key ~tag:0 s1 s2 = [||] in
+  if replay = [||] || no_direct then
+    (replay = [||] && no_direct)
+    || QCheck.Test.fail_reportf "a replay key and a direct key disagree on existing"
+  else
+    match Build_problem.build s1 s2 with
+    | None -> QCheck.Test.fail_reportf "a replay key where build gives none"
+    | Some p ->
+      let want = written p in
+      replay = want
+      || QCheck.Test.fail_reportf "replay key\n  %s\nbuilt problem\n  %s" (key_string replay)
+           (key_string want)
+
+let replay_keys_agree prog =
+  List.for_all
+    (fun (_, (f : Analyzer.front)) -> List.for_all replay_key_agrees f.pairs)
+    (fronts prog)
+
+let prop_replay_key =
+  QCheck.Test.make ~name:"the replay key is the built problem as written" ~count:300
+    arb_program replay_keys_agree
+
+let test_perfect_replay_keys () =
+  List.iter
+    (fun (name, prog) ->
+       if not (replay_keys_agree prog) then Alcotest.failf "%s: a replay key differs" name)
     (perfect ())
 
 (* Symbols are numbered as met: site 1's subscripts, site 2's, then
@@ -369,6 +415,8 @@ let () =
           qt prop_no_key_past_small;
           Alcotest.test_case "PERFECT" `Quick test_perfect_keys;
           Alcotest.test_case "symbol order" `Quick test_symbol_order;
+          qt prop_replay_key;
+          Alcotest.test_case "PERFECT replay keys" `Quick test_perfect_replay_keys;
         ] );
       ( "canonical",
         [ qt prop_reduce_idempotent; Alcotest.test_case "PERFECT" `Quick test_perfect_idempotent ]
