@@ -399,7 +399,7 @@ let resolve st = function
               Replay_memo.add st.built p e;
               e)
       else
-        match Memo_table.peek st.keyed key with
+        match Memo_table.find st.keyed key with
         | Some e -> e
         | None ->
           (* The key is the domain's scratch buffer: copy it first. *)

@@ -51,7 +51,6 @@ let table_sizes t =
   ( Sharded_table.length t.shared.Analyzer.sh_gcd,
     Sharded_table.length t.shared.Analyzer.sh_full )
 
-let table_stats t = Analyzer.shared_table_stats t.shared
 let store_path t = Option.map Store.path t.store
 let store_appends t = match t.store with None -> 0 | Some s -> Store.appends s
 let close t = Mutex.protect t.lock (fun () -> Option.iter Store.close t.store)

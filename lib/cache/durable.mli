@@ -13,7 +13,12 @@
     compute it; the values are deterministic and equal, the table keeps
     one, and the duplicate store record is harmless (replay re-adds the
     same binding — [ddtest cache compact] rewrites them away). A
-    computation that raises stores nothing. *)
+    computation that raises stores nothing.
+
+    The cache keeps no lookup or hit counts: each analysis counts its
+    own in its report ({!Dda_core.Analyzer.stats}) and in the
+    process-wide [memo.lookups]/[memo.hits] metrics. What the cache
+    reports is what it holds: {!table_sizes} and {!store_appends}. *)
 
 type t
 
@@ -39,9 +44,6 @@ val cache : t -> Dda_core.Analyzer.cache
 
 val table_sizes : t -> int * int
 (** [(gcd_entries, full_entries)] currently held. *)
-
-val table_stats : t -> Dda_core.Memo_table.stats * Dda_core.Memo_table.stats
-(** Aggregated across stripes ({!Dda_core.Sharded_table.stats}). *)
 
 val store_path : t -> string option
 val store_appends : t -> int

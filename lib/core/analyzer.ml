@@ -231,7 +231,7 @@ type cache = {
     int array -> (unit -> Gcd_test.outcome) -> Gcd_test.outcome * bool;
   find_or_add_full : int array -> (unit -> memo_value) -> memo_value * bool;
   probe_full : int array -> memo_value option;
-      (* quiet on a miss; a hit counts as a [find_or_add_full] hit *)
+      (* quiet on a miss; a hit passes [find_or_add_full]'s failpoint *)
   cache_sizes : unit -> int * int;  (* (gcd, full) entries *)
   cache_flush : unit -> unit;
       (* push write-through state to stable storage; no-op in memory *)
@@ -258,9 +258,8 @@ type shared = {
   sh_full : memo_value Sharded_table.t;
 }
 
-let create_shared ?stripes () =
-  { sh_gcd = Sharded_table.create ?stripes ();
-    sh_full = Sharded_table.create ?stripes () }
+let create_shared () =
+  { sh_gcd = Sharded_table.create (); sh_full = Sharded_table.create () }
 
 let shared_cache sh =
   {
@@ -272,9 +271,6 @@ let shared_cache sh =
          (Sharded_table.length sh.sh_gcd, Sharded_table.length sh.sh_full));
     cache_flush = (fun () -> ());
   }
-
-let shared_table_stats sh =
-  (Sharded_table.stats sh.sh_gcd, Sharded_table.stats sh.sh_full)
 
 (* Wrap a cache so that its sizes are this wrapper's completed
    misses: one item's unique counts over a live-shared cache, whose
@@ -306,9 +302,15 @@ type state = {
 let m_queries = Dda_obs.Metrics.counter "analyzer.queries"
 let h_budget_steps = Dda_obs.Metrics.histogram "analyzer.budget_steps"
 
-(* Memo lookups and hits are counted here, per call, not read off the
-   backend, whose counters a shared cache also moves with other
-   callers' queries. *)
+(* Memo lookups and hits are counted here and nowhere else: per call
+   in [stats], process-wide in these counters. The backends are pure
+   stores. Full-table lookups are jobs-invariant (each pair makes the
+   same ones whatever worker runs it). Over a cache shared by several
+   workers the gcd table is consulted only on a full-table miss, which
+   depends on timing, so gcd lookups and all hits are deterministic
+   only with per-item caches or at [--jobs 1]. *)
+let m_lookups = Dda_obs.Metrics.counter "memo.lookups"
+let m_hits = Dda_obs.Metrics.counter "memo.hits"
 
 (* Compute the outcome for a canonical problem (a cache miss). *)
 let compute_inner st budget (p : Problem.t) ~self =
@@ -318,11 +320,15 @@ let compute_inner st budget (p : Problem.t) ~self =
     | Memo_off -> Gcd_test.run_eqs ~budget p
     | Memo_simple | Memo_improved | Memo_symmetric ->
       s.memo_lookups_nobounds <- s.memo_lookups_nobounds + 1;
+      Dda_obs.Metrics.incr m_lookups;
       let out, hit =
         st.cache.find_or_add_gcd (Problem.key_without_bounds_scratch p) (fun () ->
             Gcd_test.run_eqs ~budget p)
       in
-      if hit then s.memo_hits_nobounds <- s.memo_hits_nobounds + 1;
+      if hit then begin
+        s.memo_hits_nobounds <- s.memo_hits_nobounds + 1;
+        Dda_obs.Metrics.incr m_hits
+      end;
       out
   in
   match gcd_outcome with
@@ -442,11 +448,14 @@ let probe_full st key =
     | Some _ as hit ->
       s.memo_lookups_full <- s.memo_lookups_full + 1;
       s.memo_hits_full <- s.memo_hits_full + 1;
+      Dda_obs.Metrics.incr m_lookups;
+      Dda_obs.Metrics.incr m_hits;
       hit
     | None -> None
     | exception e ->
       (* the hit's failpoint fired: a lookup, as in [find_or_add] *)
       s.memo_lookups_full <- s.memo_lookups_full + 1;
+      Dda_obs.Metrics.incr m_lookups;
       raise e
   end
 
@@ -581,11 +590,15 @@ and analyze_problem st ~self ~finish ~probed problem =
               | key ->
                 let s = st.stats in
                 s.memo_lookups_full <- s.memo_lookups_full + 1;
+                Dda_obs.Metrics.incr m_lookups;
                 let value, hit =
                   st.cache.find_or_add_full key (fun () ->
                       compute st info.Canonical.problem ~self)
                 in
-                if hit then s.memo_hits_full <- s.memo_hits_full + 1;
+                if hit then begin
+                  s.memo_hits_full <- s.memo_hits_full + 1;
+                  Dda_obs.Metrics.incr m_hits
+                end;
                 deliver value)
 
 let pair_probe =

@@ -130,7 +130,7 @@ val merge_stats : into:stats -> stats -> unit
     when each record comes from an independent analysis (its own memo
     tables), the sums are the corpus totals; when records share one
     cache, sum the per-call lookups/hits but take unique-entry counts
-    from the cache's tables (see {!shared_table_stats}), since each
+    from the cache's sizes ({!cache}'s [cache_sizes]), since each
     per-call value is already cumulative. *)
 
 val stats_to_list : stats -> int list
@@ -173,10 +173,9 @@ type cache = {
   find_or_add_full : int array -> (unit -> outcome) -> outcome * bool;
   probe_full : int array -> outcome option;
       (** The full table's binding of a key, without storing: quiet on
-          a miss (no failpoint, no counters, no store append), and on a
-          hit counted exactly as a [find_or_add_full] hit (the
-          [memo.find_or_add] failpoint, then the lookup and hit
-          counters). The analyzer probes with the key
+          a miss (no failpoint, no store append), and on a hit passing
+          the [memo.find_or_add] failpoint as a [find_or_add_full] hit
+          does. The analyzer probes with the key
           {!Build_problem.key} writes from a pair's two sites, before
           it builds the problem; the key is a scratch buffer and must
           not be retained. A hit is the answer as it stands: a stored
@@ -206,7 +205,7 @@ type shared = {
     it. The durable cache ([Dda_cache.Durable]) is this pair plus a
     store that replays into it and appends its misses. *)
 
-val create_shared : ?stripes:int -> unit -> shared
+val create_shared : unit -> shared
 
 val shared_cache : shared -> cache
 (** The shared tables as a {!cache}. [cache_sizes] counts every
@@ -218,12 +217,6 @@ val counted_cache : cache -> cache
     misses: one item's unique counts over a shared backend. (Lookups
     and hits are always counted per call by the analyzer itself.) The
     wrapper is not itself domain-safe — one wrapper per item. *)
-
-val shared_table_stats : shared -> Memo_table.stats * Memo_table.stats
-(** [(gcd, full)] aggregated over stripes. Sizes (distinct problems)
-    are jobs-invariant, as are full-table lookup totals; gcd lookup
-    and all hit totals depend on cross-domain timing and are only
-    deterministic at [--jobs 1]. *)
 
 val memo_format_version : int
 (** Version of the marshaled memo key/value representation. Durable

@@ -22,21 +22,12 @@ type 'a entry = {
 type 'a t = {
   mutable buckets : 'a entry list array;
   mutable size : int;
-  mutable lookups : int;
-  mutable hits : int;
-}
-
-type stats = {
-  size : int;
-  buckets : int;
-  lookups : int;
-  hits : int;
 }
 
 let load_factor = 2
 
 let create ?(initial_buckets = 64) () : _ t =
-  { buckets = Array.make initial_buckets []; size = 0; lookups = 0; hits = 0 }
+  { buckets = Array.make initial_buckets []; size = 0 }
 
 (* The bucket of a hash. The paper's hash taken [mod] a power-of-two
    bucket count would see only the key length and the first
@@ -73,38 +64,13 @@ let rec chain_from key h = function
 
 let find_entry (t : _ t) key h = chain_from key h t.buckets.(bucket t h)
 
-(* Lookups and hits are per-query events, so the process-wide counters
-   stay jobs-invariant (each pair performs the same lookups whatever
-   worker runs it). *)
-let m_lookups = Dda_obs.Metrics.counter "memo.lookups"
-let m_hits = Dda_obs.Metrics.counter "memo.hits"
-
-let count_lookup (t : _ t) =
-  t.lookups <- t.lookups + 1;
-  Dda_obs.Metrics.incr m_lookups
-
-let count_hit (t : _ t) =
-  count_lookup t;
-  t.hits <- t.hits + 1;
-  Dda_obs.Metrics.incr m_hits
-
 let find (t : _ t) key =
-  match find_entry t key (hash_key key) with
-  | e :: _ ->
-    count_hit t;
-    Some e.value
-  | [] ->
-    count_lookup t;
-    None
-
-let peek (t : _ t) key =
   match find_entry t key (hash_key key) with e :: _ -> Some e.value | [] -> None
 
 let probe (t : _ t) key =
-  match peek t key with
+  match find t key with
   | Some _ as hit ->
     Failpoint.hit "memo.find_or_add";
-    count_hit t;
     hit
   | None -> None
 
@@ -130,11 +96,8 @@ let find_or_add (t : _ t) key compute =
   Failpoint.hit "memo.find_or_add";
   let h = hash_key key in
   match find_entry t key h with
-  | e :: _ ->
-    count_hit t;
-    (e.value, true)
+  | e :: _ -> (e.value, true)
   | [] ->
-    count_lookup t;
     (* Copy before computing: the caller may have handed us a scratch
        buffer ({!Problem.to_key_scratch}) that [compute] itself reuses
        for nested lookups. [compute] may raise (budget exhaustion
@@ -149,13 +112,4 @@ let iter f (t : _ t) =
   Array.iter (List.iter (fun e -> f e.key e.value)) t.buckets
 
 let length (t : _ t) = t.size
-let lookups (t : _ t) = t.lookups
-let hits (t : _ t) = t.hits
-
-let stats (t : _ t) : stats =
-  { size = t.size; buckets = Array.length t.buckets; lookups = t.lookups;
-    hits = t.hits }
-
-let reset_counters (t : _ t) =
-  t.lookups <- 0;
-  t.hits <- 0
+let buckets (t : _ t) = Array.length t.buckets

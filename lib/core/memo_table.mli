@@ -10,7 +10,11 @@
     [mod] a power-of-two bucket count it would see only the key's
     length and first words.
     Grows by doubling when [length] exceeds {!load_factor} entries per
-    bucket. *)
+    bucket.
+
+    The table is a store and counts nothing: memo lookups and hits
+    are counted by their one caller, the analyzer, in its per-call
+    statistics and the [memo.lookups]/[memo.hits] metrics. *)
 
 type 'a t
 
@@ -20,6 +24,8 @@ val load_factor : int
 val create : ?initial_buckets:int -> unit -> 'a t
 
 val find : 'a t -> int array -> 'a option
+(** A quiet lookup: no failpoint, hit or miss. The key is not
+    retained. *)
 
 val add : 'a t -> int array -> 'a -> unit
 (** Replaces any previous binding of the key. *)
@@ -31,17 +37,8 @@ val find_or_add : 'a t -> int array -> (unit -> 'a) -> 'a * bool
     scratch buffer ({!Problem.to_key_scratch}). *)
 
 val probe : 'a t -> int array -> 'a option
-(** A lookup that is quiet on a miss: no failpoint, no counters. A hit
-    passes the [memo.find_or_add] failpoint and counts exactly as
-    {!find_or_add}'s hit does. The key is not retained. *)
-
-val peek : 'a t -> int array -> 'a option
-(** A lookup that counts nothing and passes no failpoint, hit or miss;
-    {!count_hit} then counts a hit. {!Sharded_table.probe} peeks under
-    its stripe lock and passes the failpoint outside it. *)
-
-val count_hit : 'a t -> unit
-(** Count one lookup and one hit, as {!find_or_add}'s hit does. *)
+(** {!find}, except that a hit passes the [memo.find_or_add] failpoint
+    as {!find_or_add}'s hit does; a miss stays quiet. *)
 
 val iter : (int array -> 'a -> unit) -> 'a t -> unit
 (** Apply [f] to every stored binding, in unspecified order. The
@@ -51,22 +48,8 @@ val iter : (int array -> 'a -> unit) -> 'a t -> unit
 val length : 'a t -> int
 (** Number of distinct keys stored. *)
 
-val lookups : 'a t -> int
-val hits : 'a t -> int
-(** Lookup/hit counters for the memoization-effectiveness tables. *)
-
-type stats = {
-  size : int;  (** distinct keys stored *)
-  buckets : int;  (** current bucket-array length *)
-  lookups : int;
-  hits : int;
-}
-
-val stats : 'a t -> stats
-(** One-shot snapshot of occupancy and counter state, for reporting
-    (e.g. [ddtest batch] output). *)
-
-val reset_counters : 'a t -> unit
+val buckets : 'a t -> int
+(** Current bucket-array length, exposed for tests of the growth. *)
 
 val hash_key : int array -> int
 (** The paper's hash function, exposed for tests. *)

@@ -1,7 +1,6 @@
 type 'a stripe = {
   lock : Mutex.t;
   table : 'a Memo_table.t;
-  mutable contended : int;
 }
 
 type 'a t = {
@@ -16,7 +15,7 @@ let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-let create ?(stripes = 32) ?initial_buckets () : _ t =
+let create ?(stripes = 32) () : _ t =
   let n = next_pow2 (max 1 stripes) in
   let log2 = ref 0 in
   while 1 lsl !log2 < n do incr log2 done;
@@ -24,9 +23,7 @@ let create ?(stripes = 32) ?initial_buckets () : _ t =
     shift = Sys.int_size - 1 - !log2;
     stripes =
       Array.init n (fun _ ->
-          { lock = Mutex.create ();
-            table = Memo_table.create ?initial_buckets ();
-            contended = 0 }) }
+          { lock = Mutex.create (); table = Memo_table.create () }) }
 
 let stripes (t : _ t) = Array.length t.stripes
 
@@ -37,41 +34,26 @@ let stripes (t : _ t) = Array.length t.stripes
 let stripe_for (t : _ t) h =
   t.stripes.(((h * 0x6b43a9b5) lsr t.shift) land t.mask)
 
-(* Acquire, counting the acquisitions that had to block. try_lock
-   first: a failure means another domain holds the stripe right now —
-   that is the contention signal the bench uses to prove stripes are
-   not a bottleneck. The per-stripe counter is bumped after the lock
-   is finally held, so it needs no atomics. *)
+(* Acquire, counting the acquisitions that had to block: a failed
+   try_lock means another domain holds the stripe right now — the
+   contention signal the bench uses to prove stripes are not a
+   bottleneck. *)
 let lock_stripe (s : _ stripe) =
   if not (Mutex.try_lock s.lock) then begin
     Dda_obs.Metrics.incr m_contended;
-    Mutex.lock s.lock;
-    s.contended <- s.contended + 1
+    Mutex.lock s.lock
   end
 
-let find (t : _ t) key =
+(* One acquisition: the failpoint a hit passes runs with no lock held,
+   as in [find_or_add] (a [delay] action would otherwise stall the
+   stripe). *)
+let probe (t : _ t) key =
   let s = stripe_for t (Memo_table.hash_key key) in
   lock_stripe s;
   let r = Memo_table.find s.table key in
   Mutex.unlock s.lock;
+  if Option.is_some r then Failpoint.hit "memo.find_or_add";
   r
-
-(* The failpoint a hit passes runs with no lock held, as in
-   [find_or_add] (a [delay] action would otherwise stall the stripe),
-   so a hit takes the stripe twice: once to peek, once to count. *)
-let probe (t : _ t) key =
-  let s = stripe_for t (Memo_table.hash_key key) in
-  lock_stripe s;
-  let r = Memo_table.peek s.table key in
-  Mutex.unlock s.lock;
-  match r with
-  | None -> None
-  | Some _ ->
-    Failpoint.hit "memo.find_or_add";
-    lock_stripe s;
-    Memo_table.count_hit s.table;
-    Mutex.unlock s.lock;
-    r
 
 let add (t : _ t) key value =
   let s = stripe_for t (Memo_table.hash_key key) in
@@ -122,35 +104,4 @@ let iter f (t : _ t) =
        lock_stripe s;
        Fun.protect ~finally:(fun () -> Mutex.unlock s.lock)
          (fun () -> Memo_table.iter f s.table))
-    t.stripes
-
-let stats (t : _ t) : Memo_table.stats =
-  Array.fold_left
-    (fun (acc : Memo_table.stats) s ->
-       lock_stripe s;
-       let st = Memo_table.stats s.table in
-       Mutex.unlock s.lock;
-       { Memo_table.size = acc.size + st.size;
-         buckets = acc.buckets + st.buckets;
-         lookups = acc.lookups + st.lookups;
-         hits = acc.hits + st.hits })
-    { Memo_table.size = 0; buckets = 0; lookups = 0; hits = 0 }
-    t.stripes
-
-let contended (t : _ t) =
-  Array.fold_left
-    (fun acc s ->
-       lock_stripe s;
-       let c = s.contended in
-       Mutex.unlock s.lock;
-       acc + c)
-    0 t.stripes
-
-let reset_counters (t : _ t) =
-  Array.iter
-    (fun s ->
-       lock_stripe s;
-       Memo_table.reset_counters s.table;
-       s.contended <- 0;
-       Mutex.unlock s.lock)
     t.stripes

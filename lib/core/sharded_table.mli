@@ -20,30 +20,31 @@
     racing on the same key may thus both compute it; [Memo_table.add]
     replaces the binding, and computes are deterministic functions of
     the key, so the survivor is equivalent and [length] still counts
-    the key once. A [compute] that raises stores nothing. *)
+    the key once. A [compute] that raises stores nothing.
+
+    Like {!Memo_table}, the table counts no lookups or hits (the
+    analyzer does). Its one instrument is a lock fact only it can see:
+    the process-wide [memo.stripe.contended] counter of stripe
+    acquisitions that had to block. Scheduling-dependent by nature,
+    it is never part of deterministic output. *)
 
 type 'a t
 
-val create : ?stripes:int -> ?initial_buckets:int -> unit -> 'a t
-(** [stripes] is rounded up to a power of two (default 32).
-    [initial_buckets] is the per-stripe {!Memo_table.create} size. *)
+val create : ?stripes:int -> unit -> 'a t
+(** [stripes] is rounded up to a power of two (default 32). *)
 
 val stripes : 'a t -> int
 (** Actual (power-of-two) stripe count. *)
 
-val find : 'a t -> int array -> 'a option
-(** Locked lookup; counts a lookup (and hit) on the key's stripe. *)
-
 val probe : 'a t -> int array -> 'a option
-(** {!Memo_table.probe} on the key's stripe: quiet on a miss (no
-    failpoint, no counters, no [on_miss]), counted on the stripe as a
-    {!find_or_add} hit on a hit. As in {!find_or_add}, the failpoint
-    runs with no stripe lock held. *)
+(** {!Memo_table.probe} on the key's stripe, which it takes once:
+    quiet on a miss (no failpoint, no [on_miss]); a hit passes the
+    [memo.find_or_add] failpoint as a {!find_or_add} hit does, with no
+    stripe lock held. *)
 
 val add : 'a t -> int array -> 'a -> unit
-(** Locked insert; replaces any previous binding. Not counted as a
-    lookup (mirrors {!Memo_table.add}) — the durable store's replay
-    path uses this to warm the table without skewing hit rates. *)
+(** Locked insert; replaces any previous binding. The durable store's
+    replay path uses this to warm the table. *)
 
 val find_or_add :
   ?on_miss:(int array -> 'a -> unit) ->
@@ -63,24 +64,3 @@ val iter : (int array -> 'a -> unit) -> 'a t -> unit
 (** Iterate all bindings, stripe by stripe, holding each stripe's lock
     while it is walked. [f] must not touch the table. Quiescent use
     only (spilling to disk, post-run merging into a plain table). *)
-
-val stats : 'a t -> Memo_table.stats
-(** Aggregated across stripes: sizes, bucket counts, lookups and hits
-    summed. Every [find_or_add] counts exactly one lookup, so lookup
-    totals are deterministic whenever the {e number} of [find_or_add]
-    calls is (beware nested tables: the analyzer consults its gcd
-    table only on full-table misses, so gcd traffic varies with hit
-    timing); hit totals depend on cross-domain timing and are only
-    deterministic at [--jobs 1]. Sizes are always the distinct-key
-    count, whatever the racing. *)
-
-val contended : 'a t -> int
-(** Number of stripe-lock acquisitions that found the lock held
-    ([Mutex.try_lock] failed and the caller had to block). Also
-    surfaced process-wide as the [memo.stripe.contended] metrics
-    counter. Scheduling-dependent by nature — never part of
-    deterministic output. *)
-
-val reset_counters : 'a t -> unit
-(** Zero every stripe's lookup/hit counters and the contention
-    count (bindings are kept). *)

@@ -56,6 +56,12 @@ let set_time_source f = time_source := f
 let collecting () =
   Atomic.get active > 0 && (Domain.DLS.get window_key).open_
 
+(* A top-level function, not a closure over [w], [i] and [t0]: a timed
+   call allocates nothing of its own. *)
+let charge w i t0 =
+  w.calls.(i) <- w.calls.(i) + 1;
+  w.ns.(i) <- w.ns.(i) + (!time_source () - t0)
+
 let time stage f =
   if Atomic.get active = 0 then f ()
   else begin
@@ -66,13 +72,9 @@ let time stage f =
       let t0 = !time_source () in
       (* Charge on both return and escape: an exhaustion blowing out of
          a stage still spent the time. *)
-      let charge () =
-        w.calls.(i) <- w.calls.(i) + 1;
-        w.ns.(i) <- w.ns.(i) + (!time_source () - t0)
-      in
       match f () with
-      | v -> charge (); v
-      | exception e -> charge (); raise e
+      | v -> charge w i t0; v
+      | exception e -> charge w i t0; raise e
     end
   end
 

@@ -783,23 +783,55 @@ let test_perfect_one_front () =
 (* Two persistent caches advanced in lockstep over the same programs:
    each call's memo statistics must be that call's own traffic on its
    cache — never polluted by the other cache's interleaved activity —
-   and must sum back to the lifetime counters [Durable.table_stats]
-   reports. *)
+   and must sum back both to the calls the first cache's tables saw
+   and to the process-wide [memo.lookups]/[memo.hits] counters' growth
+   over the session. *)
 let test_interleaved_session_stats () =
   let config =
     { Analyzer.default_config with Analyzer.memo = Analyzer.Memo_improved }
   in
   let p1 = parse "for i = 1 to 10 do a[i] = a[i+1] + a[2*i] end" in
   let p2 = parse "for i = 1 to 8 do for j = 1 to 8 do b[i+j] = b[i+j+1] end end" in
-  let sequence = [ p1; p2; p1 ] in
+  (* p1 over other bounds: new full-table keys, the same gcd-table keys *)
+  let p3 = parse "for i = 1 to 20 do a[i] = a[i+1] + a[2*i] end" in
+  let sequence = [ p1; p2; p1; p3 ] in
   let s1, _ = Dda_cache.Durable.create ~config () in
   let s2, _ = Dda_cache.Durable.create ~config () in
+  (* Count s1's traffic per table at the cache interface, apart from
+     the analyzer's own counting: a lookup is a [find_or_add_*] call
+     or a [probe_full] hit (a probe miss is quiet). *)
+  let gcd_lookups = ref 0 and gcd_hits = ref 0 in
+  let full_lookups = ref 0 and full_hits = ref 0 in
+  let cache1 =
+    let base = Dda_cache.Durable.cache s1 in
+    let tally lookups hits ((_, hit) as r) =
+      incr lookups;
+      if hit then incr hits;
+      r
+    in
+    {
+      base with
+      Analyzer.find_or_add_gcd =
+        (fun key compute ->
+           tally gcd_lookups gcd_hits (base.Analyzer.find_or_add_gcd key compute));
+      find_or_add_full =
+        (fun key compute ->
+           tally full_lookups full_hits (base.Analyzer.find_or_add_full key compute));
+      probe_full =
+        (fun key ->
+           match base.Analyzer.probe_full key with
+           | Some _ as hit ->
+             incr full_lookups;
+             incr full_hits;
+             hit
+           | None -> None);
+    }
+  in
+  let before = Dda_obs.Metrics.snapshot () in
   let calls =
     List.map
       (fun p ->
-         let r1 =
-           Analyzer.analyze ~config ~cache:(Dda_cache.Durable.cache s1) p
-         in
+         let r1 = Analyzer.analyze ~config ~cache:cache1 p in
          let r2 =
            Analyzer.analyze ~config ~cache:(Dda_cache.Durable.cache s2) p
          in
@@ -816,7 +848,10 @@ let test_interleaved_session_stats () =
          a.memo_hits_full b.memo_hits_full;
        Alcotest.(check int)
          (Printf.sprintf "call %d: same gcd-table lookups either cache" i)
-         a.memo_lookups_nobounds b.memo_lookups_nobounds)
+         a.memo_lookups_nobounds b.memo_lookups_nobounds;
+       Alcotest.(check int)
+         (Printf.sprintf "call %d: same gcd-table hits either cache" i)
+         a.memo_hits_nobounds b.memo_hits_nobounds)
     calls;
   (* Re-analyzing p1 must hit on every single case: a cumulative (or
      cross-contaminated) delta would break one of these equalities. *)
@@ -828,34 +863,38 @@ let test_interleaved_session_stats () =
        again.Analyzer.memo_lookups_full again.Analyzer.memo_hits_full;
      Alcotest.(check bool) "first pass over p1 missed at least once" true
        (first.Analyzer.memo_hits_full < first.Analyzer.memo_lookups_full));
-  let sum f = List.fold_left (fun acc (a, _) -> acc + f a) 0 calls in
-  let gcd_stats, full_stats = Dda_cache.Durable.table_stats s1 in
-  Alcotest.(check int) "per-call full lookups sum to the lifetime counter"
-    (sum (fun (s : Analyzer.stats) -> s.memo_lookups_full))
-    full_stats.Memo_table.lookups;
-  Alcotest.(check int) "per-call full hits sum to the lifetime counter"
-    (sum (fun (s : Analyzer.stats) -> s.memo_hits_full))
-    full_stats.Memo_table.hits;
-  Alcotest.(check int) "per-call gcd lookups sum to the lifetime counter"
-    (sum (fun (s : Analyzer.stats) -> s.memo_lookups_nobounds))
-    gcd_stats.Memo_table.lookups;
-  Alcotest.(check int) "per-call gcd hits sum to the lifetime counter"
-    (sum (fun (s : Analyzer.stats) -> s.memo_hits_nobounds))
-    gcd_stats.Memo_table.hits;
-  (* Lockstep caches end with identical lifetime statistics. *)
-  let gcd2, full2 = Dda_cache.Durable.table_stats s2 in
-  Alcotest.(check int) "lifetime full lookups equal across caches"
-    full_stats.Memo_table.lookups full2.Memo_table.lookups;
-  Alcotest.(check int) "lifetime full entries equal across caches"
-    full_stats.Memo_table.size full2.Memo_table.size;
-  Alcotest.(check int) "lifetime gcd hits equal across caches"
-    gcd_stats.Memo_table.hits gcd2.Memo_table.hits
+  let after = Dda_obs.Metrics.snapshot () in
+  let delta name =
+    Dda_obs.Metrics.find_counter after name
+    - Dda_obs.Metrics.find_counter before name
+  in
+  let sum1 f = List.fold_left (fun acc (a, _) -> acc + f a) 0 calls in
+  Alcotest.(check bool) "p1 over other bounds hit the gcd table" true
+    (!gcd_hits > 0);
+  Alcotest.(check int) "per-call full lookups sum to the table's traffic"
+    !full_lookups (sum1 (fun (s : Analyzer.stats) -> s.memo_lookups_full));
+  Alcotest.(check int) "per-call full hits sum to the table's traffic"
+    !full_hits (sum1 (fun (s : Analyzer.stats) -> s.memo_hits_full));
+  Alcotest.(check int) "per-call gcd lookups sum to the table's traffic"
+    !gcd_lookups (sum1 (fun (s : Analyzer.stats) -> s.memo_lookups_nobounds));
+  Alcotest.(check int) "per-call gcd hits sum to the table's traffic"
+    !gcd_hits (sum1 (fun (s : Analyzer.stats) -> s.memo_hits_nobounds));
+  let sum f = List.fold_left (fun acc (a, b) -> acc + f a + f b) 0 calls in
+  Alcotest.(check int) "per-call lookups sum to the lifetime counter"
+    (sum (fun (s : Analyzer.stats) -> s.memo_lookups_full + s.memo_lookups_nobounds))
+    (delta "memo.lookups");
+  Alcotest.(check int) "per-call hits sum to the lifetime counter"
+    (sum (fun (s : Analyzer.stats) -> s.memo_hits_full + s.memo_hits_nobounds))
+    (delta "memo.hits");
+  (* Lockstep caches end holding the same entries. *)
+  Alcotest.(check (pair int int)) "lifetime entries equal across caches"
+    (Dda_cache.Durable.table_sizes s1) (Dda_cache.Durable.table_sizes s2)
 
 (* Two queries on one shared cache at once, as two serve workers on
    one durable store: the cache below starts a second analysis on the
    same tables inside the first query's first miss. The outer report's
    lookups and hits must be its own — equal to a solo run's on fresh
-   tables — however much the inner query moved the tables' counters. *)
+   tables — however many lookups the inner query made meanwhile. *)
 let test_nested_query_keeps_its_memo_counts () =
   let config = Analyzer.default_config in
   let outer = parse "for i = 1 to 10 do a[i] = a[i+1] + a[2*i] end" in

@@ -192,7 +192,7 @@ let test_memo_find_or_add () =
   Alcotest.(check (pair int bool)) "second" (10, true) (v2, hit2);
   Alcotest.(check int) "computed once" 1 !calls
 
-let test_memo_growth_and_counters () =
+let test_memo_growth () =
   let t = Memo_table.create ~initial_buckets:2 () in
   for i = 1 to 500 do
     Memo_table.add t [| i; i * 3; -i |] i
@@ -202,30 +202,24 @@ let test_memo_growth_and_counters () =
   for i = 1 to 500 do
     if Memo_table.find t [| i; i * 3; -i |] <> Some i then ok := false
   done;
-  Alcotest.(check bool) "all retrievable after rehash" true !ok;
-  Alcotest.(check int) "lookups counted" 500 (Memo_table.lookups t);
-  Alcotest.(check int) "hits counted" 500 (Memo_table.hits t);
-  Memo_table.reset_counters t;
-  Alcotest.(check int) "reset" 0 (Memo_table.lookups t)
+  Alcotest.(check bool) "all retrievable after rehash" true !ok
 
-let test_memo_stats_and_load_factor () =
+let test_memo_size_and_load_factor () =
   let t = Memo_table.create ~initial_buckets:4 () in
-  let st0 = Memo_table.stats t in
-  Alcotest.(check int) "empty size" 0 st0.Memo_table.size;
-  Alcotest.(check int) "initial buckets" 4 st0.Memo_table.buckets;
+  Alcotest.(check int) "empty size" 0 (Memo_table.length t);
+  Alcotest.(check int) "initial buckets" 4 (Memo_table.buckets t);
   let n = (Memo_table.load_factor * 4) + 1 in
   for i = 1 to n do
     Memo_table.add t [| i |] i
   done;
-  ignore (Memo_table.find t [| 1 |]);
-  ignore (Memo_table.find t [| -1 |]);
-  let st = Memo_table.stats t in
-  Alcotest.(check int) "size" n st.Memo_table.size;
+  Alcotest.(check int) "size" n (Memo_table.length t);
   (* One entry past load_factor * buckets must have doubled the
      bucket array exactly once. *)
-  Alcotest.(check int) "doubled once at the load factor" 8 st.Memo_table.buckets;
-  Alcotest.(check int) "lookups" 2 st.Memo_table.lookups;
-  Alcotest.(check int) "hits" 1 st.Memo_table.hits
+  Alcotest.(check int) "doubled once at the load factor" 8 (Memo_table.buckets t);
+  Alcotest.(check (option int)) "hit after the doubling" (Some 1)
+    (Memo_table.find t [| 1 |]);
+  Alcotest.(check (option int)) "miss after the doubling" None
+    (Memo_table.find t [| -1 |])
 
 let test_memo_hash_asymmetry () =
   (* The paper chose h(x) = size + sum 2^i x_i so that symmetric
@@ -504,9 +498,8 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_memo_basic;
           Alcotest.test_case "find_or_add" `Quick test_memo_find_or_add;
-          Alcotest.test_case "growth and counters" `Quick test_memo_growth_and_counters;
-          Alcotest.test_case "stats and load factor" `Quick
-            test_memo_stats_and_load_factor;
+          Alcotest.test_case "growth" `Quick test_memo_growth;
+          Alcotest.test_case "size and load factor" `Quick test_memo_size_and_load_factor;
           Alcotest.test_case "hash asymmetry" `Quick test_memo_hash_asymmetry;
         ] );
       ( "gcd-reduction",

@@ -532,6 +532,26 @@ let test_attrib_nested_and_raise () =
    with Failure _ -> ());
   Alcotest.(check bool) "closed after raise" false (Attrib.collecting ())
 
+(* A timed call in an open window charges it without allocating: the
+   serve daemon opens a window around every request, so a per-call
+   allocation would be paid at every solver stage of every query. *)
+let test_attrib_time_allocates_nothing () =
+  Clock.use_tick_counter ();
+  Attrib.set_time_source Clock.now;
+  let body () = 0 in
+  let (), snap =
+    Attrib.collect (fun () ->
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1_000 do
+          ignore (Sys.opaque_identity (Attrib.time Attrib.Svpc body))
+        done;
+        let w1 = Gc.minor_words () in
+        Alcotest.(check (float 0.)) "minor words over 1,000 timed calls" 0.
+          (w1 -. w0))
+  in
+  Alcotest.(check int) "every call charged" 1_000
+    (stage_stat snap Attrib.Svpc).Attrib.calls
+
 let test_attrib_solver_integration () =
   (* The real cascade charges the window: analyze one flow-dependent
      loop and expect gcd (and svpc) activity plus budget steps. *)
@@ -691,6 +711,8 @@ let () =
             test_attrib_nested_and_raise;
           Alcotest.test_case "solver integration" `Quick
             test_attrib_solver_integration;
+          Alcotest.test_case "a timed call allocates nothing" `Quick
+            test_attrib_time_allocates_nothing;
         ] );
       ( "probe",
         [
